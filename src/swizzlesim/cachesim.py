@@ -2,10 +2,10 @@
 
 Execution model: launch pid ``i`` executes logical workgroup ``remap(i)``'s
 stream on XCD ``i % num_xcds``. Each XCD keeps up to
-``concurrent_slots_per_xcd`` workgroups resident, interleaving their
-streams round-robin at ``interleave_granularity`` accesses per turn; a
-workgroup that finishes frees its slot for the next launch pid assigned to
-that XCD. Wave barriers drain all XCDs before the next wave starts (cache
+``concurrent_slots_per_xcd`` workgroups resident and interleaves their
+streams one line touch per turn; a workgroup that finishes frees its slot
+for the next launch pid assigned to that XCD. Wave barriers drain all XCDs
+before the next wave starts, so each wave begins with empty slots (cache
 contents persist across waves).
 
 Each XCD owns an independent set-associative LRU cache. Accesses are
@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .arch import ArchSpec, concurrent_slots_per_xcd
-from .patterns import GridSpec, SwizzlePattern, builtin_pattern, validated_remap_table
+from .patterns import SwizzlePattern, builtin_pattern, validated_remap_table
 from .traces import AccessTrace, Stream
 
 
@@ -35,12 +35,12 @@ class SimulationError(ValueError):
 
 @dataclass(frozen=True)
 class ExecParams:
-    interleave_granularity: int = 1
-    respect_wave_barriers: bool = True
+    """Execution-model options of ``simulate``; there are none.
 
-    def __post_init__(self):
-        if self.interleave_granularity < 1:
-            raise ValueError("interleave_granularity must be >= 1")
+    The execution model is fixed (see the module docstring). The class stays
+    so that callers passing ``ExecParams()`` to ``simulate``,
+    ``simulate_pair`` or ``optimize`` keep working.
+    """
 
 
 @dataclass(frozen=True)
@@ -130,15 +130,14 @@ def _expand_lines(stream: Stream, bases: np.ndarray, line_bytes: int) -> np.ndar
     return np.repeat(firsts, counts) + offsets
 
 
-def _interleave(streams: Iterator[np.ndarray], slots: int, granularity: int) -> Iterator[np.ndarray]:
+def _interleave(streams: Iterator[np.ndarray], slots: int) -> Iterator[np.ndarray]:
     """Merge workgroup line streams as the XCD would execute them.
 
-    Slots are serviced round-robin, ``granularity`` touches per turn; a
-    slot that drains refills from the queue and joins the next turn after
-    the surviving slots. With granularity 1 the merge is emitted in
-    batches: while the resident set is stable, every stream advances in
-    lockstep, so a batch is just the column-major ravel of equal-length
-    slices.
+    Slots are serviced round-robin, one touch per turn; a slot that drains
+    refills from the queue and joins the next turn after the surviving
+    slots. The merge is emitted in batches: while the resident set is
+    stable, every stream advances in lockstep, so a batch is just the
+    column-major ravel of equal-length slices.
     """
     active: list[list] = []  # [array, position]
 
@@ -151,33 +150,17 @@ def _interleave(streams: Iterator[np.ndarray], slots: int, granularity: int) -> 
                 active.append([nxt, 0])
 
     refill()
-    if granularity == 1:
-        while active:
-            step = min(len(a) - pos for a, pos in active)
-            batch = np.stack([a[pos : pos + step] for a, pos in active], axis=1)
-            yield batch.ravel()
-            survivors = []
-            for entry in active:
-                entry[1] += step
-                if entry[1] < len(entry[0]):
-                    survivors.append(entry)
-            active[:] = survivors
-            refill()
-        return
-    # general granularity: plain per-turn servicing
     while active:
-        chunk: list[np.ndarray] = []
+        step = min(len(a) - pos for a, pos in active)
+        batch = np.stack([a[pos : pos + step] for a, pos in active], axis=1)
+        yield batch.ravel()
         survivors = []
         for entry in active:
-            arr, pos = entry
-            end = min(pos + granularity, len(arr))
-            chunk.append(arr[pos:end])
-            entry[1] = end
-            if end < len(arr):
+            entry[1] += step
+            if entry[1] < len(entry[0]):
                 survivors.append(entry)
         active[:] = survivors
         refill()
-        yield np.concatenate(chunk)
 
 
 def simulate(
@@ -187,62 +170,42 @@ def simulate(
     exec_params: ExecParams = ExecParams(),
 ) -> BottleneckReport:
     """Run the trace under a swizzle pattern; the pattern is validated first."""
-    grid = trace.grid
-    table = validated_remap_table(pattern, grid, arch)
-    total = grid.total_blocks
+    table = validated_remap_table(pattern, trace.grid, arch)
+    num_xcds = arch.num_xcds
     slots = concurrent_slots_per_xcd(arch)
     line_bytes = arch.l2_line_bytes
-    num_sets = arch.num_sets
-    ways = arch.l2_associativity
     bases = trace.base_offsets
+    end = max((b.base_offset + b.length_bytes for b in trace.buffers), default=0)
+    extent = -(-end // line_bytes)  # lines the buffers span
+    touched = np.zeros(extent, dtype=bool)
 
-    in_wave = []
-    for wave in range(trace.num_waves):
-        mask = np.zeros(total, dtype=bool)
-        mask[trace.wave_pids[wave]] = True
-        in_wave.append(mask)
+    launch_of = np.empty_like(table)
+    launch_of[table] = np.arange(len(table), dtype=np.int64)
+    # launch pids of each wave's workgroups, in launch order
+    wave_launch = [np.unique(launch_of[members]) for members in trace.wave_pids]
 
-    unique_lines: set[int] = set()
     per_xcd: list[XcdStats] = []
-    for xcd in range(arch.num_xcds):
-        launch = np.arange(xcd, total, arch.num_xcds, dtype=np.int64)
-        cache = SetAssocLru(num_sets, ways)
+    for xcd in range(num_xcds):
+        cache = SetAssocLru(arch.num_sets, arch.l2_associativity)
         hits = 0
         misses = 0
         accesses = 0
-
-        def wg_streams(wave_idx: int, launch_pids: np.ndarray) -> Iterator[np.ndarray]:
-            for l in launch_pids:
-                logical = int(table[l])
-                yield _expand_lines(trace.stream(logical, wave_idx), bases, line_bytes)
-
-        if exec_params.respect_wave_barriers:
-            schedules = [
-                (w, launch[in_wave[w][table[launch]]]) for w in range(trace.num_waves)
-            ]
-            merged_iter = (
-                chunk
-                for w, pids in schedules
-                for chunk in _interleave(wg_streams(w, pids), slots, exec_params.interleave_granularity)
+        for wave, launch in enumerate(wave_launch):
+            streams = (
+                _expand_lines(trace.stream(int(table[pid]), wave), bases, line_bytes)
+                for pid in launch[launch % num_xcds == xcd]
             )
-        else:
-            # no drain between waves: one continuous queue in wave order
-            def all_streams() -> Iterator[np.ndarray]:
-                for w in range(trace.num_waves):
-                    pids = launch[in_wave[w][table[launch]]]
-                    yield from wg_streams(w, pids)
-
-            merged_iter = _interleave(
-                all_streams(), slots, exec_params.interleave_granularity
-            )
-
-        for chunk in merged_iter:
-            lines = chunk.tolist()
-            h, m = cache.access_many(lines)
-            hits += h
-            misses += m
-            accesses += len(lines)
-            unique_lines.update(lines)
+            for chunk in _interleave(streams, slots):
+                if chunk.min() < 0 or chunk.max() >= extent:
+                    raise SimulationError(
+                        f"{trace.kernel}: a record touches a line outside the "
+                        f"buffers' {extent} lines"
+                    )
+                touched[chunk] = True
+                h, m = cache.access_many(chunk.tolist())
+                hits += h
+                misses += m
+                accesses += len(chunk)
 
         rate = hits / accesses if accesses else 0.0
         per_xcd.append(XcdStats(accesses=accesses, hits=hits, misses=misses, hit_rate=rate))
@@ -253,13 +216,13 @@ def simulate(
     return BottleneckReport(
         kernel=trace.kernel,
         pattern=pattern.name,
-        num_xcds=arch.num_xcds,
+        num_xcds=num_xcds,
         accesses=accesses,
         hits=hits,
         misses=misses,
         l2_hit_rate=hits / accesses if accesses else 0.0,
         per_xcd=tuple(per_xcd),
-        unique_lines_touched=len(unique_lines),
+        unique_lines_touched=int(np.count_nonzero(touched)),
     )
 
 
@@ -280,15 +243,17 @@ def hit_rate_delta(baseline: BottleneckReport, swizzled: BottleneckReport) -> fl
 
 
 def compare_reports(reports: Sequence[BottleneckReport]) -> list[BottleneckReport]:
-    """Rank by hit rate (descending); ties by fewer unique lines, then name."""
+    """Rank by hit rate (descending); ties by pattern name.
+
+    ``unique_lines_touched`` is no tie-break: every bijection of one trace
+    touches the same lines.
+    """
     if not reports:
         raise SimulationError("no reports to compare")
     kernels = {r.kernel for r in reports}
     if len(kernels) > 1:
         raise SimulationError(f"cannot rank reports from different kernels: {sorted(kernels)}")
-    return sorted(
-        reports, key=lambda r: (-r.l2_hit_rate, r.unique_lines_touched, r.pattern)
-    )
+    return sorted(reports, key=lambda r: (-r.l2_hit_rate, r.pattern))
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser("validate", help="check a pattern for bijectivity")
     _add_pattern_args(val)
     val.add_argument("--kernel", choices=KERNEL_KINDS, default=None)
-    val.add_argument("--size", type=int, default=None, help="problem size override")
+    val.add_argument("--size", type=_positive_int, default=None, help="problem size override")
     val.add_argument(
         "--grid",
         default=None,
@@ -122,8 +122,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _add_kernel_args(cmd: argparse.ArgumentParser, with_size: bool = True) -> None:
     cmd.add_argument("--kernel", choices=KERNEL_KINDS, required=True)
     if with_size:
-        cmd.add_argument("--size", type=int, default=None, help="problem size override")
+        cmd.add_argument("--size", type=_positive_int, default=None, help="problem size override")
     cmd.add_argument("--arch", default="mi300x-like", help="preset name or JSON path")
+
+
+def _positive_int(text: str) -> int:
+    """A size or block count from the command line; anything else is a usage error."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _add_pattern_args(cmd: argparse.ArgumentParser) -> None:
@@ -201,8 +208,8 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     arch = resolve_arch(args.arch)
     try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    except ValueError as exc:
+        sizes = [_positive_int(s) for s in args.sizes.split(",") if s.strip()]
+    except argparse.ArgumentTypeError as exc:
         print(f"error: bad --sizes value: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if not sizes:
@@ -251,6 +258,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    if args.max_iters < 0:
+        print("error: --max-iters must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     arch = resolve_arch(args.arch)
     spec = _resolve_spec(args)
     if args.proposer == "search":
@@ -268,7 +278,12 @@ def cmd_optimize(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     history_path = Path(args.history) if args.history else out / "history.jsonl"
-    with JsonlHistorySink(history_path) as sink:
+    try:
+        sink = JsonlHistorySink(history_path)
+    except FileExistsError:
+        print(f"error: history file {history_path} already exists", file=sys.stderr)
+        return EXIT_USAGE
+    with sink:
         result = optimize(spec, arch, proposer, max_iters=args.max_iters, history_sink=sink)
 
     write_progression_csv(result, out / "progression.csv")
@@ -299,16 +314,13 @@ def cmd_validate(args) -> int:
     if args.grid is not None:
         parts = args.grid.lower().split("x")
         try:
-            counts = [int(p) for p in parts]
-        except ValueError as exc:
+            counts = [_positive_int(p) for p in parts]
+        except argparse.ArgumentTypeError as exc:
             print(f"error: bad --grid value: {exc}", file=sys.stderr)
             return EXIT_USAGE
         grid = GridSpec.from_block_counts(*counts[:2])
     elif args.kernel is not None:
-        spec = (
-            spec_with_size(args.kernel, args.size) if args.size else default_spec(args.kernel)
-        )
-        grid = launch_grid(spec)
+        grid = launch_grid(_resolve_spec(args))
     else:
         print("error: one of --grid or --kernel is required", file=sys.stderr)
         return EXIT_USAGE

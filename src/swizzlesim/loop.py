@@ -33,11 +33,11 @@ from .client import CompletionClient, ClientError, ReplayExhaustedError
 from .kernels import KernelSpec, generate_trace
 from .patterns import (
     GridSpec,
+    NonBijectiveError,
     PatternError,
     SwizzlePattern,
     ValidationResult,
     builtin_pattern,
-    check_bijectivity,
     pattern_from_expr,
     pattern_to_dict,
 )
@@ -152,11 +152,11 @@ def entry_from_dict(data: dict) -> HistoryEntry:
 
 
 class JsonlHistorySink:
-    """Append-only JSON Lines history, flushed per iteration."""
+    """JSON Lines history of one run, flushed per iteration; refuses an existing file."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._fh = open(self.path, "a", encoding="utf-8")
+        self._fh = open(self.path, "x", encoding="utf-8")
 
     def append(self, entry: HistoryEntry) -> None:
         self._fh.write(json.dumps(entry_to_dict(entry), sort_keys=True) + "\n")
@@ -252,7 +252,7 @@ def optimize(
     reports_by_expr: dict[str, tuple[ValidationResult, BottleneckReport | None]] = {}
 
     identity = builtin_pattern("identity", grid, arch)
-    baseline_validation = check_bijectivity(identity, grid, arch)
+    baseline_validation = ValidationResult.success()
     baseline_report = simulate(trace, identity, arch, exec_params)
     baseline = HistoryEntry(
         iteration=0,
@@ -309,13 +309,14 @@ def optimize(
             validation, report = reports_by_expr[expr_text]
             diff = f"duplicate of an earlier attempt; expression unchanged: {expr_text}"
         else:
+            # simulate validates the pattern on the same table it runs
             try:
-                validation = check_bijectivity(pattern, grid, arch)
+                report = simulate(trace, pattern, arch, exec_params)
+                validation = ValidationResult.success()
+            except NonBijectiveError as exc:
+                report, validation = None, exc.result
             except (dsl.EvalError, PatternError):
-                validation = ValidationResult.failure()
-            report = (
-                simulate(trace, pattern, arch, exec_params) if validation.bijective else None
-            )
+                report, validation = None, ValidationResult.failure()
             reports_by_expr[expr_text] = (validation, report)
             diff = f"expression: {best_expr} -> {expr_text}"
 

@@ -155,6 +155,11 @@ class ValidationResult:
         """Verdict for candidates that cannot even be evaluated on the grid."""
         return cls(bijective=False, out_of_range=(), collisions=(), coverage_ok=False)
 
+    @classmethod
+    def success(cls) -> "ValidationResult":
+        """Verdict for a permutation: nothing out of range, no collisions."""
+        return cls(bijective=True, out_of_range=(), collisions=(), coverage_ok=True)
+
 
 def pattern_from_expr(
     name: str,
@@ -352,8 +357,10 @@ def check_bijectivity(
     cap: int = ENUMERATION_CAP,
 ) -> ValidationResult:
     """Exhaustively check that the induced map permutes [0, total_blocks)."""
-    total = grid.total_blocks
-    images = remap_table(pattern, grid, arch, cap=cap)
+    return _check_images(remap_table(pattern, grid, arch, cap=cap), grid.total_blocks)
+
+
+def _check_images(images: np.ndarray, total: int) -> ValidationResult:
     in_range = (images >= 0) & (images < total)
     out_of_range = tuple(int(p) for p in np.nonzero(~in_range)[0])
 
@@ -383,7 +390,9 @@ def check_bijectivity(
 def validated_remap_table(
     pattern: SwizzlePattern, grid: GridSpec, arch: ArchSpec, cap: int = ENUMERATION_CAP
 ) -> np.ndarray:
-    result = check_bijectivity(pattern, grid, arch, cap=cap)
+    """``remap_table``, raising ``NonBijectiveError`` unless it is a permutation."""
+    table = remap_table(pattern, grid, arch, cap=cap)
+    result = _check_images(table, grid.total_blocks)
     if not result.bijective:
         raise NonBijectiveError(
             f"pattern {pattern.name!r} is not bijective on this grid "
@@ -391,7 +400,7 @@ def validated_remap_table(
             f"{len(result.collisions)} collisions)",
             result=result,
         )
-    return remap_table(pattern, grid, arch, cap=cap)
+    return table
 
 
 def inverse_table(

@@ -119,6 +119,23 @@ def test_wave_barrier_cache_persists():
     assert rep.hits == 1  # wave 2 rereads the line cached in wave 1
 
 
+def test_wave_barrier_drains_slots():
+    # one-line cache, two slots: without the barrier B would interleave with
+    # A's rereads and evict A's line between them
+    streams = [{0: [(0, 4, False), (0, 4, False), (0, 4, False)]}, {1: [(512, 4, False)]}]
+    trace = trace_of_streams(streams)
+    arch = single_xcd(l2_bytes=128, ways=1, slots=2)
+    rep = simulate(trace, builtin_pattern("identity", trace.grid, arch), arch)
+    assert (rep.accesses, rep.hits) == (4, 2)
+
+
+@pytest.mark.parametrize("offset", [1 << 20, -128])
+def test_record_past_its_buffer_rejected(offset):
+    trace = trace_of_streams({0: [(offset, 4, False)]})
+    with pytest.raises(SimulationError, match="outside"):
+        simulate(trace, builtin_pattern("identity", trace.grid, single_xcd()), single_xcd())
+
+
 def test_wave_pids_subset():
     streams = [{0: [(0, 4, False)], 1: [(512, 4, False)]}, {1: [(512, 4, False)]}]
     trace = trace_of_streams(streams)
@@ -177,21 +194,15 @@ def test_lru_matches_reference_cache():
 
 def test_interleave_round_robin_order():
     streams = iter([np.array([1, 2, 3]), np.array([10, 20, 30]), np.array([100])])
-    merged = np.concatenate(list(_interleave(streams, slots=2, granularity=1)))
+    merged = np.concatenate(list(_interleave(streams, slots=2)))
     # slots: A=[1,2,3] B=[10,20,30]; C joins when one drains
     assert merged.tolist() == [1, 10, 2, 20, 3, 30, 100]
 
 
 def test_interleave_refill_midstream():
     streams = iter([np.array([1, 1, 1, 1]), np.array([2, 2]), np.array([3, 3])])
-    merged = np.concatenate(list(_interleave(streams, slots=2, granularity=1)))
+    merged = np.concatenate(list(_interleave(streams, slots=2)))
     assert merged.tolist() == [1, 2, 1, 2, 1, 3, 1, 3]
-
-
-def test_interleave_granularity_two():
-    streams = iter([np.array([1, 1, 1, 1]), np.array([2, 2, 2, 2])])
-    merged = np.concatenate(list(_interleave(streams, slots=2, granularity=2)))
-    assert merged.tolist() == [1, 1, 2, 2, 1, 1, 2, 2]
 
 
 def test_expand_lines_splits_multi_line_records():
@@ -234,9 +245,9 @@ def test_compare_reports_ordering_and_ties():
     a, b = rep("p_low", 0.46, 10), rep("p_high", 0.60, 10)
     assert compare_reports([a, b])[0] is b
     assert compare_reports([a])[0] is a
-    # exact tie: fewer unique lines wins, then name order
+    # exact tie: name order decides, whatever the unique-line counts
     c, d = rep("zzz", 0.5, 5), rep("aaa", 0.5, 9)
-    assert compare_reports([d, c])[0] is c
+    assert compare_reports([c, d])[0] is d
     e, f = rep("beta", 0.5, 5), rep("alpha", 0.5, 5)
     assert compare_reports([e, f])[0] is f
 

@@ -174,3 +174,35 @@ def test_optimize_replay_exhaustion_noted(tmp_path, capsys):
     )
     assert code == 0
     assert "exhausted after 0 of 5 iterations" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--kernel", "gemm", "--size", "0"),
+    ("validate", "--pattern", "identity", "--grid", "0"),
+    ("sweep", "--kernel", "gemm", "--sizes", "0,256"),
+])
+def test_non_positive_sizes_and_counts_usage_error(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+def test_optimize_refuses_existing_history(tmp_path, capsys):
+    argv = ("optimize", "--kernel", "gemm", "--size", "256", "--max-iters", "2",
+            "--out-dir", str(tmp_path))
+    assert run(capsys, *argv)[0] == 0
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert str(tmp_path / "history.jsonl") in err
+    assert [e.iteration for e in load_history(tmp_path / "history.jsonl")] == [0, 1, 2]
+
+
+def test_optimize_negative_max_iters_usage_error(tmp_path, capsys):
+    code, _, err = run(capsys, "optimize", "--kernel", "gemm", "--max-iters", "-1",
+                       "--out-dir", str(tmp_path))
+    assert code == 2
+    assert "--max-iters" in err
+    assert not (tmp_path / "history.jsonl").exists()  # a later run is not blocked

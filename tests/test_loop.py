@@ -2,10 +2,11 @@ import json
 
 import pytest
 
+from swizzlesim import patterns
 from swizzlesim.arch import MI300X_LIKE
 from swizzlesim.cachesim import report_from_dict
 from swizzlesim.client import ReplayExhaustedError
-from swizzlesim.kernels import KernelSpec
+from swizzlesim.kernels import KernelSpec, spec_with_size
 from swizzlesim.loop import (
     HistoryEntry,
     JsonlHistorySink,
@@ -215,6 +216,22 @@ def test_search_loop_improves_gemm():
     baseline_rate = result.progression[0][1]
     assert result.best.report.l2_hit_rate >= baseline_rate
     assert result.best.report.l2_hit_rate > 0.5  # contiguous member wins here
+
+
+def test_one_remap_evaluation_per_history_entry(monkeypatch):
+    calls = []
+    real = patterns.remap_table
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(patterns, "remap_table", counting)
+    entries = []
+    optimize(spec_with_size("gemm", 256), MI300X_LIKE, SearchProposer(), max_iters=6,
+             history_sink=entries)
+    assert len(entries) == 7
+    assert calls == [e.pattern["name"] for e in entries]
 
 
 # --- llm proposer ----------------------------------------------------------------
