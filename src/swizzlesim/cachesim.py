@@ -12,21 +12,37 @@ Each XCD owns an independent set-associative LRU cache. Accesses are
 quantized to lines: a record spanning k lines counts as k ordered line
 touches, and writes allocate like reads. There is no cycle model; time is
 access-count interleaving, so reported hit rates are locality signals, not
-hardware predictions.
+hardware predictions. A record that starts before its buffer or ends past
+it raises ``SimulationError``.
+
+The LRU itself (``SetAssocLru.access_many``) runs in a small C kernel,
+``_lru.c`` beside this module. The first cache built in a process compiles
+it with ``gcc`` into ``$XDG_CACHE_HOME/swizzlesim`` (default
+``~/.cache/swizzlesim``), under a name keyed by a hash of the C source, and
+loads it through ctypes; later processes reuse that build. The compiler
+writes to a temporary file that is renamed into place, so a concurrent
+process never loads a half-written library. Nothing is compiled or loaded
+at import. When the kernel cannot be built or loaded, a warning names the
+reason and the Python ``OrderedDict`` LRU runs instead, with identical
+counts; that loop is otherwise the oracle the tests hold the kernel to.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import os
+import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .arch import ArchSpec, concurrent_slots_per_xcd
 from .patterns import SwizzlePattern, builtin_pattern, validated_remap_table
-from .traces import AccessTrace, Stream
+from .traces import AccessTrace, Stream, records_outside
 
 
 class SimulationError(ValueError):
@@ -66,33 +82,92 @@ class BottleneckReport:
     unique_lines_touched: int
 
 
+_KERNEL_SOURCE = Path(__file__).with_name("_lru.c")
+_CC = "gcc"
+
+
+@functools.cache
+def _load_kernel():
+    """The native ``lru_access_many``, built on first use; None if unavailable.
+
+    A failed build leaves nothing in the build directory, so the next
+    process tries again; within this process the failure is remembered.
+    """
+    import ctypes
+    import hashlib
+    import subprocess
+    import tempfile
+
+    try:
+        source = _KERNEL_SOURCE.read_bytes()
+        build_dir = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
+        lib = build_dir / "swizzlesim" / f"lru-{hashlib.sha256(source).hexdigest()[:16]}.so"
+        if not lib.exists():
+            lib.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so.tmp", dir=lib.parent)
+            os.close(fd)
+            try:
+                subprocess.run(
+                    [_CC, "-O2", "-shared", "-fPIC", "-o", tmp, str(_KERNEL_SOURCE)],
+                    check=True, capture_output=True,
+                )
+                os.replace(tmp, lib)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        kernel = ctypes.CDLL(str(lib)).lru_access_many
+    except subprocess.CalledProcessError as exc:
+        reason = exc.stderr.decode(errors="replace").strip() or str(exc)
+    except OSError as exc:  # no compiler, unwritable directory, unloadable library
+        reason = str(exc)
+    else:
+        c_ptr, c_i64 = ctypes.c_void_p, ctypes.c_int64
+        kernel.argtypes = [c_ptr, c_i64, c_ptr, c_ptr, c_i64, c_i64]
+        kernel.restype = c_i64
+        return kernel
+    warnings.warn(f"native LRU kernel unavailable, using the Python LRU: {reason}",
+                  RuntimeWarning, stacklevel=2)
+    return None
+
+
 class SetAssocLru:
-    """Set-associative cache with strict LRU replacement per set."""
+    """Set-associative cache with strict LRU replacement per set.
+
+    With the native kernel, each set is a row of ``ways`` line ids, most
+    recently used first, plus a fill count; without it, an ``OrderedDict``
+    per set.
+    """
 
     def __init__(self, num_sets: int, ways: int):
         if num_sets < 1 or ways < 1:
             raise ValueError("num_sets and ways must be positive")
         self.num_sets = num_sets
         self.ways = ways
-        self._sets: dict[int, OrderedDict] = {}
+        self._kernel = _load_kernel()
+        if self._kernel is None:
+            self._sets: dict[int, OrderedDict] = {}
+        else:
+            self._tags = np.zeros(num_sets * ways, dtype=np.int64)
+            self._fill = np.zeros(num_sets, dtype=np.int32)
+            # the arrays live as long as self, so their addresses stay valid
+            self._state = (self._tags.ctypes.data, self._fill.ctypes.data, num_sets, ways)
 
     def access(self, line: int) -> bool:
         """Touch one line; True on hit. Misses allocate (write-allocate)."""
-        sets = self._sets
-        idx = line % self.num_sets
-        od = sets.get(idx)
-        if od is None:
-            od = sets[idx] = OrderedDict()
-        if line in od:
-            od.move_to_end(line)
-            return True
-        od[line] = None
-        if len(od) > self.ways:
-            od.popitem(last=False)
-        return False
+        return self.access_many([line])[0] == 1
 
-    def access_many(self, lines: Sequence[int]) -> tuple[int, int]:
+    def access_many(self, lines: Sequence[int] | np.ndarray) -> tuple[int, int]:
         """Touch lines in order; returns (hits, misses). Hot path."""
+        if self._kernel is None:
+            return self._access_many_python(lines)
+        lines = np.ascontiguousarray(lines, dtype=np.int64)
+        hits = self._kernel(lines.ctypes.data, len(lines), *self._state)
+        return hits, len(lines) - hits
+
+    def _access_many_python(self, lines: Sequence[int] | np.ndarray) -> tuple[int, int]:
+        """``access_many`` without the kernel; the tests' oracle for it."""
+        if isinstance(lines, np.ndarray):
+            lines = lines.tolist()
         sets = self._sets
         num_sets = self.num_sets
         ways = self.ways
@@ -175,14 +250,23 @@ def simulate(
     slots = concurrent_slots_per_xcd(arch)
     line_bytes = arch.l2_line_bytes
     bases = trace.base_offsets
+    lengths = trace.buffer_lengths
     end = max((b.base_offset + b.length_bytes for b in trace.buffers), default=0)
-    extent = -(-end // line_bytes)  # lines the buffers span
-    touched = np.zeros(extent, dtype=bool)
+    touched = np.zeros(-(-end // line_bytes), dtype=bool)  # one flag per line the buffers span
 
     launch_of = np.empty_like(table)
     launch_of[table] = np.arange(len(table), dtype=np.int64)
     # launch pids of each wave's workgroups, in launch order
     wave_launch = [np.unique(launch_of[members]) for members in trace.wave_pids]
+
+    def lines_of(pid: int, wave: int) -> np.ndarray:
+        stream = trace.stream(pid, wave)
+        if records_outside(stream, lengths):
+            raise SimulationError(
+                f"{trace.kernel}: a record of workgroup {pid} in wave {wave} lies "
+                "outside its buffer"
+            )
+        return _expand_lines(stream, bases, line_bytes)
 
     per_xcd: list[XcdStats] = []
     for xcd in range(num_xcds):
@@ -192,17 +276,11 @@ def simulate(
         accesses = 0
         for wave, launch in enumerate(wave_launch):
             streams = (
-                _expand_lines(trace.stream(int(table[pid]), wave), bases, line_bytes)
-                for pid in launch[launch % num_xcds == xcd]
+                lines_of(int(table[pid]), wave) for pid in launch[launch % num_xcds == xcd]
             )
             for chunk in _interleave(streams, slots):
-                if chunk.min() < 0 or chunk.max() >= extent:
-                    raise SimulationError(
-                        f"{trace.kernel}: a record touches a line outside the "
-                        f"buffers' {extent} lines"
-                    )
                 touched[chunk] = True
-                h, m = cache.access_many(chunk.tolist())
+                h, m = cache.access_many(chunk)
                 hits += h
                 misses += m
                 accesses += len(chunk)

@@ -314,11 +314,13 @@ def cmd_validate(args) -> int:
     if args.grid is not None:
         parts = args.grid.lower().split("x")
         try:
+            if len(parts) > 2:
+                raise argparse.ArgumentTypeError(f"{args.grid!r} is not TOTAL or MxN")
             counts = [_positive_int(p) for p in parts]
         except argparse.ArgumentTypeError as exc:
             print(f"error: bad --grid value: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        grid = GridSpec.from_block_counts(*counts[:2])
+        grid = GridSpec.from_block_counts(*counts)
     elif args.kernel is not None:
         grid = launch_grid(_resolve_spec(args))
     else:

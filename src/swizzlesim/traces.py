@@ -130,8 +130,10 @@ class AccessTrace:
             wave_pids = [np.arange(grid.total_blocks, dtype=np.int64)]
         self.wave_pids = tuple(np.asarray(w, dtype=np.int64) for w in wave_pids)
         self.base_offsets = np.zeros(len(self.buffers), dtype=np.int64)
+        self.buffer_lengths = np.zeros(len(self.buffers), dtype=np.int64)
         for buf in self.buffers:
             self.base_offsets[buf.buffer_id] = buf.base_offset
+            self.buffer_lengths[buf.buffer_id] = buf.length_bytes
 
     @property
     def num_waves(self) -> int:
@@ -165,19 +167,20 @@ def make_buffers(sizes: Sequence[tuple[str, int]]) -> list[Buffer]:
 
 def validate_trace_bounds(trace: AccessTrace, pids: Iterable[int] | None = None) -> None:
     """Check that every access lies within its buffer. O(trace) pass."""
-    lengths = np.zeros(len(trace.buffers), dtype=np.int64)
-    for buf in trace.buffers:
-        lengths[buf.buffer_id] = buf.length_bytes
     for wave in range(trace.num_waves):
         wave_set = trace.wave_pids[wave] if pids is None else np.asarray(list(pids))
         for pid in wave_set:
             s = trace.stream(int(pid), wave)
-            if len(s) == 0:
-                continue
-            if (s.offs < 0).any() or (s.lens < 1).any():
-                raise ValueError(f"pid {pid} wave {wave}: bad record offset/length")
-            if (s.offs + s.lens > lengths[s.bufs]).any():
+            if (s.lens < 1).any():
+                raise ValueError(f"pid {pid} wave {wave}: bad record length")
+            if records_outside(s, trace.buffer_lengths):
                 raise ValueError(f"pid {pid} wave {wave}: access beyond buffer bounds")
+
+
+def records_outside(stream: Stream, lengths: np.ndarray) -> bool:
+    """True if a record starts before its buffer or ends past it."""
+    offs = stream.offs
+    return bool(((offs < 0) | (offs + stream.lens > lengths[stream.bufs])).any())
 
 
 def check_write_coverage(

@@ -136,6 +136,15 @@ def test_record_past_its_buffer_rejected(offset):
         simulate(trace, builtin_pattern("identity", trace.grid, single_xcd()), single_xcd())
 
 
+def test_record_overrunning_into_alignment_gap_rejected():
+    # buffer a spans 1024 B, but b starts 64 KiB later: a+4096 is in no buffer
+    buffers = make_buffers([("a", 1024), ("b", 1024)])
+    trace = AccessTrace("gap", GridSpec.from_block_counts(1), buffers,
+                        lambda wave, pid: seg_single(0, 4096, 4))
+    with pytest.raises(SimulationError, match="outside"):
+        simulate(trace, builtin_pattern("identity", trace.grid, single_xcd()), single_xcd())
+
+
 def test_wave_pids_subset():
     streams = [{0: [(0, 4, False)], 1: [(512, 4, False)]}, {1: [(512, 4, False)]}]
     trace = trace_of_streams(streams)

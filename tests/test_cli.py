@@ -190,6 +190,12 @@ def test_non_positive_sizes_and_counts_usage_error(capsys, argv):
     assert "positive integer" in capsys.readouterr().err
 
 
+def test_grid_with_more_than_two_counts_usage_error(capsys):
+    code, out, err = run(capsys, "validate", "--pattern", "identity", "--grid", "3x4x5")
+    assert code == 2
+    assert "3x4x5" in err and out == ""
+
+
 def test_optimize_refuses_existing_history(tmp_path, capsys):
     argv = ("optimize", "--kernel", "gemm", "--size", "256", "--max-iters", "2",
             "--out-dir", str(tmp_path))
