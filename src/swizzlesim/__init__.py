@@ -8,8 +8,6 @@ loop with pluggable proposers.
 
 from .arch import (
     ArchSpec,
-    DispatchKind,
-    DispatchPolicy,
     MI300X_LIKE,
     PRESETS,
     concurrent_slots_per_xcd,

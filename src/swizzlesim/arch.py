@@ -9,8 +9,9 @@ XCD ``i % num_xcds``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
-from enum import Enum
+from dataclasses import dataclass
+
+from .records import from_dict, key_mismatch, to_dict
 
 
 class ArchSpecError(ValueError):
@@ -19,17 +20,6 @@ class ArchSpecError(ValueError):
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
         self.field = field
-
-
-class DispatchKind(Enum):
-    ROUND_ROBIN_XCD = "RoundRobinXcd"
-
-
-@dataclass(frozen=True)
-class DispatchPolicy:
-    """How the hardware assigns launch pids to XCDs. v1 has one policy."""
-
-    kind: DispatchKind = DispatchKind.ROUND_ROBIN_XCD
 
 
 @dataclass(frozen=True)
@@ -46,7 +36,6 @@ class ArchSpec:
     l2_line_bytes: int
     l2_associativity: int
     wg_slots_per_cu: int = 1
-    dispatch: DispatchPolicy = DispatchPolicy()
 
     def __post_init__(self):
         _check_positive(self, "num_xcds")
@@ -108,16 +97,6 @@ MI300X_LIKE = ArchSpec(
 
 PRESETS: dict[str, ArchSpec] = {"mi300x-like": MI300X_LIKE}
 
-_ARCH_FIELDS = (
-    "name",
-    "num_xcds",
-    "cus_per_xcd",
-    "l2_bytes_per_xcd",
-    "l2_line_bytes",
-    "l2_associativity",
-    "wg_slots_per_cu",
-)
-
 
 def load_arch_spec(document: str) -> ArchSpec:
     """Parse a flat JSON object with exactly the ArchSpec field names.
@@ -131,18 +110,16 @@ def load_arch_spec(document: str) -> ArchSpec:
         raise ArchSpecError(f"malformed arch spec document: {exc}") from exc
     if not isinstance(raw, dict):
         raise ArchSpecError("arch spec document must be a JSON object")
-    unknown = sorted(set(raw) - set(_ARCH_FIELDS))
+    missing, unknown = key_mismatch(ArchSpec, raw)
     if unknown:
         raise ArchSpecError(f"unknown arch spec keys: {unknown}", field=unknown[0])
-    missing = [k for k in _ARCH_FIELDS if k not in raw and k != "wg_slots_per_cu"]
     if missing:
         raise ArchSpecError(f"missing arch spec keys: {missing}", field=missing[0])
-    return ArchSpec(**raw)
+    return from_dict(ArchSpec, raw)
 
 
 def dump_arch_spec(arch: ArchSpec) -> str:
-    data = {name: getattr(arch, name) for name in _ARCH_FIELDS}
-    return json.dumps(data, indent=2, sort_keys=True)
+    return json.dumps(to_dict(arch), indent=2, sort_keys=True)
 
 
 def resolve_arch(name_or_path: str) -> ArchSpec:

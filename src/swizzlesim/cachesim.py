@@ -42,7 +42,8 @@ import numpy as np
 
 from .arch import ArchSpec, concurrent_slots_per_xcd
 from .patterns import SwizzlePattern, builtin_pattern, validated_remap_table
-from .traces import AccessTrace, Stream, records_outside
+from .records import from_dict, to_dict
+from .traces import AccessTrace, Stream, expand_ranges, records_outside
 
 
 class SimulationError(ValueError):
@@ -191,18 +192,8 @@ class SetAssocLru:
 
 def _expand_lines(stream: Stream, bases: np.ndarray, line_bytes: int) -> np.ndarray:
     """Ordered line ids touched by a stream (k touches for a k-line record)."""
-    if len(stream) == 0:
-        return np.empty(0, dtype=np.int64)
     goff = stream.offs + bases[stream.bufs]
-    firsts = goff // line_bytes
-    lasts = (goff + stream.lens - 1) // line_bytes
-    counts = lasts - firsts + 1
-    total = int(counts.sum())
-    if total == len(stream):  # all records within one line
-        return firsts
-    ends = np.cumsum(counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-    return np.repeat(firsts, counts) + offsets
+    return expand_ranges(goff // line_bytes, (goff + stream.lens - 1) // line_bytes)
 
 
 def _interleave(streams: Iterator[np.ndarray], slots: int) -> Iterator[np.ndarray]:
@@ -334,43 +325,11 @@ def compare_reports(reports: Sequence[BottleneckReport]) -> list[BottleneckRepor
     return sorted(reports, key=lambda r: (-r.l2_hit_rate, r.pattern))
 
 
-# ---------------------------------------------------------------------------
-# Report serialization (the profiler-log schema consumed by context parsing)
-# ---------------------------------------------------------------------------
-
-REPORT_FIELDS = (
-    "kernel",
-    "pattern",
-    "num_xcds",
-    "accesses",
-    "hits",
-    "misses",
-    "l2_hit_rate",
-    "per_xcd",
-    "unique_lines_touched",
-)
+# Report serialization (the profiler-log schema): one dataclass-driven form, see records.py
 
 
 def report_to_dict(report: BottleneckReport) -> dict:
-    return {
-        "kernel": report.kernel,
-        "pattern": report.pattern,
-        "num_xcds": report.num_xcds,
-        "accesses": report.accesses,
-        "hits": report.hits,
-        "misses": report.misses,
-        "l2_hit_rate": report.l2_hit_rate,
-        "per_xcd": [
-            {
-                "accesses": s.accesses,
-                "hits": s.hits,
-                "misses": s.misses,
-                "hit_rate": s.hit_rate,
-            }
-            for s in report.per_xcd
-        ],
-        "unique_lines_touched": report.unique_lines_touched,
-    }
+    return to_dict(report)
 
 
 def report_to_json(report: BottleneckReport) -> str:
@@ -378,23 +337,4 @@ def report_to_json(report: BottleneckReport) -> str:
 
 
 def report_from_dict(data: dict) -> BottleneckReport:
-    per_xcd = tuple(
-        XcdStats(
-            accesses=entry["accesses"],
-            hits=entry["hits"],
-            misses=entry["misses"],
-            hit_rate=entry["hit_rate"],
-        )
-        for entry in data["per_xcd"]
-    )
-    return BottleneckReport(
-        kernel=data["kernel"],
-        pattern=data["pattern"],
-        num_xcds=data["num_xcds"],
-        accesses=data["accesses"],
-        hits=data["hits"],
-        misses=data["misses"],
-        l2_hit_rate=data["l2_hit_rate"],
-        per_xcd=per_xcd,
-        unique_lines_touched=data["unique_lines_touched"],
-    )
+    return from_dict(BottleneckReport, data)

@@ -21,14 +21,7 @@ from typing import Iterable, Protocol, Sequence
 
 from . import dsl
 from .arch import ArchSpec
-from .cachesim import (
-    BottleneckReport,
-    ExecParams,
-    compare_reports,
-    report_from_dict,
-    report_to_dict,
-    simulate,
-)
+from .cachesim import BottleneckReport, ExecParams, compare_reports, simulate
 from .client import CompletionClient, ClientError, ReplayExhaustedError
 from .kernels import KernelSpec, generate_trace
 from .patterns import (
@@ -47,6 +40,7 @@ from .promptio import (
     build_prompt,
     parse_proposal,
 )
+from .records import from_dict, to_dict
 from .traces import AccessTrace, LocalitySummary, locality_summary
 
 DEFAULT_MAX_ITERS = 5
@@ -111,44 +105,12 @@ class Proposer(Protocol):
 # ---------------------------------------------------------------------------
 
 
-def validation_to_dict(result: ValidationResult) -> dict:
-    return {
-        "bijective": result.bijective,
-        "out_of_range": list(result.out_of_range),
-        "collisions": [list(c) for c in result.collisions],
-        "coverage_ok": result.coverage_ok,
-    }
-
-
-def validation_from_dict(data: dict) -> ValidationResult:
-    return ValidationResult(
-        bijective=data["bijective"],
-        out_of_range=tuple(data["out_of_range"]),
-        collisions=tuple(tuple(c) for c in data["collisions"]),
-        coverage_ok=data["coverage_ok"],
-    )
-
-
 def entry_to_dict(entry: HistoryEntry) -> dict:
-    return {
-        "iteration": entry.iteration,
-        "pattern": entry.pattern,
-        "diff_summary": entry.diff_summary,
-        "validation": validation_to_dict(entry.validation),
-        "report": report_to_dict(entry.report) if entry.report is not None else None,
-        "critique": entry.critique,
-    }
+    return to_dict(entry)
 
 
 def entry_from_dict(data: dict) -> HistoryEntry:
-    return HistoryEntry(
-        iteration=data["iteration"],
-        pattern=data["pattern"],
-        diff_summary=data["diff_summary"],
-        validation=validation_from_dict(data["validation"]),
-        report=report_from_dict(data["report"]) if data["report"] is not None else None,
-        critique=data["critique"],
-    )
+    return from_dict(HistoryEntry, data)
 
 
 class JsonlHistorySink:

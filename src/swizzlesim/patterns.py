@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -49,8 +48,8 @@ class UnknownPatternError(PatternError):
 
 
 class GridRejectedError(PatternError):
-    """The pattern cannot form a permutation on this grid and its fallback
-    policy is to reject rather than substitute."""
+    """The built-in cannot form a permutation on this grid (``bitwise_lowbit``
+    off a power-of-four block count)."""
 
 
 class NonBijectiveError(PatternError):
@@ -120,11 +119,6 @@ class GridSpec:
         return self.num_blocks_m * self.num_blocks_n
 
 
-class Fallback(Enum):
-    REJECT_GRID = "RejectGrid"
-    IDENTITY_ON_GRID = "IdentityOnGrid"
-
-
 @dataclass(frozen=True)
 class SwizzlePattern:
     """A named remap of launch pids, carried by one DSL expression."""
@@ -132,15 +126,10 @@ class SwizzlePattern:
     name: str
     expr: SwizzleExpr
     params: Mapping[str, int | str] = field(default_factory=dict)
-    fallback: Fallback = Fallback.IDENTITY_ON_GRID
 
     @property
     def expr_text(self) -> str:
         return dsl.format_expr(self.expr)
-
-    def key(self) -> tuple:
-        """Structural identity used for duplicate detection."""
-        return (self.expr_text, tuple(sorted(self.params.items())))
 
 
 @dataclass(frozen=True)
@@ -165,15 +154,9 @@ def pattern_from_expr(
     name: str,
     expr_text: str,
     params: Mapping[str, int | str] | None = None,
-    fallback: Fallback = Fallback.IDENTITY_ON_GRID,
 ) -> SwizzlePattern:
     """Build a pattern from expression text (e.g. a proposal)."""
-    return SwizzlePattern(
-        name=name,
-        expr=dsl.parse_expr(expr_text),
-        params=dict(params or {}),
-        fallback=fallback,
-    )
+    return SwizzlePattern(name=name, expr=dsl.parse_expr(expr_text), params=dict(params or {}))
 
 
 def pattern_to_dict(pattern: SwizzlePattern) -> dict:
@@ -254,15 +237,15 @@ def _is_power_of_four(n: int) -> bool:
 
 
 _BUILTIN_MAKERS = {
-    "identity": (_make_identity, Fallback.IDENTITY_ON_GRID),
-    "gemm_contiguous": (_make_gemm_contiguous, Fallback.IDENTITY_ON_GRID),
-    "layernorm_rowgroup": (_make_row_group, Fallback.IDENTITY_ON_GRID),
-    "softmax_rowgroup": (_make_row_group, Fallback.IDENTITY_ON_GRID),
-    "fdtd_stripe": (_make_row_group, Fallback.IDENTITY_ON_GRID),
-    "stencil_group": (_make_row_group, Fallback.IDENTITY_ON_GRID),
-    "transpose_band": (_make_transpose_band, Fallback.IDENTITY_ON_GRID),
-    "naive_rowmajor": (_make_naive_rowmajor, Fallback.IDENTITY_ON_GRID),
-    "bitwise_lowbit": (_make_bitwise_lowbit, Fallback.REJECT_GRID),
+    "identity": _make_identity,
+    "gemm_contiguous": _make_gemm_contiguous,
+    "layernorm_rowgroup": _make_row_group,
+    "softmax_rowgroup": _make_row_group,
+    "fdtd_stripe": _make_row_group,
+    "stencil_group": _make_row_group,
+    "transpose_band": _make_transpose_band,
+    "naive_rowmajor": _make_naive_rowmajor,
+    "bitwise_lowbit": _make_bitwise_lowbit,
 }
 
 BUILTIN_PATTERN_NAMES = tuple(_BUILTIN_MAKERS)
@@ -273,12 +256,13 @@ def builtin_pattern(
 ) -> SwizzlePattern:
     """Construct a built-in pattern canonicalized for this grid and arch.
 
-    Patterns whose fallback policy is RejectGrid raise GridRejectedError on
-    incompatible grids; pass ``check_grid=False`` to build the raw mapping
-    anyway (e.g. to demonstrate its bijectivity failure by enumeration).
+    ``bitwise_lowbit`` raises GridRejectedError unless the block count is a
+    power of four; pass ``check_grid=False`` to build the raw mapping anyway
+    (e.g. to demonstrate its bijectivity failure by enumeration). The
+    row-group built-ins pick a bijective form on any grid themselves.
     """
     try:
-        maker, fallback = _BUILTIN_MAKERS[name]
+        maker = _BUILTIN_MAKERS[name]
     except KeyError:
         raise UnknownPatternError(
             f"unknown pattern {name!r}; known: {', '.join(BUILTIN_PATTERN_NAMES)}"
@@ -291,7 +275,7 @@ def builtin_pattern(
             "it requires a power-of-four block count"
         )
     text, params = maker(grid, arch)
-    return SwizzlePattern(name=name, expr=dsl.parse_expr(text), params=params, fallback=fallback)
+    return SwizzlePattern(name=name, expr=dsl.parse_expr(text), params=params)
 
 
 # ---------------------------------------------------------------------------

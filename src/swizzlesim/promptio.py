@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import dsl
 from .arch import ArchSpec
-from .cachesim import BottleneckReport, report_from_dict, REPORT_FIELDS
+from .cachesim import BottleneckReport, XcdStats, report_from_dict
+from .records import key_mismatch
 from .traces import LocalitySummary
 
 if TYPE_CHECKING:
@@ -257,9 +258,6 @@ def format_proposal(record: ProposalRecord) -> str:
     )
 
 
-_PER_XCD_FIELDS = frozenset(["accesses", "hits", "misses", "hit_rate"])
-
-
 def parse_profiler_log(document: str) -> BottleneckReport:
     """Parse a serialized bottleneck report, rejecting corrupt metrics."""
     try:
@@ -268,17 +266,15 @@ def parse_profiler_log(document: str) -> BottleneckReport:
         raise ReportSchemaError(f"profiler log is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ReportSchemaError("profiler log must be a JSON object")
-    keys = set(data)
-    if keys != set(REPORT_FIELDS):
-        missing = sorted(set(REPORT_FIELDS) - keys)
-        extra = sorted(keys - set(REPORT_FIELDS))
+    missing, unknown = key_mismatch(BottleneckReport, data)
+    if missing or unknown:
         raise ReportSchemaError(
-            f"profiler log schema mismatch (missing={missing}, unknown={extra})"
+            f"profiler log schema mismatch (missing={sorted(missing)}, unknown={unknown})"
         )
     if not isinstance(data["per_xcd"], list) or not data["per_xcd"]:
         raise ReportSchemaError("per_xcd must be a non-empty list")
     for entry in data["per_xcd"]:
-        if not isinstance(entry, dict) or set(entry) != _PER_XCD_FIELDS:
+        if not isinstance(entry, dict) or any(key_mismatch(XcdStats, entry)):
             raise ReportSchemaError("per_xcd entries must have exactly the stat fields")
     if data["hits"] + data["misses"] != data["accesses"]:
         raise CorruptReportError(

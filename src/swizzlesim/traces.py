@@ -266,7 +266,7 @@ def locality_summary(
             goff = s.offs + trace.base_offsets[s.bufs]
             firsts = goff // granule_bytes
             lasts = (goff + s.lens - 1) // granule_bytes
-            granules = _expand_ranges(firsts, lasts)
+            granules = expand_ranges(firsts, lasts)
             for g in np.unique(granules).tolist():
                 touched.setdefault(g, set()).add(int(pid))
                 touched_waves.setdefault(g, set()).add(wave)
@@ -303,10 +303,12 @@ def locality_summary(
     )
 
 
-def _expand_ranges(firsts: np.ndarray, lasts: np.ndarray) -> np.ndarray:
+def expand_ranges(firsts: np.ndarray, lasts: np.ndarray) -> np.ndarray:
     """Concatenate the integer ranges [first, last] elementwise."""
     counts = lasts - firsts + 1
     total = int(counts.sum())
+    if total == len(firsts):  # one value per range, or no ranges
+        return firsts
     ends = np.cumsum(counts)
     offsets = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
     return np.repeat(firsts, counts) + offsets

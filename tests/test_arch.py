@@ -70,6 +70,22 @@ def test_load_arch_spec_reports_bad_field():
     assert excinfo.value.field == "num_xcds"
 
 
+def test_load_arch_spec_missing_key():
+    doc = json.loads(dump_arch_spec(MI300X_LIKE))
+    del doc["num_xcds"]
+    with pytest.raises(ArchSpecError) as excinfo:
+        load_arch_spec(json.dumps(doc))
+    assert excinfo.value.field == "num_xcds"
+
+
+def test_load_arch_spec_slots_default_to_one():
+    doc = json.loads(dump_arch_spec(MI300X_LIKE))
+    doc["wg_slots_per_cu"] = 3
+    assert load_arch_spec(json.dumps(doc)).wg_slots_per_cu == 3
+    del doc["wg_slots_per_cu"]
+    assert load_arch_spec(json.dumps(doc)).wg_slots_per_cu == 1
+
+
 def test_line_bytes_must_be_power_of_two():
     bad = json.loads(dump_arch_spec(MI300X_LIKE))
     bad["l2_line_bytes"] = 100

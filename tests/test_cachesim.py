@@ -280,3 +280,18 @@ def test_report_json_round_trip():
     rep = simulate(trace, builtin_pattern("softmax_rowgroup", trace.grid, arch), arch)
     clone = report_from_dict(json.loads(report_to_json(rep)))
     assert clone == rep
+
+
+def test_report_from_dict_rejects_unknown_keys():
+    spec = KernelSpec("softmax", {"rows": 8, "cols": 2048}, {"cols": 1024})
+    trace = generate_trace(spec)
+    arch = arch_with_xcds(4)
+    doc = report_to_dict(simulate(trace, builtin_pattern("identity", trace.grid, arch), arch))
+    assert isinstance(doc["per_xcd"], list)
+    doc["surprise"] = 1
+    with pytest.raises(KeyError):
+        report_from_dict(doc)
+    del doc["surprise"]
+    doc["per_xcd"][0]["surprise"] = 1
+    with pytest.raises(KeyError):
+        report_from_dict(doc)

@@ -293,6 +293,43 @@ def test_entry_round_trip():
     assert entry_from_dict(json.loads(json.dumps(entry_to_dict(e)))) == e
 
 
+def test_history_round_trips_every_entry_kind(tmp_path):
+    class RecordingSink(JsonlHistorySink):
+        def __init__(self, path):
+            super().__init__(path)
+            self.entries = []
+
+        def append(self, entry):
+            self.entries.append(entry)
+            super().append(entry)
+
+    proposer = QueueProposer([
+        "(pid // 2) * 3",  # non-bijective: out of range and colliding
+        "pid // (pid - pid)",  # EvalError
+        ProposerError("transport down"),
+    ])
+    sink_path = tmp_path / "history.jsonl"
+    with RecordingSink(sink_path) as sink:
+        optimize(SMALL_GEMM, MI300X_LIKE, proposer, max_iters=3, history_sink=sink)
+    baseline, rejected, failed_eval, failed_proposer = sink.entries
+    assert baseline.report is not None
+    assert rejected.validation.out_of_range and rejected.validation.collisions
+    assert failed_eval.pattern is not None and failed_eval.validation == ValidationResult.failure()
+    assert failed_proposer.pattern is None and failed_proposer.report is None
+    assert load_history(sink_path) == sink.entries
+
+
+def test_entry_from_dict_rejects_unknown_keys():
+    doc = entry_to_dict(entry(3, 0.42))
+    doc["surprise"] = 1
+    with pytest.raises(KeyError):
+        entry_from_dict(doc)
+    doc = entry_to_dict(entry(3, 0.42))
+    doc["report"]["surprise"] = 1
+    with pytest.raises(KeyError):
+        entry_from_dict(doc)
+
+
 def test_progression_csv(tmp_path):
     result = optimize(SMALL_GEMM, MI300X_LIKE, QueueProposer(["pid % 5"]), max_iters=1)
     path = tmp_path / "prog.csv"

@@ -214,6 +214,18 @@ def test_profiler_log_schema_violations(sample):
         parse_profiler_log("{nope")
 
 
+def test_profiler_log_per_xcd_keys_exact(sample):
+    *_, report = sample
+    doc = report_to_dict(report)
+    doc["per_xcd"][0]["surprise"] = 1
+    with pytest.raises(ReportSchemaError, match="exactly the stat fields"):
+        parse_profiler_log(json.dumps(doc))
+    doc = report_to_dict(report)
+    del doc["per_xcd"][-1]["hit_rate"]
+    with pytest.raises(ReportSchemaError, match="exactly the stat fields"):
+        parse_profiler_log(json.dumps(doc))
+
+
 def test_profiler_log_preserves_hit_rate():
     doc = {
         "kernel": "k", "pattern": "p", "num_xcds": 1,
