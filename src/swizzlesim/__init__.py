@@ -11,7 +11,6 @@ from .arch import (
     MI300X_LIKE,
     PRESETS,
     concurrent_slots_per_xcd,
-    default_xcd_assignment,
     load_arch_spec,
     resolve_arch,
 )
@@ -53,10 +52,8 @@ from .patterns import (
     ValidationResult,
     builtin_pattern,
     check_bijectivity,
-    colocation_stats,
     pattern_from_expr,
     remap,
-    xcd_of_logical,
 )
 from .promptio import (
     PromptContext,

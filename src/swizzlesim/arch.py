@@ -72,12 +72,6 @@ def _check_positive(spec: ArchSpec, name: str) -> None:
         raise ArchSpecError(f"{name} must be a positive integer, got {value!r}", field=name)
 
 
-def default_xcd_assignment(launch_pid: int, arch: ArchSpec) -> int:
-    """XCD that executes a launch pid under round-robin dispatch."""
-    if launch_pid < 0:
-        raise ValueError(f"launch_pid must be nonnegative, got {launch_pid}")
-    return launch_pid % arch.num_xcds
-
 def concurrent_slots_per_xcd(arch: ArchSpec) -> int:
     """Max workgroups resident on one XCD at a time."""
     return arch.cus_per_xcd * arch.wg_slots_per_cu

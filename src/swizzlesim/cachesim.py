@@ -13,7 +13,7 @@ quantized to lines: a record spanning k lines counts as k ordered line
 touches, and writes allocate like reads. There is no cycle model; time is
 access-count interleaving, so reported hit rates are locality signals, not
 hardware predictions. A record that starts before its buffer or ends past
-it raises ``SimulationError``.
+it raises ``SimulationError``, as does a record of length zero or less.
 
 The LRU itself (``SetAssocLru.access_many``) runs in a small C kernel,
 ``_lru.c`` beside this module. The first cache built in a process compiles
@@ -150,12 +150,17 @@ class SetAssocLru:
         else:
             self._tags = np.zeros(num_sets * ways, dtype=np.int64)
             self._fill = np.zeros(num_sets, dtype=np.int32)
+            self._line = np.zeros(1, dtype=np.int64)  # access()'s one-line buffer
             # the arrays live as long as self, so their addresses stay valid
             self._state = (self._tags.ctypes.data, self._fill.ctypes.data, num_sets, ways)
+            self._line_ptr = self._line.ctypes.data
 
     def access(self, line: int) -> bool:
         """Touch one line; True on hit. Misses allocate (write-allocate)."""
-        return self.access_many([line])[0] == 1
+        if self._kernel is None:
+            return self._access_many_python([line])[0] == 1
+        self._line[0] = line
+        return self._kernel(self._line_ptr, 1, *self._state) == 1
 
     def access_many(self, lines: Sequence[int] | np.ndarray) -> tuple[int, int]:
         """Touch lines in order; returns (hits, misses). Hot path."""
@@ -254,8 +259,8 @@ def simulate(
         stream = trace.stream(pid, wave)
         if records_outside(stream, lengths):
             raise SimulationError(
-                f"{trace.kernel}: a record of workgroup {pid} in wave {wave} lies "
-                "outside its buffer"
+                f"{trace.kernel}: a record of workgroup {pid} in wave {wave} is empty "
+                "or lies outside its buffer"
             )
         return _expand_lines(stream, bases, line_bytes)
 

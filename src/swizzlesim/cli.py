@@ -62,10 +62,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (PatternError, dsl.ExprError, dsl.EvalError, OSError, ValueError) as exc:
+    except (CliError, OSError, ValueError) as exc:  # pattern, DSL and simulation errors too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
@@ -183,10 +180,7 @@ def cmd_simulate(args) -> int:
     spec = _resolve_spec(args)
     trace = generate_trace(spec)
     pattern = _resolve_pattern(args, trace.grid, arch, _DEFAULT_PATTERN[spec.kind])
-    try:
-        baseline, swizzled = simulate_pair(trace, arch, ExecParams(), pattern)
-    except PatternError as exc:
-        raise CliError(str(exc)) from exc
+    baseline, swizzled = simulate_pair(trace, arch, ExecParams(), pattern)
     if args.out_dir is not None:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -327,13 +321,10 @@ def cmd_validate(args) -> int:
         print("error: one of --grid or --kernel is required", file=sys.stderr)
         return EXIT_USAGE
 
-    try:
-        # build the raw mapping even on grids the constructor would reject,
-        # so the failure is demonstrated by enumeration rather than asserted
-        pattern = _resolve_pattern(args, grid, arch, check_grid=False)
-        result = check_bijectivity(pattern, grid, arch)
-    except PatternError as exc:
-        raise CliError(str(exc)) from exc
+    # build the raw mapping even on grids the constructor would reject,
+    # so the failure is demonstrated by enumeration rather than asserted
+    pattern = _resolve_pattern(args, grid, arch, check_grid=False)
+    result = check_bijectivity(pattern, grid, arch)
 
     print(
         f"pattern={pattern.name} grid={grid.num_blocks_m}x{grid.num_blocks_n} "

@@ -221,15 +221,6 @@ def format_expr(expr: SwizzleExpr) -> str:
     return f"({format_expr(expr.left)} {expr.op} {format_expr(expr.right)})"
 
 
-def identifiers(expr: SwizzleExpr) -> frozenset[str]:
-    """All identifiers referenced by the expression."""
-    if isinstance(expr, Ident):
-        return frozenset([expr.name])
-    if isinstance(expr, (BinOp, MinMax)):
-        return identifiers(expr.left) | identifiers(expr.right)
-    return frozenset()
-
-
 def eval_expr(expr: SwizzleExpr, env: EvalEnv) -> int:
     """Evaluate over nonnegative integers.
 

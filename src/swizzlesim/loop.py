@@ -34,12 +34,7 @@ from .patterns import (
     pattern_from_expr,
     pattern_to_dict,
 )
-from .promptio import (
-    DEFAULT_GOAL,
-    ProposalParseError,
-    build_prompt,
-    parse_proposal,
-)
+from .promptio import ProposalParseError, build_prompt, parse_proposal
 from .records import from_dict, to_dict
 from .traces import AccessTrace, LocalitySummary, locality_summary
 
@@ -93,7 +88,6 @@ class ProposeContext:
     arch: ArchSpec
     locality: LocalitySummary
     history: Sequence[HistoryEntry]
-    goal: str
 
 
 class Proposer(Protocol):
@@ -199,7 +193,6 @@ def optimize(
     max_iters: int = DEFAULT_MAX_ITERS,
     history_sink=None,
     exec_params: ExecParams = ExecParams(),
-    goal: str = DEFAULT_GOAL,
 ) -> OptimizationResult:
     """Run the full loop; returns the best validated entry and progression."""
     if max_iters < 0:
@@ -231,7 +224,6 @@ def optimize(
     progression: list[tuple[float | None, float]] = [
         (baseline_report.l2_hit_rate, baseline_report.l2_hit_rate)
     ]
-    attempts = 0
 
     for iteration in range(1, max_iters + 1):
         ctx = ProposeContext(
@@ -241,14 +233,12 @@ def optimize(
             arch=arch,
             locality=locality,
             history=tuple(entries),
-            goal=goal,
         )
         try:
             proposal = proposer.propose(ctx)
         except NoMoreCandidates:
             break
         except ProposerError as exc:
-            attempts += 1
             entry = HistoryEntry(
                 iteration=iteration,
                 pattern=None,
@@ -262,7 +252,6 @@ def optimize(
             progression.append((None, best.report.l2_hit_rate))
             continue
 
-        attempts += 1
         pattern = proposal.pattern
         expr_text = pattern.expr_text
         best_expr = best.pattern["expr"] if best.pattern else ""
@@ -300,7 +289,7 @@ def optimize(
         )
 
     return OptimizationResult(
-        best=best, progression=tuple(progression), iterations_run=attempts
+        best=best, progression=tuple(progression), iterations_run=len(entries) - 1
     )
 
 
@@ -388,9 +377,7 @@ class LlmProposer:
 
     def propose(self, ctx: ProposeContext) -> Proposal:
         iteration = len(ctx.history)
-        prompt = build_prompt(
-            ctx.kernel_summary, ctx.locality, ctx.history, ctx.arch, goal=ctx.goal
-        ).render()
+        prompt = build_prompt(ctx.kernel_summary, ctx.locality, ctx.history, ctx.arch).render()
         last_error: Exception | None = None
         for attempt in range(self.max_parse_retries + 1):
             try:

@@ -26,7 +26,6 @@ Closed forms used by the built-ins, with ``X = num_xcds``, ``T = total``:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -283,7 +282,8 @@ def builtin_pattern(
 # ---------------------------------------------------------------------------
 
 
-def _env_scalar(pid: int, grid: GridSpec, arch: ArchSpec) -> dict[str, int]:
+def _env(pid: int | np.ndarray, grid: GridSpec, arch: ArchSpec) -> dict:
+    """DSL environment for one launch pid (an int) or many (an int64 array)."""
     return {
         "pid": pid,
         "pid_m": pid // grid.num_blocks_n,
@@ -300,7 +300,7 @@ def remap(pattern: SwizzlePattern, launch_pid: int, grid: GridSpec, arch: ArchSp
     total = grid.total_blocks
     if not 0 <= launch_pid < total:
         raise PatternError(f"launch pid {launch_pid} outside grid of {total} blocks")
-    logical = dsl.eval_expr(pattern.expr, _env_scalar(launch_pid, grid, arch))
+    logical = dsl.eval_expr(pattern.expr, _env(launch_pid, grid, arch))
     if not 0 <= logical < total:
         raise NonBijectiveError(
             f"pattern {pattern.name!r} maps pid {launch_pid} to {logical}, "
@@ -309,39 +309,22 @@ def remap(pattern: SwizzlePattern, launch_pid: int, grid: GridSpec, arch: ArchSp
     return logical
 
 
-def remap_table(
-    pattern: SwizzlePattern,
-    grid: GridSpec,
-    arch: ArchSpec,
-    cap: int = ENUMERATION_CAP,
-) -> np.ndarray:
+def remap_table(pattern: SwizzlePattern, grid: GridSpec, arch: ArchSpec) -> np.ndarray:
     """Image of every launch pid, as an int64 array (unvalidated)."""
     total = grid.total_blocks
-    if total > cap:
+    if total > ENUMERATION_CAP:
         raise EnumerationLimitError(
-            f"grid of {total} blocks exceeds the enumeration cap of {cap}"
+            f"grid of {total} blocks exceeds the enumeration cap of {ENUMERATION_CAP}"
         )
     pid = np.arange(total, dtype=np.int64)
-    env = {
-        "pid": pid,
-        "pid_m": pid // grid.num_blocks_n,
-        "pid_n": pid % grid.num_blocks_n,
-        "num_xcds": arch.num_xcds,
-        "num_blocks": total,
-        "num_blocks_m": grid.num_blocks_m,
-        "num_blocks_n": grid.num_blocks_n,
-    }
-    return dsl.eval_expr_vec(pattern.expr, env)
+    return dsl.eval_expr_vec(pattern.expr, _env(pid, grid, arch))
 
 
 def check_bijectivity(
-    pattern: SwizzlePattern,
-    grid: GridSpec,
-    arch: ArchSpec,
-    cap: int = ENUMERATION_CAP,
+    pattern: SwizzlePattern, grid: GridSpec, arch: ArchSpec
 ) -> ValidationResult:
     """Exhaustively check that the induced map permutes [0, total_blocks)."""
-    return _check_images(remap_table(pattern, grid, arch, cap=cap), grid.total_blocks)
+    return _check_images(remap_table(pattern, grid, arch), grid.total_blocks)
 
 
 def _check_images(images: np.ndarray, total: int) -> ValidationResult:
@@ -372,10 +355,10 @@ def _check_images(images: np.ndarray, total: int) -> ValidationResult:
 
 
 def validated_remap_table(
-    pattern: SwizzlePattern, grid: GridSpec, arch: ArchSpec, cap: int = ENUMERATION_CAP
+    pattern: SwizzlePattern, grid: GridSpec, arch: ArchSpec
 ) -> np.ndarray:
     """``remap_table``, raising ``NonBijectiveError`` unless it is a permutation."""
-    table = remap_table(pattern, grid, arch, cap=cap)
+    table = remap_table(pattern, grid, arch)
     result = _check_images(table, grid.total_blocks)
     if not result.bijective:
         raise NonBijectiveError(
@@ -387,65 +370,9 @@ def validated_remap_table(
     return table
 
 
-def inverse_table(
-    pattern: SwizzlePattern, grid: GridSpec, arch: ArchSpec, cap: int = ENUMERATION_CAP
-) -> np.ndarray:
-    """launch pid that computes each logical pid (materialized, not symbolic)."""
-    table = validated_remap_table(pattern, grid, arch, cap=cap)
-    inverse = np.empty_like(table)
-    inverse[table] = np.arange(len(table), dtype=np.int64)
-    return inverse
-
-
-def xcd_table(
-    pattern: SwizzlePattern, grid: GridSpec, arch: ArchSpec, cap: int = ENUMERATION_CAP
-) -> np.ndarray:
+def xcd_table(pattern: SwizzlePattern, grid: GridSpec, arch: ArchSpec) -> np.ndarray:
     """XCD executing each logical pid under round-robin dispatch."""
-    return inverse_table(pattern, grid, arch, cap=cap) % arch.num_xcds
-
-
-def xcd_of_logical(
-    pattern: SwizzlePattern, logical_pid: int, grid: GridSpec, arch: ArchSpec
-) -> int:
-    """XCD that computes one logical tile. Requires a bijective pattern."""
-    total = grid.total_blocks
-    if not 0 <= logical_pid < total:
-        raise PatternError(f"logical pid {logical_pid} outside grid of {total} blocks")
-    return int(xcd_table(pattern, grid, arch)[logical_pid])
-
-
-@dataclass(frozen=True)
-class ColocationStats:
-    per_xcd_counts: tuple[int, ...]
-    group_ratios: tuple[float, ...]  # per group: largest fraction on one XCD
-
-    @property
-    def fully_colocated_groups(self) -> int:
-        return sum(1 for r in self.group_ratios if r == 1.0)
-
-
-def colocation_stats(
-    pattern: SwizzlePattern,
-    grid: GridSpec,
-    arch: ArchSpec,
-    groups: Sequence[Sequence[int]] | None = None,
-) -> ColocationStats:
-    """Tile counts per XCD plus co-location ratios for pid groups.
-
-    ``groups`` defaults to the rows of the grid (each row of tiles is one
-    group), matching the row-reuse intents of the built-ins.
-    """
-    xcds = xcd_table(pattern, grid, arch)
-    counts = np.bincount(xcds, minlength=arch.num_xcds)
-    if groups is None:
-        n = grid.num_blocks_n
-        groups = [range(r * n, (r + 1) * n) for r in range(grid.num_blocks_m)]
-    ratios = []
-    for group in groups:
-        members = np.asarray(list(group), dtype=np.int64)
-        group_counts = np.bincount(xcds[members])
-        ratios.append(float(group_counts.max()) / len(members))
-    return ColocationStats(
-        per_xcd_counts=tuple(int(c) for c in counts),
-        group_ratios=tuple(ratios),
-    )
+    table = validated_remap_table(pattern, grid, arch)
+    launch_of = np.empty_like(table)
+    launch_of[table] = np.arange(len(table), dtype=np.int64)
+    return launch_of % arch.num_xcds

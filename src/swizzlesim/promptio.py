@@ -150,8 +150,6 @@ def build_prompt(
     locality: LocalitySummary,
     history: Sequence["HistoryEntry"],
     arch: ArchSpec,
-    goal: str = DEFAULT_GOAL,
-    bottleneck: str = DEFAULT_BOTTLENECK,
 ) -> PromptContext:
     """Assemble the hardware-aware prompt context. Deterministic."""
     l2_mb = arch.l2_bytes_per_xcd / (1024 * 1024)
@@ -161,22 +159,14 @@ def build_prompt(
     )
     return PromptContext(
         original_code_or_trace_summary=kernel_summary,
-        bottleneck=bottleneck,
+        bottleneck=DEFAULT_BOTTLENECK,
         memory_analysis=render_locality(locality),
         history_block=render_history(history),
         arch_block=arch_block,
         scheduling_block="Blocks are scheduled Round-robin to XCDs",
-        goal_block=goal,
+        goal_block=DEFAULT_GOAL,
     )
 
-
-_SECTION_NAMES = (
-    "REASONING",
-    "CRITIQUES",
-    "NEW_APPROACH",
-    "IMPROVEMENT_RATIONALE",
-    "FINAL_EXPRESSION",
-)
 
 _SECTION_RE = re.compile(
     r"^(REASONING|CRITIQUES|NEW_APPROACH|IMPROVEMENT_RATIONALE|FINAL_EXPRESSION):[ \t]*$",

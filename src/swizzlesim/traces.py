@@ -18,7 +18,7 @@ wave simply has an empty stream there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -165,62 +165,11 @@ def make_buffers(sizes: Sequence[tuple[str, int]]) -> list[Buffer]:
     return buffers
 
 
-def validate_trace_bounds(trace: AccessTrace, pids: Iterable[int] | None = None) -> None:
-    """Check that every access lies within its buffer. O(trace) pass."""
-    for wave in range(trace.num_waves):
-        wave_set = trace.wave_pids[wave] if pids is None else np.asarray(list(pids))
-        for pid in wave_set:
-            s = trace.stream(int(pid), wave)
-            if (s.lens < 1).any():
-                raise ValueError(f"pid {pid} wave {wave}: bad record length")
-            if records_outside(s, trace.buffer_lengths):
-                raise ValueError(f"pid {pid} wave {wave}: access beyond buffer bounds")
-
-
 def records_outside(stream: Stream, lengths: np.ndarray) -> bool:
-    """True if a record starts before its buffer or ends past it."""
+    """True if a record is empty, starts before its buffer or ends past it."""
     offs = stream.offs
-    return bool(((offs < 0) | (offs + stream.lens > lengths[stream.bufs])).any())
-
-
-def check_write_coverage(
-    trace: AccessTrace, buffer_name: str, waves: Sequence[int] | None = None
-) -> None:
-    """Verify writes to a buffer tile it exactly once (no gap, no overlap)."""
-    buf = trace.buffer_by_name(buffer_name)
-    starts = []
-    lens = []
-    wave_list = range(trace.num_waves) if waves is None else waves
-    for wave in wave_list:
-        for pid in trace.wave_pids[wave]:
-            s = trace.stream(int(pid), wave)
-            mask = s.writes & (s.bufs == buf.buffer_id)
-            if mask.any():
-                starts.append(s.offs[mask])
-                lens.append(s.lens[mask])
-    if not starts:
-        raise AssertionError(f"no writes to buffer {buffer_name!r}")
-    starts = np.concatenate(starts)
-    lens = np.concatenate(lens)
-    order = np.argsort(starts, kind="stable")
-    starts = starts[order]
-    ends = starts + lens[order]
-    if starts[0] != 0 or ends[-1] != buf.length_bytes or (starts[1:] != ends[:-1]).any():
-        raise AssertionError(f"writes do not tile buffer {buffer_name!r} exactly once")
-
-
-def dump_trace(trace: AccessTrace, fh: TextIO) -> None:
-    """Debug dump, one record per line: pid,buffer,offset,len,mode."""
-    names = {buf.buffer_id: buf.name for buf in trace.buffers}
-    for wave in range(trace.num_waves):
-        if trace.num_waves > 1:
-            fh.write(f"# wave {wave}\n")
-        for pid in trace.wave_pids[wave]:
-            for rec in trace.records_for(int(pid), wave):
-                fh.write(
-                    f"{pid},{names[rec.buffer_id]},{rec.byte_offset},"
-                    f"{rec.length_bytes},{rec.mode}\n"
-                )
+    lens = stream.lens
+    return bool(((lens < 1) | (offs < 0) | (offs + lens > lengths[stream.bufs])).any())
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +191,18 @@ class LocalitySummary:
     granule_bytes: int
     groups: tuple[SharingGroup, ...]  # descending by shared_bytes
 
-    @property
-    def has_sharing(self) -> bool:
-        return bool(self.groups)
+
+GRANULE_BYTES = 256
+MIN_SHARED_BYTES = 4096
 
 
-def locality_summary(
-    trace: AccessTrace, threshold_bytes: int = 4096, granule_bytes: int = 256
-) -> LocalitySummary:
+def locality_summary(trace: AccessTrace) -> LocalitySummary:
     """Which workgroup groups share which buffer regions, by granule.
 
     Two pids belong to one sharing group when they touch exactly the same
-    granule somewhere; the group's shared_bytes counts granules touched by
-    that full pid set. Groups below the byte threshold are dropped.
+    ``GRANULE_BYTES`` granule somewhere; the group's shared_bytes counts
+    granules touched by that full pid set. Groups below ``MIN_SHARED_BYTES``
+    are dropped.
     """
     touched: dict[int, set[int]] = {}
     touched_waves: dict[int, set[int]] = {}
@@ -264,15 +212,15 @@ def locality_summary(
             if len(s) == 0:
                 continue
             goff = s.offs + trace.base_offsets[s.bufs]
-            firsts = goff // granule_bytes
-            lasts = (goff + s.lens - 1) // granule_bytes
+            firsts = goff // GRANULE_BYTES
+            lasts = (goff + s.lens - 1) // GRANULE_BYTES
             granules = expand_ranges(firsts, lasts)
             for g in np.unique(granules).tolist():
                 touched.setdefault(g, set()).add(int(pid))
                 touched_waves.setdefault(g, set()).add(wave)
 
     by_buffer_and_group: dict[tuple[str, tuple[int, ...]], list] = {}
-    bounds = sorted((buf.base_offset // granule_bytes, buf.name) for buf in trace.buffers)
+    bounds = sorted((buf.base_offset // GRANULE_BYTES, buf.name) for buf in trace.buffers)
     starts = [b[0] for b in bounds]
     for granule, pids in touched.items():
         if len(pids) < 2:
@@ -287,8 +235,8 @@ def locality_summary(
 
     groups = []
     for (name, pids), (count, cross) in by_buffer_and_group.items():
-        shared = count * granule_bytes
-        if shared >= threshold_bytes:
+        shared = count * GRANULE_BYTES
+        if shared >= MIN_SHARED_BYTES:
             groups.append(
                 SharingGroup(
                     buffer_name=name,
@@ -299,12 +247,17 @@ def locality_summary(
             )
     groups.sort(key=lambda g: (-g.shared_bytes, g.buffer_name, g.pids))
     return LocalitySummary(
-        kernel=trace.kernel, granule_bytes=granule_bytes, groups=tuple(groups)
+        kernel=trace.kernel, granule_bytes=GRANULE_BYTES, groups=tuple(groups)
     )
 
 
 def expand_ranges(firsts: np.ndarray, lasts: np.ndarray) -> np.ndarray:
-    """Concatenate the integer ranges [first, last] elementwise."""
+    """Concatenate the integer ranges [first, last] elementwise.
+
+    Requires ``last >= first`` for every range: an empty or reversed range
+    would throw off the one-value-per-range shortcut below, which counts
+    values rather than checking each range.
+    """
     counts = lasts - firsts + 1
     total = int(counts.sum())
     if total == len(firsts):  # one value per range, or no ranges

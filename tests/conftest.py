@@ -7,6 +7,7 @@ import pytest
 
 from swizzlesim.arch import ArchSpec, MI300X_LIKE
 from swizzlesim.dsl import BinOp, Ident, Lit, MinMax, VOCABULARY
+from swizzlesim.traces import AccessTrace, records_outside
 
 
 @pytest.fixture
@@ -95,3 +96,34 @@ class FullyAssociativeLru:
         if len(self.order) > self.capacity:
             self.order.pop(0)
         return False
+
+
+def validate_trace_bounds(trace: AccessTrace) -> None:
+    """Raise ValueError if any record is empty or leaves its buffer (simulate's check)."""
+    for wave in range(trace.num_waves):
+        for pid in trace.wave_pids[wave]:
+            if records_outside(trace.stream(int(pid), wave), trace.buffer_lengths):
+                raise ValueError(f"pid {pid} wave {wave}: empty record or access out of bounds")
+
+
+def check_write_coverage(trace: AccessTrace, buffer_name: str, waves=None) -> None:
+    """Verify writes to a buffer tile it exactly once (no gap, no overlap)."""
+    buf = trace.buffer_by_name(buffer_name)
+    starts = []
+    lens = []
+    for wave in range(trace.num_waves) if waves is None else waves:
+        for pid in trace.wave_pids[wave]:
+            s = trace.stream(int(pid), wave)
+            mask = s.writes & (s.bufs == buf.buffer_id)
+            if mask.any():
+                starts.append(s.offs[mask])
+                lens.append(s.lens[mask])
+    if not starts:
+        raise AssertionError(f"no writes to buffer {buffer_name!r}")
+    starts = np.concatenate(starts)
+    lens = np.concatenate(lens)
+    order = np.argsort(starts, kind="stable")
+    starts = starts[order]
+    ends = starts + lens[order]
+    if starts[0] != 0 or ends[-1] != buf.length_bytes or (starts[1:] != ends[:-1]).any():
+        raise AssertionError(f"writes do not tile buffer {buffer_name!r} exactly once")

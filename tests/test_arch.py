@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from swizzlesim.arch import (
@@ -7,40 +8,38 @@ from swizzlesim.arch import (
     ArchSpecError,
     MI300X_LIKE,
     concurrent_slots_per_xcd,
-    default_xcd_assignment,
     dump_arch_spec,
     load_arch_spec,
     resolve_arch,
 )
+from swizzlesim.patterns import GridSpec, builtin_pattern, xcd_table
 
 from conftest import arch_with_xcds
 
 
+def round_robin_xcds(total, arch):
+    """XCD of each pid under the identity remap, i.e. the dispatch policy itself."""
+    grid = GridSpec.from_block_counts(total)
+    return xcd_table(builtin_pattern("identity", grid, arch), grid, arch)
+
+
 def test_round_robin_assignment():
-    arch = arch_with_xcds(8)
-    assert default_xcd_assignment(0, arch) == 0
-    assert default_xcd_assignment(8, arch) == 0
-    assert default_xcd_assignment(11, arch) == 3
+    xcds = round_robin_xcds(12, arch_with_xcds(8))
+    assert xcds[0] == 0
+    assert xcds[8] == 0
+    assert xcds[11] == 3
 
 
 def test_round_robin_periodicity():
-    arch = arch_with_xcds(8)
-    for pid in range(100):
-        assert default_xcd_assignment(pid, arch) == default_xcd_assignment(pid + 8, arch)
+    xcds = round_robin_xcds(108, arch_with_xcds(8))
+    assert (xcds[:100] == xcds[8:108]).all()
+    assert (xcds == np.arange(108) % 8).all()
 
 
 def test_round_robin_balanced_distribution():
     arch = arch_with_xcds(8)
     for n in (8, 64, 8 * 37):
-        counts = [0] * 8
-        for pid in range(n):
-            counts[default_xcd_assignment(pid, arch)] += 1
-        assert all(c == n // 8 for c in counts)
-
-
-def test_negative_pid_rejected():
-    with pytest.raises(ValueError):
-        default_xcd_assignment(-1, arch_with_xcds(8))
+        assert (np.bincount(round_robin_xcds(n, arch), minlength=8) == n // 8).all()
 
 
 def test_concurrent_slots():

@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from swizzlesim.arch import ArchSpec
+from swizzlesim.arch import MI300X_LIKE, ArchSpec
 from swizzlesim.cachesim import (
     ExecParams,
     SetAssocLru,
@@ -18,8 +19,9 @@ from swizzlesim.cachesim import (
     simulate,
     simulate_pair,
 )
-from swizzlesim.kernels import KernelSpec, generate_trace
+from swizzlesim.kernels import KERNEL_KINDS, KernelSpec, generate_trace, spec_with_size
 from swizzlesim.patterns import (
+    BUILTIN_PATTERN_NAMES,
     GridSpec,
     NonBijectiveError,
     builtin_pattern,
@@ -133,6 +135,15 @@ def test_wave_barrier_drains_slots():
 def test_record_past_its_buffer_rejected(offset):
     trace = trace_of_streams({0: [(offset, 4, False)]})
     with pytest.raises(SimulationError, match="outside"):
+        simulate(trace, builtin_pattern("identity", trace.grid, single_xcd()), single_xcd())
+
+
+@pytest.mark.parametrize("length", [0, -128])
+def test_empty_or_negative_record_rejected(length):
+    # accepted, a (0, 0) record would make this stream touch lines 0 and 10
+    # instead of 10 and 11: expand_ranges needs every range non-empty
+    trace = trace_of_streams({0: [(0, length, False), (1280, 256, False)]})
+    with pytest.raises(SimulationError, match="empty"):
         simulate(trace, builtin_pattern("identity", trace.grid, single_xcd()), single_xcd())
 
 
@@ -295,3 +306,26 @@ def test_report_from_dict_rejects_unknown_keys():
     doc["per_xcd"][0]["surprise"] = 1
     with pytest.raises(KeyError):
         report_from_dict(doc)
+
+
+# SHA-256 over report_to_json of every kernel x builtin (check_grid=False) at
+# spec_with_size(kind, 128) on mi300x-like, one line each; the one
+# non-bijective combination contributes its NonBijectiveError message instead.
+GOLDEN_REPORT_DIGEST = "8cbe552a4c18e34bc432043a8bc203913813b95c460304a2428b5df05ffbb007"
+
+
+def test_golden_report_digest():
+    digest = hashlib.sha256()
+    for kind in KERNEL_KINDS:
+        trace = generate_trace(spec_with_size(kind, 128))
+        for name in BUILTIN_PATTERN_NAMES:
+            pattern = builtin_pattern(name, trace.grid, MI300X_LIKE, check_grid=False)
+            try:
+                line = report_to_json(simulate(trace, pattern, MI300X_LIKE))
+            except NonBijectiveError as exc:
+                line = f"NonBijectiveError: {exc}"
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_REPORT_DIGEST, (
+        "simulated reports changed; a deliberate count change must update "
+        "GOLDEN_REPORT_DIGEST and say so in CHANGES.md"
+    )

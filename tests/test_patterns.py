@@ -3,6 +3,7 @@ import pytest
 
 from swizzlesim.patterns import (
     BUILTIN_PATTERN_NAMES,
+    ENUMERATION_CAP,
     EnumerationLimitError,
     GridRejectedError,
     GridSpec,
@@ -11,14 +12,11 @@ from swizzlesim.patterns import (
     UnknownPatternError,
     builtin_pattern,
     check_bijectivity,
-    colocation_stats,
-    inverse_table,
     pattern_from_dict,
     pattern_from_expr,
     pattern_to_dict,
     remap,
     remap_table,
-    xcd_of_logical,
     xcd_table,
 )
 
@@ -174,9 +172,10 @@ def test_bijectivity_reports_collisions():
 
 
 def test_enumeration_cap_is_explicit():
-    g, a = grid(1 << 12), arch_with_xcds(8)
+    # raised before any per-pid array is allocated
+    g, a = grid(ENUMERATION_CAP + 1), arch_with_xcds(8)
     with pytest.raises(EnumerationLimitError):
-        check_bijectivity(builtin_pattern("identity", g, a), g, a, cap=1 << 10)
+        check_bijectivity(builtin_pattern("identity", g, a), g, a)
 
 
 def test_validation_result_invariant():
@@ -189,60 +188,61 @@ def test_validation_result_invariant():
         )
 
 
-# --- xcd_of_logical ----------------------------------------------------------
+# --- XCD of each logical tile ------------------------------------------------
 
 
 def test_xcd_of_logical_identity():
     g, a = grid(16), arch_with_xcds(8)
     pat = builtin_pattern("identity", g, a)
-    assert xcd_of_logical(pat, 5, g, a) == 5
+    assert xcd_table(pat, g, a)[5] == 5
 
 
 def test_xcd_of_logical_gemm_tiles():
     g, a = grid(16), arch_with_xcds(4)
     pat = builtin_pattern("gemm_contiguous", g, a)
     # first contiguous run of 4 logical tiles on XCD 0 (inverse pids 0,4,8,12)
-    assert [xcd_of_logical(pat, t, g, a) for t in range(4)] == [0, 0, 0, 0]
-    assert xcd_of_logical(pat, 4, g, a) == 1
+    assert xcd_table(pat, g, a)[:5].tolist() == [0, 0, 0, 0, 1]
 
 
 def test_xcd_of_logical_requires_bijection():
     g, a = grid(10), arch_with_xcds(8)
     pat = pattern_from_expr("bitwise", BITWISE_EXPR)
     with pytest.raises(NonBijectiveError):
-        xcd_of_logical(pat, 0, g, a)
+        xcd_table(pat, g, a)
 
 
 def test_inverse_table_is_inverse():
+    # the tile a launch pid computes runs on that launch pid's XCD
     g, a = grid(40), arch_with_xcds(8)
     pat = builtin_pattern("gemm_contiguous", g, a)
     fwd = remap_table(pat, g, a)
-    inv = inverse_table(pat, g, a)
-    assert np.array_equal(fwd[inv], np.arange(40))
+    assert np.array_equal(xcd_table(pat, g, a)[fwd], np.arange(40) % 8)
 
 
-# --- colocation stats --------------------------------------------------------
+# --- colocation --------------------------------------------------------------
+
+
+def xcd_counts(name, g, a):
+    return np.bincount(xcd_table(builtin_pattern(name, g, a), g, a), minlength=a.num_xcds)
 
 
 def test_colocation_identity_balanced():
     g, a = grid(16), arch_with_xcds(4)
-    stats = colocation_stats(builtin_pattern("identity", g, a), g, a)
-    assert stats.per_xcd_counts == (4, 4, 4, 4)
+    assert xcd_counts("identity", g, a).tolist() == [4, 4, 4, 4]
 
 
 def test_colocation_gemm_rows():
     # 4x4 tile grid, 4 XCDs: each row of C fully co-located
     g, a = GridSpec.from_block_counts(4, 4), arch_with_xcds(4)
-    stats = colocation_stats(builtin_pattern("gemm_contiguous", g, a), g, a)
-    assert stats.group_ratios == (1.0, 1.0, 1.0, 1.0)
-    assert sum(stats.per_xcd_counts) == 16
+    rows = xcd_table(builtin_pattern("gemm_contiguous", g, a), g, a).reshape(4, 4)
+    assert all(len(set(row)) == 1 for row in rows.tolist())
+    assert xcd_counts("gemm_contiguous", g, a).sum() == 16
 
 
 def test_colocation_softmax_rows():
     g, a = GridSpec.from_block_counts(8, 4), arch_with_xcds(8)
-    stats = colocation_stats(builtin_pattern("softmax_rowgroup", g, a), g, a)
-    assert all(r == 1.0 for r in stats.group_ratios)
-    assert stats.fully_colocated_groups == 8
+    rows = xcd_table(builtin_pattern("softmax_rowgroup", g, a), g, a).reshape(8, 4)
+    assert all(len(set(row)) == 1 for row in rows.tolist())
 
 
 def test_balance_invariant_across_builtins():
@@ -253,9 +253,9 @@ def test_balance_invariant_across_builtins():
         for name in BUILTIN_PATTERN_NAMES:
             if name == "bitwise_lowbit":
                 continue
-            stats = colocation_stats(builtin_pattern(name, g, a), g, a)
-            assert max(stats.per_xcd_counts) - min(stats.per_xcd_counts) <= 1
-            assert sum(stats.per_xcd_counts) == g.total_blocks
+            counts = xcd_counts(name, g, a)
+            assert counts.max() - counts.min() <= 1
+            assert counts.sum() == g.total_blocks
 
 
 def test_row_residue_grouping_row_to_xcd():

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -13,12 +11,9 @@ from swizzlesim.kernels import (
     launch_grid,
     spec_with_size,
 )
-from swizzlesim.traces import (
-    check_write_coverage,
-    dump_trace,
-    locality_summary,
-    validate_trace_bounds,
-)
+from swizzlesim.traces import locality_summary
+
+from conftest import check_write_coverage, validate_trace_bounds
 
 
 def small(kind, **dims):
@@ -232,15 +227,6 @@ def test_traces_deterministic_across_generations():
                 assert a.records_for(pid, wave) == b.records_for(pid, wave)
 
 
-def test_dump_trace_format():
-    trace = generate_trace(small("fused_elementwise", n=8192))
-    out = io.StringIO()
-    dump_trace(trace, out)
-    lines = out.getvalue().strip().splitlines()
-    assert lines[0] == "0,a,0,16384,read"
-    assert all(len(line.split(",")) == 5 for line in lines if not line.startswith("#"))
-
-
 # --- locality summary --------------------------------------------------------
 
 
@@ -259,7 +245,7 @@ def test_locality_gemm_row_and_column_pairs():
 
 def test_locality_black_scholes_empty():
     summary = locality_summary(generate_trace(small("black_scholes", n=1 << 14)))
-    assert not summary.has_sharing
+    assert not summary.groups
 
 
 def test_locality_softmax_rows_across_phases():
