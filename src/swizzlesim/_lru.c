@@ -1,4 +1,5 @@
-/* Set-associative LRU cache kernel behind swizzlesim.cachesim.SetAssocLru.
+/* Native kernels behind swizzlesim.cachesim: the set-associative LRU and the
+ * resident-slot pass that feeds it one XCD's workgroup records.
  *
  * tags holds num_sets rows of `ways` line ids, most recently used first;
  * fill[s] is how many entries of row s are valid. A miss allocates the line
@@ -6,29 +7,124 @@
  */
 #include <stdint.h>
 
+/* Touch one line; 1 on a hit. */
+static inline int lru_touch(int64_t line, int64_t *tags, int32_t *fill,
+                            int64_t num_sets, int64_t ways)
+{
+    int64_t set;
+    if ((num_sets & (num_sets - 1)) == 0)
+        set = line & (num_sets - 1); /* Python's modulo, negative ids too */
+    else if ((set = line % num_sets) < 0)
+        set += num_sets;             /* Python's modulo for negative line ids */
+    int64_t *row = tags + set * ways;
+    int32_t used = fill[set];
+    int64_t k = 0;
+    while (k < used && row[k] != line)
+        k++;
+    int hit = k < used;
+    if (!hit) {
+        if (used < ways)
+            fill[set] = used + 1; /* k is the first free entry */
+        else
+            k = ways - 1;         /* evict the least recently used */
+    }
+    for (; k > 0; k--)
+        row[k] = row[k - 1];
+    row[0] = line;
+    return hit;
+}
+
 int64_t lru_access_many(const int64_t *lines, int64_t n, int64_t *tags,
                         int32_t *fill, int64_t num_sets, int64_t ways)
 {
     int64_t hits = 0;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t line = lines[i];
-        int64_t set = line % num_sets;
-        if (set < 0)
-            set += num_sets; /* Python's modulo for negative line ids */
-        int64_t *row = tags + set * ways;
-        int32_t used = fill[set];
-        int64_t k = 0;
-        while (k < used && row[k] != line)
-            k++;
-        if (k < used)
-            hits++;
-        else if (used < ways)
-            fill[set] = used + 1; /* k is the first free entry */
-        else
-            k = ways - 1;         /* evict the least recently used */
-        for (; k > 0; k--)
-            row[k] = row[k - 1];
-        row[0] = line;
-    }
+    for (int64_t i = 0; i < n; i++)
+        hits += lru_touch(lines[i], tags, fill, num_sets, ways);
     return hits;
+}
+
+/* One resident workgroup: its record arrays, which the caller keeps alive
+ * while the slot is resident, the record being expanded, and that record's
+ * current and last line. cachesim._run_native sees a slot as a row of
+ * eight int64 words. */
+typedef struct {
+    const int32_t *bufs;
+    const int64_t *offs;
+    const int64_t *lens;
+    int64_t records; /* at least 1 */
+    int64_t rec;
+    int64_t line;
+    int64_t last;
+    int64_t origin;  /* set on return: a survivor's slot index in this call */
+} slot_t;
+
+_Static_assert(sizeof(slot_t) == 8 * sizeof(int64_t), "slot_t is eight int64 words");
+
+static inline void load_record(slot_t *s, const int64_t *bases, int64_t line_shift)
+{
+    int64_t start = s->offs[s->rec] + bases[s->bufs[s->rec]];
+    s->line = start >> line_shift;
+    s->last = (start + s->lens[s->rec] - 1) >> line_shift;
+}
+
+/* Run one XCD's resident slots until the first turn in which a slot drains.
+ *
+ * slots[0, loaded) carry on from the previous call; slots[loaded, n) are
+ * newly loaded and are checked first, in order: a record is bad if it is
+ * empty, names no buffer, starts before its buffer or ends past it. The
+ * first bad slot k returns -(k + 1) before any line is touched.
+ *
+ * Each turn touches the current line of every slot, in slot order, marks
+ * touched[line] and counts hits into counts[0] and touches into counts[1].
+ * After the turn in which one or more slots drain, the survivors move to
+ * the front in order, each with origin set to its index before the move,
+ * and their number is returned. Buffer bases must be non-negative, so
+ * that every line of a checked record indexes `touched`.
+ */
+int64_t xcd_drain(slot_t *slots, int64_t n, int64_t loaded,
+                  const int64_t *bases, const int64_t *lengths, int64_t num_buffers,
+                  int64_t line_shift, uint8_t *touched, int64_t *counts,
+                  int64_t *tags, int32_t *fill, int64_t num_sets, int64_t ways)
+{
+    for (int64_t k = loaded; k < n; k++) {
+        slot_t *s = &slots[k];
+        for (int64_t r = 0; r < s->records; r++) {
+            int32_t buf = s->bufs[r];
+            int64_t off = s->offs[r], len = s->lens[r];
+            if (buf < 0 || buf >= num_buffers || len < 1 || off < 0
+                || len > lengths[buf] - off)
+                return -(k + 1);
+        }
+        s->rec = 0;
+        load_record(s, bases, line_shift);
+    }
+
+    int64_t hits = 0, turns = 0;
+    int drained = 0;
+    while (!drained) {
+        for (int64_t k = 0; k < n; k++) {
+            slot_t *s = &slots[k];
+            touched[s->line] = 1;
+            hits += lru_touch(s->line, tags, fill, num_sets, ways);
+            if (s->line < s->last)
+                s->line++;
+            else if (++s->rec < s->records)
+                load_record(s, bases, line_shift);
+            else
+                drained = 1;
+        }
+        turns++;
+    }
+    counts[0] += hits;
+    counts[1] += turns * n;
+
+    int64_t left = 0;
+    for (int64_t k = 0; k < n; k++) {
+        if (slots[k].rec < slots[k].records) {
+            slots[left] = slots[k];
+            slots[left].origin = k;
+            left++;
+        }
+    }
+    return left;
 }

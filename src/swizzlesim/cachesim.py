@@ -12,23 +12,36 @@ Each XCD owns an independent set-associative LRU cache. Accesses are
 quantized to lines: a record spanning k lines counts as k ordered line
 touches, and writes allocate like reads. There is no cycle model; time is
 access-count interleaving, so reported hit rates are locality signals, not
-hardware predictions. A record that starts before its buffer or ends past
-it raises ``SimulationError``, as does a record of length zero or less.
+hardware predictions. A record that names no buffer, starts before its
+buffer or ends past it raises ``SimulationError``, as does a record of length
+zero or less.
 
-The LRU itself (``SetAssocLru.access_many``) runs in a small C kernel,
-``_lru.c`` beside this module. The first cache built in a process compiles
-it with ``gcc`` into ``$XDG_CACHE_HOME/swizzlesim`` (default
-``~/.cache/swizzlesim``), under a name keyed by a hash of the C source, and
-loads it through ctypes; later processes reuse that build. The compiler
-writes to a temporary file that is renamed into place, so a concurrent
-process never loads a half-written library. Nothing is compiled or loaded
-at import. When the kernel cannot be built or loaded, a warning names the
-reason and the Python ``OrderedDict`` LRU runs instead, with identical
-counts; that loop is otherwise the oracle the tests hold the kernel to.
+Each XCD's pass runs in a small C kernel, ``_lru.c`` beside this module.
+Its ``xcd_drain`` holds the resident slots, each pointing at one workgroup's
+raw record arrays: it checks each newly loaded slot's records against the
+buffer bounds, expands records into line touches on the fly, marks the
+touched-line bitmap and updates the LRU rows, one touch per slot per turn,
+until a slot drains. It then moves the survivors to the front and returns;
+Python loads the next launch pids' streams after them and calls again, so
+there is one foreign call per drain event, not per touch.
+``SetAssocLru.access_many`` calls the kernel's plain LRU update.
+
+The first cache built in a process compiles the kernel with ``gcc`` into
+``$XDG_CACHE_HOME/swizzlesim`` (default ``~/.cache/swizzlesim``), under a
+name keyed by a hash of the C source, and loads it through ctypes; later
+processes reuse that build. The compiler writes to a temporary file that is
+renamed into place, so a concurrent process never loads a half-written
+library. Nothing is compiled or loaded at import. When the kernel cannot be
+built or loaded, a warning names the reason and the whole pass runs in
+Python instead, with identical counts: ``_expand_lines`` expands each
+stream, ``_interleave`` schedules the slots and an ``OrderedDict`` per set
+is the LRU. Those three are otherwise the oracles the tests hold the kernel
+to.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import json
 import os
@@ -89,12 +102,12 @@ _CC = "gcc"
 
 @functools.cache
 def _load_kernel():
-    """The native ``lru_access_many``, built on first use; None if unavailable.
+    """The native kernels (``lru_access_many``, ``xcd_drain``), built on first
+    use; None if unavailable.
 
     A failed build leaves nothing in the build directory, so the next
     process tries again; within this process the failure is remembered.
     """
-    import ctypes
     import hashlib
     import subprocess
     import tempfile
@@ -116,15 +129,18 @@ def _load_kernel():
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        kernel = ctypes.CDLL(str(lib)).lru_access_many
+        kernel = ctypes.CDLL(str(lib))
     except subprocess.CalledProcessError as exc:
         reason = exc.stderr.decode(errors="replace").strip() or str(exc)
     except OSError as exc:  # no compiler, unwritable directory, unloadable library
         reason = str(exc)
     else:
         c_ptr, c_i64 = ctypes.c_void_p, ctypes.c_int64
-        kernel.argtypes = [c_ptr, c_i64, c_ptr, c_ptr, c_i64, c_i64]
-        kernel.restype = c_i64
+        lru = [c_ptr, c_ptr, c_i64, c_i64]  # tags, fill, num_sets, ways
+        kernel.lru_access_many.argtypes = [c_ptr, c_i64, *lru]
+        kernel.xcd_drain.argtypes = [c_ptr, c_i64, c_i64, c_ptr, c_ptr, c_i64, c_i64,
+                                     c_ptr, c_ptr, *lru]
+        kernel.lru_access_many.restype = kernel.xcd_drain.restype = c_i64
         return kernel
     warnings.warn(f"native LRU kernel unavailable, using the Python LRU: {reason}",
                   RuntimeWarning, stacklevel=2)
@@ -160,14 +176,14 @@ class SetAssocLru:
         if self._kernel is None:
             return self._access_many_python([line])[0] == 1
         self._line[0] = line
-        return self._kernel(self._line_ptr, 1, *self._state) == 1
+        return self._kernel.lru_access_many(self._line_ptr, 1, *self._state) == 1
 
     def access_many(self, lines: Sequence[int] | np.ndarray) -> tuple[int, int]:
         """Touch lines in order; returns (hits, misses). Hot path."""
         if self._kernel is None:
             return self._access_many_python(lines)
         lines = np.ascontiguousarray(lines, dtype=np.int64)
-        hits = self._kernel(lines.ctypes.data, len(lines), *self._state)
+        hits = self._kernel.lru_access_many(lines.ctypes.data, len(lines), *self._state)
         return hits, len(lines) - hits
 
     def _access_many_python(self, lines: Sequence[int] | np.ndarray) -> tuple[int, int]:
@@ -234,6 +250,89 @@ def _interleave(streams: Iterator[np.ndarray], slots: int) -> Iterator[np.ndarra
         refill()
 
 
+def _bad_record(trace: AccessTrace, pid: int, wave: int) -> SimulationError:
+    return SimulationError(
+        f"{trace.kernel}: a record of workgroup {pid} in wave {wave} is empty "
+        "or lies outside its buffer"
+    )
+
+
+def _run_python(
+    cache: SetAssocLru, trace: AccessTrace, wave: int, pids: list[int], slots: int,
+    line_bytes: int, touched: np.ndarray,
+) -> tuple[int, int]:
+    """(hits, touches) of one XCD's wave: ``_interleave`` over expanded lines."""
+    def lines_of(pid: int) -> np.ndarray:
+        stream = trace.stream(pid, wave)
+        if records_outside(stream, trace.buffer_lengths):
+            raise _bad_record(trace, pid, wave)
+        return _expand_lines(stream, trace.base_offsets, line_bytes)
+
+    hits = 0
+    accesses = 0
+    for chunk in _interleave(map(lines_of, pids), slots):
+        touched[chunk] = True
+        hits += cache.access_many(chunk)[0]
+        accesses += len(chunk)
+    return hits, accesses
+
+
+def _address(array: np.ndarray) -> int:
+    """Address of a C-contiguous array's data.
+
+    ctypes' ``from_buffer`` costs about a third of ``array.ctypes.data``,
+    which is paid for three arrays of every stream loaded into a slot, but
+    it takes only writable buffers.
+    """
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    except TypeError:  # a read-only array
+        return array.ctypes.data
+
+
+_SLOT_WORDS = 8  # one slot_t of _lru.c: bufs, offs, lens, records, rec, line, last, origin
+_ORIGIN = 7
+
+
+def _run_native(
+    cache: SetAssocLru, trace: AccessTrace, wave: int, pids: list[int], slots: int,
+    line_bytes: int, touched: np.ndarray,
+) -> tuple[int, int]:
+    """(hits, touches) of one XCD's wave in the kernel's ``xcd_drain``.
+
+    The kernel runs the resident slots until one drains and returns the
+    survivors, moved to the front; the next launch pids' streams are loaded
+    after them and the kernel is called again, so there is one call per
+    drain, not per touch. ``resident`` holds each slot's (pid, arrays) so
+    that the arrays the kernel reads stay alive while the slot is resident.
+    """
+    table = np.zeros((slots, _SLOT_WORDS), dtype=np.int64)
+    counts = np.zeros(2, dtype=np.int64)  # hits, touches
+    bases = trace.base_offsets
+    lengths = trace.buffer_lengths
+    slots_ptr = table.ctypes.data
+    fixed = (bases.ctypes.data, lengths.ctypes.data, len(lengths), line_bytes.bit_length() - 1,
+             touched.ctypes.data, counts.ctypes.data, *cache._state)
+    resident: list[tuple[int, tuple[np.ndarray, ...]]] = []
+    pids = iter(pids)
+    while True:
+        loaded = len(resident)
+        while len(resident) < slots and (pid := next(pids, None)) is not None:
+            stream = trace.stream(pid, wave)
+            if len(stream):
+                arrays = (np.ascontiguousarray(stream.bufs, dtype=np.int32),
+                          np.ascontiguousarray(stream.offs, dtype=np.int64),
+                          np.ascontiguousarray(stream.lens, dtype=np.int64))
+                table[len(resident), :4] = (*map(_address, arrays), len(stream))
+                resident.append((pid, arrays))
+        if not resident:
+            return int(counts[0]), int(counts[1])
+        left = cache._kernel.xcd_drain(slots_ptr, len(resident), loaded, *fixed)
+        if left < 0:
+            raise _bad_record(trace, resident[-left - 1][0], wave)
+        resident = [resident[k] for k in table[:left, _ORIGIN].tolist()]
+
+
 def simulate(
     trace: AccessTrace,
     pattern: SwizzlePattern,
@@ -245,8 +344,6 @@ def simulate(
     num_xcds = arch.num_xcds
     slots = concurrent_slots_per_xcd(arch)
     line_bytes = arch.l2_line_bytes
-    bases = trace.base_offsets
-    lengths = trace.buffer_lengths
     end = max((b.base_offset + b.length_bytes for b in trace.buffers), default=0)
     touched = np.zeros(-(-end // line_bytes), dtype=bool)  # one flag per line the buffers span
 
@@ -255,34 +352,20 @@ def simulate(
     # launch pids of each wave's workgroups, in launch order
     wave_launch = [np.unique(launch_of[members]) for members in trace.wave_pids]
 
-    def lines_of(pid: int, wave: int) -> np.ndarray:
-        stream = trace.stream(pid, wave)
-        if records_outside(stream, lengths):
-            raise SimulationError(
-                f"{trace.kernel}: a record of workgroup {pid} in wave {wave} is empty "
-                "or lies outside its buffer"
-            )
-        return _expand_lines(stream, bases, line_bytes)
-
     per_xcd: list[XcdStats] = []
     for xcd in range(num_xcds):
         cache = SetAssocLru(arch.num_sets, arch.l2_associativity)
+        run = _run_python if cache._kernel is None else _run_native
         hits = 0
-        misses = 0
         accesses = 0
         for wave, launch in enumerate(wave_launch):
-            streams = (
-                lines_of(int(table[pid]), wave) for pid in launch[launch % num_xcds == xcd]
-            )
-            for chunk in _interleave(streams, slots):
-                touched[chunk] = True
-                h, m = cache.access_many(chunk)
-                hits += h
-                misses += m
-                accesses += len(chunk)
-
+            pids = table[launch[launch % num_xcds == xcd]].tolist()
+            h, a = run(cache, trace, wave, pids, slots, line_bytes, touched)
+            hits += h
+            accesses += a
         rate = hits / accesses if accesses else 0.0
-        per_xcd.append(XcdStats(accesses=accesses, hits=hits, misses=misses, hit_rate=rate))
+        per_xcd.append(XcdStats(accesses=accesses, hits=hits, misses=accesses - hits,
+                                hit_rate=rate))
 
     accesses = sum(s.accesses for s in per_xcd)
     hits = sum(s.hits for s in per_xcd)

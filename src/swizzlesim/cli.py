@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -289,7 +290,15 @@ def cmd_optimize(args) -> int:
         "l2_hit_rate": best.report.l2_hit_rate,
         "report": report_to_dict(best.report),
     }
-    (out / "best.json").write_text(json.dumps(best_doc, indent=2, sort_keys=True) + "\n")
+    # written beside its target and renamed into place, so a failed write
+    # leaves no partial best.json
+    best_path = out / "best.json"
+    tmp = best_path.with_name(f".{best_path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(best_doc, indent=2, sort_keys=True) + "\n")
+        os.replace(tmp, best_path)
+    finally:
+        tmp.unlink(missing_ok=True)
     if result.iterations_run < args.max_iters:
         print(
             f"proposer exhausted after {result.iterations_run} of "

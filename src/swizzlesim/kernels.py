@@ -27,7 +27,7 @@ the memory behavior of straightforward tiled kernels:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np

@@ -15,7 +15,7 @@ returns a structured proposal (with replayable fixtures for offline runs).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
@@ -36,7 +36,7 @@ from .patterns import (
 )
 from .promptio import ProposalParseError, build_prompt, parse_proposal
 from .records import from_dict, to_dict
-from .traces import AccessTrace, LocalitySummary, locality_summary
+from .traces import LocalitySummary, locality_summary
 
 DEFAULT_MAX_ITERS = 5
 

@@ -132,6 +132,8 @@ class AccessTrace:
         self.base_offsets = np.zeros(len(self.buffers), dtype=np.int64)
         self.buffer_lengths = np.zeros(len(self.buffers), dtype=np.int64)
         for buf in self.buffers:
+            if buf.base_offset < 0 or buf.length_bytes < 0:
+                raise ValueError(f"buffer {buf.name!r} has a negative base offset or length")
             self.base_offsets[buf.buffer_id] = buf.base_offset
             self.buffer_lengths[buf.buffer_id] = buf.length_bytes
 
@@ -166,10 +168,14 @@ def make_buffers(sizes: Sequence[tuple[str, int]]) -> list[Buffer]:
 
 
 def records_outside(stream: Stream, lengths: np.ndarray) -> bool:
-    """True if a record is empty, starts before its buffer or ends past it."""
+    """True if a record is empty, names no buffer, starts before its buffer or
+    ends past it."""
+    bufs = stream.bufs
+    if len(bufs) and (bufs.min() < 0 or bufs.max() >= len(lengths)):
+        return True
     offs = stream.offs
     lens = stream.lens
-    return bool(((lens < 1) | (offs < 0) | (offs + lens > lengths[stream.bufs])).any())
+    return bool(((lens < 1) | (offs < 0) | (offs + lens > lengths[bufs])).any())
 
 
 # ---------------------------------------------------------------------------

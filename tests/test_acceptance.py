@@ -18,7 +18,6 @@ from swizzlesim.cachesim import (
     SetAssocLru,
     hit_rate_delta,
     report_from_dict,
-    report_to_dict,
     report_to_json,
     simulate,
     simulate_pair,

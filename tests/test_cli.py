@@ -1,9 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from swizzlesim.cli import main
-from swizzlesim.client import prompt_digest
 from swizzlesim.loop import load_history
 
 
@@ -152,6 +152,24 @@ def test_optimize_zero_iters_returns_identity(tmp_path, capsys):
     assert code == 0
     best = json.loads((tmp_path / "best.json").read_text())
     assert best["pattern"]["name"] == "identity"
+
+
+def test_failed_best_json_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    real_write_text = Path.write_text
+
+    def disk_full(path, text, *args, **kwargs):
+        if "best.json" in path.name:  # half the document lands, then the write fails
+            real_write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+        return real_write_text(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", disk_full)
+    code, _, err = run(
+        capsys, "optimize", "--kernel", "fused_elementwise", "--size", "16384",
+        "--max-iters", "0", "--out-dir", str(tmp_path),
+    )
+    assert code == 1 and "No space left on device" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["history.jsonl", "progression.csv"]
 
 
 def test_optimize_replay_requires_fixture(tmp_path, capsys):

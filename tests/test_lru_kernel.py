@@ -1,5 +1,6 @@
 """The native LRU kernel against the Python oracles, and its fallback."""
 
+import contextlib
 import os
 import shutil
 import subprocess
@@ -12,9 +13,16 @@ from hypothesis import given, settings, strategies as st
 
 from swizzlesim import cachesim
 from swizzlesim.arch import MI300X_LIKE
-from swizzlesim.cachesim import SetAssocLru, report_to_json, simulate
+from swizzlesim.cachesim import SetAssocLru, SimulationError, report_to_json, simulate
 from swizzlesim.kernels import KERNEL_KINDS, generate_trace, spec_with_size
-from swizzlesim.patterns import BUILTIN_PATTERN_NAMES, PatternError, builtin_pattern
+from swizzlesim.patterns import (
+    BUILTIN_PATTERN_NAMES,
+    GridSpec,
+    PatternError,
+    builtin_pattern,
+    pattern_from_expr,
+)
+from swizzlesim.traces import AccessTrace, Stream, make_buffers
 
 from conftest import ReferenceLru, arch_with_xcds
 
@@ -84,6 +92,147 @@ def test_native_reports_match_python_lru(native, monkeypatch, kind):
         with monkeypatch.context() as m:
             m.setattr(cachesim, "_load_kernel", lambda: None)
             assert _reports(trace, arch) == want_native, f"{kind} on {arch.name}"
+
+
+@contextlib.contextmanager
+def _python_pass():
+    """``simulate`` runs the whole pass in Python inside this context."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cachesim, "_load_kernel", lambda: None)
+        yield
+
+
+def _trace_of(streams, buffer_sizes, total, read_only=False):
+    """Trace whose (wave, pid) streams are lists of (buffer, offset, length)."""
+    def stream_fn(wave, pid):
+        recs = streams[wave].get(pid, [])
+        stream = Stream([r[0] for r in recs], [r[1] for r in recs], [r[2] for r in recs],
+                        [False] * len(recs))
+        for array in (stream.bufs, stream.offs, stream.lens):
+            array.flags.writeable = not read_only
+        return stream
+
+    buffers = make_buffers([(f"b{i}", size) for i, size in enumerate(buffer_sizes)])
+    wave_pids = [np.asarray(sorted(wave), dtype=np.int64) for wave in streams]
+    return AccessTrace("synthetic", GridSpec.from_block_counts(total), buffers, stream_fn,
+                       wave_pids=wave_pids)
+
+
+@st.composite
+def small_runs(draw):
+    """A small trace, an arch of 1-3 XCDs with 1-5 slots each, and a bijection.
+
+    Streams mix one-line and multi-line records and include empty ones; in a
+    uniform wave every stream has the same number of one-line records, so
+    all resident slots drain in the same turn. Some traces hand out
+    read-only record arrays.
+    """
+    line = draw(st.sampled_from([64, 128]))
+    ways = draw(st.integers(1, 4))
+    num_sets = draw(st.integers(1, 6))  # powers of two and not
+    arch = arch_with_xcds(draw(st.integers(1, 3)), cus_per_xcd=draw(st.integers(1, 5)),
+                          l2_bytes=line * ways * num_sets, line=line, ways=ways)
+    sizes = draw(st.lists(st.integers(1, 8 * line), min_size=1, max_size=3))
+    total = draw(st.integers(1, 12))
+
+    def record(max_lines):
+        buf = draw(st.integers(0, len(sizes) - 1))
+        off = draw(st.integers(0, sizes[buf] - 1))
+        length = draw(st.integers(1, min(sizes[buf] - off, max_lines * line)))
+        return buf, off, length
+
+    streams = []
+    for _ in range(draw(st.integers(1, 3))):
+        pids = draw(st.sets(st.integers(0, total - 1)))
+        if draw(st.booleans()):  # uniform wave
+            n = draw(st.integers(1, 4))
+            one_line = [(0, off, 1) for off in range(0, sizes[0], line)]
+            wave = {pid: [draw(st.sampled_from(one_line)) for _ in range(n)] for pid in pids}
+        else:
+            wave = {pid: [record(draw(st.sampled_from([1, 3])))
+                          for _ in range(draw(st.integers(0, 5)))] for pid in pids}
+        streams.append(wave)
+    a = draw(st.sampled_from([k for k in range(1, total + 1) if np.gcd(k, total) == 1]))
+    b = draw(st.integers(0, total - 1))
+    pattern = pattern_from_expr("affine", f"((pid * {a}) + {b}) % {total}")
+    return _trace_of(streams, sizes, total, draw(st.booleans())), arch, pattern, streams
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=small_runs())
+def test_native_pass_matches_python_pass(native, run):
+    trace, arch, pattern, streams = run
+    got = simulate(trace, pattern, arch)
+    with _python_pass():
+        want = simulate(trace, pattern, arch)
+    assert got == want
+
+    line = arch.l2_line_bytes
+    expanded = [
+        line_id
+        for wave in streams for recs in wave.values() for buf, off, length in recs
+        for start in [int(trace.base_offsets[buf]) + off]
+        for line_id in range(start // line, (start + length - 1) // line + 1)
+    ]
+    assert got.hits + got.misses == got.accesses == len(expanded)
+    assert got.unique_lines_touched == len(set(expanded))
+
+
+def test_xcd_drain_moves_survivors_to_the_front_in_order(native):
+    # five workgroups of 3, 1, 2, 1 and 3 one-line records, all on lines 0, 1, 2
+    kernel = cachesim._load_kernel()
+    cache = SetAssocLru(4, 2)
+    bases = np.zeros(1, dtype=np.int64)
+    lengths = np.array([1024], dtype=np.int64)
+    touched = np.zeros(8, dtype=bool)
+    counts = np.zeros(2, dtype=np.int64)
+    offs = [np.arange(n, dtype=np.int64) * 128 for n in (3, 1, 2, 1, 3)]
+    bufs = [np.zeros(len(o), dtype=np.int32) for o in offs]
+    lens = [np.ones(len(o), dtype=np.int64) for o in offs]
+    table = np.zeros((5, cachesim._SLOT_WORDS), dtype=np.int64)
+    for k, arrays in enumerate(zip(bufs, offs, lens)):
+        table[k, :4] = (*(a.ctypes.data for a in arrays), len(arrays[0]))
+
+    def drain(n, loaded):
+        return kernel.xcd_drain(table.ctypes.data, n, loaded, bases.ctypes.data,
+                                lengths.ctypes.data, 1, 7, touched.ctypes.data,
+                                counts.ctypes.data, *cache._state)
+
+    assert drain(5, 0) == 3
+    assert table[:3, cachesim._ORIGIN].tolist() == [0, 2, 4]
+    assert table[:3, 1].tolist() == [offs[k].ctypes.data for k in (0, 2, 4)]
+    assert drain(3, 3) == 2
+    assert table[:2, cachesim._ORIGIN].tolist() == [0, 2]
+    assert table[:2, 1].tolist() == [offs[k].ctypes.data for k in (0, 4)]
+    assert drain(2, 2) == 0
+    assert counts.tolist() == [7, 10]  # 3 cold misses of 10 touches
+    assert touched.tolist() == [True] * 3 + [False] * 5
+
+
+# (buffer, offset, length) of a bad record in a 1024 B buffer
+BAD_RECORDS = {"one byte past": (0, 897, 128), "before": (0, -1, 1), "empty": (0, 0, 0),
+               "no buffer": (1, 0, 1)}
+
+
+@pytest.mark.parametrize("kind", BAD_RECORDS)
+@pytest.mark.parametrize("bad", range(4))
+def test_out_of_bounds_record_names_its_workgroup_and_wave(native, bad, kind):
+    # 2 XCDs of 2 slots; streams of unequal length, so the bad workgroup may
+    # load into a slot freed mid-wave
+    streams = [
+        {pid: [(0, 128 * pid, 128)] for pid in range(8)},
+        {pid: [(0, 0, 128 * (1 + pid % 3)), BAD_RECORDS[kind] if pid == bad else (0, 0, 128)]
+         for pid in range(8)},
+    ]
+    trace = _trace_of(streams, [1024], 8)
+    arch = arch_with_xcds(2, cus_per_xcd=2, l2_bytes=4096, ways=2)
+    pattern = builtin_pattern("identity", trace.grid, arch)
+    with pytest.raises(SimulationError) as native_exc:
+        simulate(trace, pattern, arch)
+    with _python_pass(), pytest.raises(SimulationError) as python_exc:
+        simulate(trace, pattern, arch)
+    assert str(native_exc.value) == str(python_exc.value)
+    assert f"workgroup {bad} in wave 1" in str(native_exc.value)
 
 
 def _failing_compiler(tmp_path):

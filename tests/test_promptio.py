@@ -5,7 +5,7 @@ import pytest
 from swizzlesim.arch import MI300X_LIKE
 from swizzlesim.cachesim import report_to_dict, report_to_json, simulate
 from swizzlesim.kernels import KernelSpec, generate_trace
-from swizzlesim.loop import HistoryEntry, entry_to_dict
+from swizzlesim.loop import HistoryEntry
 from swizzlesim.patterns import ValidationResult, builtin_pattern, pattern_to_dict
 from swizzlesim.promptio import (
     CorruptReportError,

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from swizzlesim.kernels import (
@@ -11,7 +10,8 @@ from swizzlesim.kernels import (
     launch_grid,
     spec_with_size,
 )
-from swizzlesim.traces import locality_summary
+from swizzlesim.patterns import GridSpec
+from swizzlesim.traces import AccessTrace, Buffer, Stream, locality_summary
 
 from conftest import check_write_coverage, validate_trace_bounds
 
@@ -24,6 +24,14 @@ def small(kind, **dims):
 
 
 # --- launch grids ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("base, length", [(-65536, 1024), (0, -1)])
+def test_negative_buffer_base_or_length_rejected(base, length):
+    # a negative base would put line ids below the touched-line bitmap
+    with pytest.raises(ValueError, match="negative"):
+        AccessTrace("bad", GridSpec.from_block_counts(1), [Buffer(0, "a", length, base)],
+                    lambda wave, pid: Stream.empty())
 
 
 def test_launch_grid_examples():
