@@ -5,17 +5,16 @@
  * fill[s] is how many entries of row s are valid. A miss allocates the line
  * (write-allocate), evicting the row's last entry when the row is full.
  */
+#include <stddef.h>
 #include <stdint.h>
 
 /* Touch one line; 1 on a hit. */
 static inline int lru_touch(int64_t line, int64_t *tags, int32_t *fill,
                             int64_t num_sets, int64_t ways)
 {
-    int64_t set;
-    if ((num_sets & (num_sets - 1)) == 0)
-        set = line & (num_sets - 1); /* Python's modulo, negative ids too */
-    else if ((set = line % num_sets) < 0)
-        set += num_sets;             /* Python's modulo for negative line ids */
+    int64_t set = line % num_sets;
+    if (set < 0)
+        set += num_sets; /* Python's modulo for negative line ids */
     int64_t *row = tags + set * ways;
     int32_t used = fill[set];
     int64_t k = 0;
@@ -46,7 +45,9 @@ int64_t lru_access_many(const int64_t *lines, int64_t n, int64_t *tags,
 /* One resident workgroup: its record arrays, which the caller keeps alive
  * while the slot is resident, the record being expanded, and that record's
  * current and last line. cachesim._run_native sees a slot as a row of
- * eight int64 words. */
+ * eight int64 words: it writes the first four (the three array addresses
+ * and `records`) and reads word cachesim._ORIGIN; cachesim._SLOT_WORDS is
+ * the row length. The asserts below fail the build if this layout moves. */
 typedef struct {
     const int32_t *bufs;
     const int64_t *offs;
@@ -59,6 +60,11 @@ typedef struct {
 } slot_t;
 
 _Static_assert(sizeof(slot_t) == 8 * sizeof(int64_t), "slot_t is eight int64 words");
+_Static_assert(offsetof(slot_t, bufs) == 0 && offsetof(slot_t, offs) == 8
+               && offsetof(slot_t, lens) == 16 && offsetof(slot_t, records) == 24,
+               "cachesim._run_native writes words 0-3 as bufs, offs, lens, records");
+_Static_assert(offsetof(slot_t, origin) == 7 * sizeof(int64_t),
+               "cachesim._ORIGIN reads origin as word 7");
 
 static inline void load_record(slot_t *s, const int64_t *bases, int64_t line_shift)
 {

@@ -41,7 +41,6 @@ to.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import json
 import os
@@ -108,6 +107,7 @@ def _load_kernel():
     A failed build leaves nothing in the build directory, so the next
     process tries again; within this process the failure is remembered.
     """
+    import ctypes
     import hashlib
     import subprocess
     import tempfile
@@ -277,19 +277,6 @@ def _run_python(
     return hits, accesses
 
 
-def _address(array: np.ndarray) -> int:
-    """Address of a C-contiguous array's data.
-
-    ctypes' ``from_buffer`` costs about a third of ``array.ctypes.data``,
-    which is paid for three arrays of every stream loaded into a slot, but
-    it takes only writable buffers.
-    """
-    try:
-        return ctypes.addressof(ctypes.c_char.from_buffer(array))
-    except TypeError:  # a read-only array
-        return array.ctypes.data
-
-
 _SLOT_WORDS = 8  # one slot_t of _lru.c: bufs, offs, lens, records, rec, line, last, origin
 _ORIGIN = 7
 
@@ -323,7 +310,7 @@ def _run_native(
                 arrays = (np.ascontiguousarray(stream.bufs, dtype=np.int32),
                           np.ascontiguousarray(stream.offs, dtype=np.int64),
                           np.ascontiguousarray(stream.lens, dtype=np.int64))
-                table[len(resident), :4] = (*map(_address, arrays), len(stream))
+                table[len(resident), :4] = (*(a.ctypes.data for a in arrays), len(stream))
                 resident.append((pid, arrays))
         if not resident:
             return int(counts[0]), int(counts[1])
