@@ -1,9 +1,13 @@
-/* Native kernels behind swizzlesim.cachesim: the set-associative LRU and the
- * resident-slot pass that feeds it one XCD's workgroup records.
+/* The native kernel behind swizzlesim.cachesim. Its one entry point,
+ * xcd_drain, runs one XCD's resident workgroup slots: it expands their
+ * records into line touches and feeds each touch to a set-associative LRU.
  *
  * tags holds num_sets rows of `ways` line ids, most recently used first;
  * fill[s] is how many entries of row s are valid. A miss allocates the line
  * (write-allocate), evicting the row's last entry when the row is full.
+ * Every line id is non-negative: AccessTrace rejects negative buffer bases
+ * and xcd_drain rejects negative offsets, so `line % num_sets` is a valid
+ * set and touched[line] a valid flag.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -13,8 +17,6 @@ static inline int lru_touch(int64_t line, int64_t *tags, int32_t *fill,
                             int64_t num_sets, int64_t ways)
 {
     int64_t set = line % num_sets;
-    if (set < 0)
-        set += num_sets; /* Python's modulo for negative line ids */
     int64_t *row = tags + set * ways;
     int32_t used = fill[set];
     int64_t k = 0;
@@ -31,15 +33,6 @@ static inline int lru_touch(int64_t line, int64_t *tags, int32_t *fill,
         row[k] = row[k - 1];
     row[0] = line;
     return hit;
-}
-
-int64_t lru_access_many(const int64_t *lines, int64_t n, int64_t *tags,
-                        int32_t *fill, int64_t num_sets, int64_t ways)
-{
-    int64_t hits = 0;
-    for (int64_t i = 0; i < n; i++)
-        hits += lru_touch(lines[i], tags, fill, num_sets, ways);
-    return hits;
 }
 
 /* One resident workgroup: its record arrays, which the caller keeps alive
@@ -84,8 +77,8 @@ static inline void load_record(slot_t *s, const int64_t *bases, int64_t line_shi
  * touched[line] and counts hits into counts[0] and touches into counts[1].
  * After the turn in which one or more slots drain, the survivors move to
  * the front in order, each with origin set to its index before the move,
- * and their number is returned. Buffer bases must be non-negative, so
- * that every line of a checked record indexes `touched`.
+ * and their number is returned. tags and fill are the XCD's LRU rows (see
+ * the top of this file); they persist across calls.
  */
 int64_t xcd_drain(slot_t *slots, int64_t n, int64_t loaded,
                   const int64_t *bases, const int64_t *lengths, int64_t num_buffers,

@@ -16,15 +16,15 @@ hardware predictions. A record that names no buffer, starts before its
 buffer or ends past it raises ``SimulationError``, as does a record of length
 zero or less.
 
-Each XCD's pass runs in a small C kernel, ``_lru.c`` beside this module.
-Its ``xcd_drain`` holds the resident slots, each pointing at one workgroup's
-raw record arrays: it checks each newly loaded slot's records against the
-buffer bounds, expands records into line touches on the fly, marks the
-touched-line bitmap and updates the LRU rows, one touch per slot per turn,
-until a slot drains. It then moves the survivors to the front and returns;
-Python loads the next launch pids' streams after them and calls again, so
-there is one foreign call per drain event, not per touch.
-``SetAssocLru.access_many`` calls the kernel's plain LRU update.
+Each XCD's pass runs in a small C kernel, ``_lru.c`` beside this module,
+whose one entry point is ``xcd_drain``. It holds the resident slots, each
+pointing at one workgroup's raw record arrays: it checks each newly loaded
+slot's records against the buffer bounds, expands records into line touches
+on the fly, marks the touched-line bitmap and updates the LRU rows, one touch
+per slot per turn, until a slot drains. It then moves the survivors to the
+front and returns; Python loads the next launch pids' streams after them and
+calls again, so there is one foreign call per drain event, not per touch.
+``_run_native`` owns each XCD's tag rows and fill counts for the whole pass.
 
 The first cache built in a process compiles the kernel with ``gcc`` into
 ``$XDG_CACHE_HOME/swizzlesim`` (default ``~/.cache/swizzlesim``), under a
@@ -33,10 +33,10 @@ processes reuse that build. The compiler writes to a temporary file that is
 renamed into place, so a concurrent process never loads a half-written
 library. Nothing is compiled or loaded at import. When the kernel cannot be
 built or loaded, a warning names the reason and the whole pass runs in
-Python instead, with identical counts: ``_expand_lines`` expands each
-stream, ``_interleave`` schedules the slots and an ``OrderedDict`` per set
-is the LRU. Those three are otherwise the oracles the tests hold the kernel
-to.
+Python instead, with identical counts: ``_run_python`` expands each stream
+with ``_expand_lines``, schedules the slots with ``_interleave`` and feeds
+its own ``SetAssocLru``, an ``OrderedDict`` per set. Those three are
+otherwise the oracles the tests hold the kernel to.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ _CC = "gcc"
 
 @functools.cache
 def _load_kernel():
-    """The native kernels (``lru_access_many``, ``xcd_drain``), built on first
+    """The native kernel (its entry point is ``xcd_drain``), built on first
     use; None if unavailable.
 
     A failed build leaves nothing in the build directory, so the next
@@ -136,11 +136,11 @@ def _load_kernel():
         reason = str(exc)
     else:
         c_ptr, c_i64 = ctypes.c_void_p, ctypes.c_int64
-        lru = [c_ptr, c_ptr, c_i64, c_i64]  # tags, fill, num_sets, ways
-        kernel.lru_access_many.argtypes = [c_ptr, c_i64, *lru]
+        # slots, n, loaded, bases, lengths, num_buffers, line_shift, touched,
+        # counts, tags, fill, num_sets, ways
         kernel.xcd_drain.argtypes = [c_ptr, c_i64, c_i64, c_ptr, c_ptr, c_i64, c_i64,
-                                     c_ptr, c_ptr, *lru]
-        kernel.lru_access_many.restype = kernel.xcd_drain.restype = c_i64
+                                     c_ptr, c_ptr, c_ptr, c_ptr, c_i64, c_i64]
+        kernel.xcd_drain.restype = c_i64
         return kernel
     warnings.warn(f"native LRU kernel unavailable, using the Python LRU: {reason}",
                   RuntimeWarning, stacklevel=2)
@@ -148,11 +148,11 @@ def _load_kernel():
 
 
 class SetAssocLru:
-    """Set-associative cache with strict LRU replacement per set.
+    """Set-associative cache with strict LRU replacement per set, an
+    ``OrderedDict`` per set.
 
-    With the native kernel, each set is a row of ``ways`` line ids, most
-    recently used first, plus a fill count; without it, an ``OrderedDict``
-    per set.
+    This is the Python pass's LRU and the tests' oracle for the kernel;
+    the native pass keeps its own tag rows (see ``_run_native``).
     """
 
     def __init__(self, num_sets: int, ways: int):
@@ -160,34 +160,14 @@ class SetAssocLru:
             raise ValueError("num_sets and ways must be positive")
         self.num_sets = num_sets
         self.ways = ways
-        self._kernel = _load_kernel()
-        if self._kernel is None:
-            self._sets: dict[int, OrderedDict] = {}
-        else:
-            self._tags = np.zeros(num_sets * ways, dtype=np.int64)
-            self._fill = np.zeros(num_sets, dtype=np.int32)
-            self._line = np.zeros(1, dtype=np.int64)  # access()'s one-line buffer
-            # the arrays live as long as self, so their addresses stay valid
-            self._state = (self._tags.ctypes.data, self._fill.ctypes.data, num_sets, ways)
-            self._line_ptr = self._line.ctypes.data
+        self._sets: dict[int, OrderedDict] = {}
 
     def access(self, line: int) -> bool:
         """Touch one line; True on hit. Misses allocate (write-allocate)."""
-        if self._kernel is None:
-            return self._access_many_python([line])[0] == 1
-        self._line[0] = line
-        return self._kernel.lru_access_many(self._line_ptr, 1, *self._state) == 1
+        return self.access_many([line])[0] == 1
 
     def access_many(self, lines: Sequence[int] | np.ndarray) -> tuple[int, int]:
-        """Touch lines in order; returns (hits, misses). Hot path."""
-        if self._kernel is None:
-            return self._access_many_python(lines)
-        lines = np.ascontiguousarray(lines, dtype=np.int64)
-        hits = self._kernel.lru_access_many(lines.ctypes.data, len(lines), *self._state)
-        return hits, len(lines) - hits
-
-    def _access_many_python(self, lines: Sequence[int] | np.ndarray) -> tuple[int, int]:
-        """``access_many`` without the kernel; the tests' oracle for it."""
+        """Touch lines in order; returns (hits, misses)."""
         if isinstance(lines, np.ndarray):
             lines = lines.tolist()
         sets = self._sets
@@ -258,22 +238,26 @@ def _bad_record(trace: AccessTrace, pid: int, wave: int) -> SimulationError:
 
 
 def _run_python(
-    cache: SetAssocLru, trace: AccessTrace, wave: int, pids: list[int], slots: int,
-    line_bytes: int, touched: np.ndarray,
+    trace: AccessTrace, waves: list[list[int]], arch: ArchSpec, slots: int,
+    touched: np.ndarray,
 ) -> tuple[int, int]:
-    """(hits, touches) of one XCD's wave: ``_interleave`` over expanded lines."""
-    def lines_of(pid: int) -> np.ndarray:
+    """(hits, touches) of one XCD: ``_interleave`` over expanded lines, per wave,
+    into one ``SetAssocLru``."""
+    cache = SetAssocLru(arch.num_sets, arch.l2_associativity)
+
+    def lines_of(pid: int, wave: int) -> np.ndarray:
         stream = trace.stream(pid, wave)
         if records_outside(stream, trace.buffer_lengths):
             raise _bad_record(trace, pid, wave)
-        return _expand_lines(stream, trace.base_offsets, line_bytes)
+        return _expand_lines(stream, trace.base_offsets, arch.l2_line_bytes)
 
     hits = 0
     accesses = 0
-    for chunk in _interleave(map(lines_of, pids), slots):
-        touched[chunk] = True
-        hits += cache.access_many(chunk)[0]
-        accesses += len(chunk)
+    for wave, pids in enumerate(waves):
+        for chunk in _interleave((lines_of(pid, wave) for pid in pids), slots):
+            touched[chunk] = True
+            hits += cache.access_many(chunk)[0]
+            accesses += len(chunk)
     return hits, accesses
 
 
@@ -282,42 +266,49 @@ _ORIGIN = 7
 
 
 def _run_native(
-    cache: SetAssocLru, trace: AccessTrace, wave: int, pids: list[int], slots: int,
-    line_bytes: int, touched: np.ndarray,
+    kernel, trace: AccessTrace, waves: list[list[int]], arch: ArchSpec, slots: int,
+    touched: np.ndarray,
 ) -> tuple[int, int]:
-    """(hits, touches) of one XCD's wave in the kernel's ``xcd_drain``.
+    """(hits, touches) of one XCD, all waves, in the kernel's ``xcd_drain``.
 
-    The kernel runs the resident slots until one drains and returns the
-    survivors, moved to the front; the next launch pids' streams are loaded
-    after them and the kernel is called again, so there is one call per
-    drain, not per touch. ``resident`` holds each slot's (pid, arrays) so
-    that the arrays the kernel reads stay alive while the slot is resident.
+    The XCD's tag rows (``ways`` line ids per set, most recently used first)
+    and fill counts live here and persist across waves. The kernel runs the
+    resident slots until one drains and returns the survivors, moved to the
+    front; the next launch pids' streams are loaded after them and the
+    kernel is called again, so there is one call per drain, not per touch.
+    ``resident`` holds each slot's (pid, arrays) so that the arrays the
+    kernel reads stay alive while the slot is resident.
     """
+    num_sets, ways = arch.num_sets, arch.l2_associativity
+    tags = np.zeros(num_sets * ways, dtype=np.int64)
+    fill = np.zeros(num_sets, dtype=np.int32)
     table = np.zeros((slots, _SLOT_WORDS), dtype=np.int64)
     counts = np.zeros(2, dtype=np.int64)  # hits, touches
-    bases = trace.base_offsets
     lengths = trace.buffer_lengths
     slots_ptr = table.ctypes.data
-    fixed = (bases.ctypes.data, lengths.ctypes.data, len(lengths), line_bytes.bit_length() - 1,
-             touched.ctypes.data, counts.ctypes.data, *cache._state)
-    resident: list[tuple[int, tuple[np.ndarray, ...]]] = []
-    pids = iter(pids)
-    while True:
-        loaded = len(resident)
-        while len(resident) < slots and (pid := next(pids, None)) is not None:
-            stream = trace.stream(pid, wave)
-            if len(stream):
-                arrays = (np.ascontiguousarray(stream.bufs, dtype=np.int32),
-                          np.ascontiguousarray(stream.offs, dtype=np.int64),
-                          np.ascontiguousarray(stream.lens, dtype=np.int64))
-                table[len(resident), :4] = (*(a.ctypes.data for a in arrays), len(stream))
-                resident.append((pid, arrays))
-        if not resident:
-            return int(counts[0]), int(counts[1])
-        left = cache._kernel.xcd_drain(slots_ptr, len(resident), loaded, *fixed)
-        if left < 0:
-            raise _bad_record(trace, resident[-left - 1][0], wave)
-        resident = [resident[k] for k in table[:left, _ORIGIN].tolist()]
+    fixed = (trace.base_offsets.ctypes.data, lengths.ctypes.data, len(lengths),
+             arch.l2_line_bytes.bit_length() - 1, touched.ctypes.data, counts.ctypes.data,
+             tags.ctypes.data, fill.ctypes.data, num_sets, ways)
+    for wave, pids in enumerate(waves):
+        resident: list[tuple[int, tuple[np.ndarray, ...]]] = []
+        queue = iter(pids)
+        while True:
+            loaded = len(resident)
+            while len(resident) < slots and (pid := next(queue, None)) is not None:
+                stream = trace.stream(pid, wave)
+                if len(stream):
+                    arrays = (np.ascontiguousarray(stream.bufs, dtype=np.int32),
+                              np.ascontiguousarray(stream.offs, dtype=np.int64),
+                              np.ascontiguousarray(stream.lens, dtype=np.int64))
+                    table[len(resident), :4] = (*(a.ctypes.data for a in arrays), len(stream))
+                    resident.append((pid, arrays))
+            if not resident:
+                break
+            left = kernel.xcd_drain(slots_ptr, len(resident), loaded, *fixed)
+            if left < 0:
+                raise _bad_record(trace, resident[-left - 1][0], wave)
+            resident = [resident[k] for k in table[:left, _ORIGIN].tolist()]
+    return int(counts[0]), int(counts[1])
 
 
 def simulate(
@@ -330,26 +321,21 @@ def simulate(
     table = validated_remap_table(pattern, trace.grid, arch)
     num_xcds = arch.num_xcds
     slots = concurrent_slots_per_xcd(arch)
-    line_bytes = arch.l2_line_bytes
     end = max((b.base_offset + b.length_bytes for b in trace.buffers), default=0)
-    touched = np.zeros(-(-end // line_bytes), dtype=bool)  # one flag per line the buffers span
+    # one flag per line the buffers span
+    touched = np.zeros(-(-end // arch.l2_line_bytes), dtype=bool)
 
     launch_of = np.empty_like(table)
     launch_of[table] = np.arange(len(table), dtype=np.int64)
     # launch pids of each wave's workgroups, in launch order
     wave_launch = [np.unique(launch_of[members]) for members in trace.wave_pids]
 
+    kernel = _load_kernel()
+    run = _run_python if kernel is None else functools.partial(_run_native, kernel)
     per_xcd: list[XcdStats] = []
     for xcd in range(num_xcds):
-        cache = SetAssocLru(arch.num_sets, arch.l2_associativity)
-        run = _run_python if cache._kernel is None else _run_native
-        hits = 0
-        accesses = 0
-        for wave, launch in enumerate(wave_launch):
-            pids = table[launch[launch % num_xcds == xcd]].tolist()
-            h, a = run(cache, trace, wave, pids, slots, line_bytes, touched)
-            hits += h
-            accesses += a
+        waves = [table[launch[launch % num_xcds == xcd]].tolist() for launch in wave_launch]
+        hits, accesses = run(trace, waves, arch, slots, touched)
         rate = hits / accesses if accesses else 0.0
         per_xcd.append(XcdStats(accesses=accesses, hits=hits, misses=accesses - hits,
                                 hit_rate=rate))

@@ -24,7 +24,7 @@ from pathlib import Path
 from . import dsl
 from .arch import ArchSpec, resolve_arch
 from .cachesim import ExecParams, hit_rate_delta, report_to_dict, simulate_pair
-from .client import ClientConfig, CompletionClient
+from .client import ClientConfig, ClientError, CompletionClient
 from .kernels import (
     KERNEL_KINDS,
     default_spec,
@@ -63,7 +63,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, OSError, ValueError) as exc:  # pattern, DSL and simulation errors too
+    # pattern, DSL and simulation errors are ValueErrors; ClientError covers
+    # a missing or malformed fixture and an unconfigured live client
+    except (CliError, ClientError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -203,8 +203,3 @@ class CompletionClient:
         raise TransportError(
             f"completion request failed after {config.max_retries + 1} attempts: {last_error}"
         )
-
-
-def complete(config: ClientConfig, prompt: str) -> str:
-    """One-shot completion with a transient client."""
-    return CompletionClient(config).complete(prompt)

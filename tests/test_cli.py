@@ -194,6 +194,23 @@ def test_optimize_replay_exhaustion_noted(tmp_path, capsys):
     assert "exhausted after 0 of 5 iterations" in out
 
 
+@pytest.mark.parametrize("proposer", ["replay-missing", "replay-malformed", "llm-unset"])
+def test_optimize_client_errors_exit_1(tmp_path, capsys, monkeypatch, proposer):
+    monkeypatch.delenv("COMPLETION_ENDPOINT", raising=False)
+    monkeypatch.delenv("COMPLETION_API_KEY", raising=False)
+    fixture = tmp_path / "fixture.jsonl"
+    if proposer == "replay-malformed":
+        fixture.write_text("not json\n")
+    extra = ("--proposer", "llm") if proposer == "llm-unset" else (
+        "--proposer", "replay", "--fixture", str(fixture))
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "optimize", "--kernel", "gemm", "--size", "256", *extra,
+                       "--out-dir", str(out_dir))
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (out_dir / "history.jsonl").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("simulate", "--kernel", "gemm", "--size", "0"),
     ("validate", "--pattern", "identity", "--grid", "0"),

@@ -11,7 +11,6 @@ from swizzlesim.client import (
     Mode,
     ReplayExhaustedError,
     TransportError,
-    complete,
     load_fixture,
     prompt_digest,
     write_fixture_entry,
@@ -56,7 +55,7 @@ def test_replay_performs_no_network_io(tmp_path, monkeypatch):
     monkeypatch.setattr(socket, "socket", explode)
     monkeypatch.setattr(socket, "create_connection", explode)
     path = make_fixture(tmp_path, [("p1", "resp A")])
-    assert complete(ClientConfig.replay(path), "p1") == "resp A"
+    assert CompletionClient(ClientConfig.replay(path)).complete("p1") == "resp A"
 
 
 def test_replay_requires_readable_fixture(tmp_path):

@@ -38,41 +38,6 @@ def native():
     assert cachesim._load_kernel() is not None
 
 
-@st.composite
-def caches_and_lines(draw):
-    """A cache shape and a line stream over a working set of up to twice its
-    capacity, so hits, evictions and rereads of evicted lines all occur."""
-    num_sets = draw(st.integers(1, 70))
-    ways = draw(st.integers(1, 9))
-    span = draw(st.integers(1, 2 * num_sets * ways))
-    base = draw(st.integers(-(1 << 62), 1 << 62))
-    stride = draw(st.integers(1, 1 << 20))
-    # hypothesis keeps lists short; a drawn seed gives streams long enough to
-    # overflow sets and reread what was evicted
-    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    ids = rng.integers(0, span + 1, size=draw(st.integers(0, 1000)))
-    return num_sets, ways, [base + int(i) * stride for i in ids]
-
-
-@settings(max_examples=200, deadline=None)
-@given(case=caches_and_lines(), cuts=st.lists(st.integers(0, 1000), max_size=6))
-def test_native_matches_reference_per_touch(native, case, cuts):
-    num_sets, ways, lines = case
-    ref = ReferenceLru(num_sets, ways)
-    want = [ref.access(line) for line in lines]
-
-    single = SetAssocLru(num_sets, ways)
-    assert single._kernel is not None
-    assert [single.access(line) for line in lines] == want
-
-    chunked = SetAssocLru(num_sets, ways)
-    bounds = [0, *sorted(min(cut, len(lines)) for cut in cuts), len(lines)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        hits = sum(want[lo:hi])
-        got = chunked.access_many(np.asarray(lines[lo:hi], dtype=np.int64))
-        assert got == (hits, hi - lo - hits)
-
-
 def _reports(trace, arch) -> list[str]:
     out = []
     for name in BUILTIN_PATTERN_NAMES:
@@ -116,6 +81,42 @@ def _trace_of(streams, buffer_sizes, total, read_only=False):
     wave_pids = [np.asarray(sorted(wave), dtype=np.int64) for wave in streams]
     return AccessTrace("synthetic", GridSpec.from_block_counts(total), buffers, stream_fn,
                        wave_pids=wave_pids)
+
+
+@st.composite
+def caches_and_lines(draw):
+    """A cache shape and a line stream over a working set of up to twice its
+    capacity, so hits, evictions and rereads of evicted lines all occur.
+    Line ids are non-negative and below 90,000, so the touched-line bitmap
+    stays small."""
+    num_sets = draw(st.integers(1, 70))
+    ways = draw(st.integers(1, 9))
+    span = draw(st.integers(1, 2 * num_sets * ways))
+    base = draw(st.integers(0, 1 << 12))
+    stride = draw(st.integers(1, 64))
+    # hypothesis keeps lists short; a drawn seed gives streams long enough to
+    # overflow sets and reread what was evicted
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    ids = rng.integers(0, span + 1, size=draw(st.integers(0, 1000)))
+    return num_sets, ways, [base + int(i) * stride for i in ids]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=caches_and_lines())
+def test_native_matches_reference_per_touch(native, case):
+    num_sets, ways, lines = case
+    ref = ReferenceLru(num_sets, ways)
+    want = [ref.access(line) for line in lines]
+
+    python_lru = SetAssocLru(num_sets, ways)
+    assert [python_lru.access(line) for line in lines] == want
+
+    # one XCD with one slot runs one workgroup of one-byte records, one per line
+    arch = arch_with_xcds(1, cus_per_xcd=1, l2_bytes=128 * num_sets * ways, ways=ways)
+    trace = _trace_of([{0: [(0, 128 * line, 1) for line in lines]}],
+                      [128 * (max(lines, default=0) + 1)], 1)
+    report = simulate(trace, builtin_pattern("identity", trace.grid, arch), arch)
+    assert (report.hits, report.misses) == (sum(want), len(want) - sum(want))
 
 
 @st.composite
@@ -181,7 +182,8 @@ def test_native_pass_matches_python_pass(native, run):
 def test_xcd_drain_moves_survivors_to_the_front_in_order(native):
     # five workgroups of 3, 1, 2, 1 and 3 one-line records, all on lines 0, 1, 2
     kernel = cachesim._load_kernel()
-    cache = SetAssocLru(4, 2)
+    tags = np.zeros((4, 2), dtype=np.int64)  # 4 sets of 2 ways
+    fill = np.zeros(4, dtype=np.int32)
     bases = np.zeros(1, dtype=np.int64)
     lengths = np.array([1024], dtype=np.int64)
     touched = np.zeros(8, dtype=bool)
@@ -196,7 +198,7 @@ def test_xcd_drain_moves_survivors_to_the_front_in_order(native):
     def drain(n, loaded):
         return kernel.xcd_drain(table.ctypes.data, n, loaded, bases.ctypes.data,
                                 lengths.ctypes.data, 1, 7, touched.ctypes.data,
-                                counts.ctypes.data, *cache._state)
+                                counts.ctypes.data, tags.ctypes.data, fill.ctypes.data, 4, 2)
 
     assert drain(5, 0) == 3
     assert table[:3, cachesim._ORIGIN].tolist() == [0, 2, 4]
@@ -207,6 +209,20 @@ def test_xcd_drain_moves_survivors_to_the_front_in_order(native):
     assert drain(2, 2) == 0
     assert counts.tolist() == [7, 10]  # 3 cold misses of 10 touches
     assert touched.tolist() == [True] * 3 + [False] * 5
+    # lines 0, 1 and 2 each fill the first way of their own set
+    assert fill.tolist() == [1, 1, 1, 0]
+    assert tags[:3, 0].tolist() == [0, 1, 2]
+
+
+def test_kernel_builds_with_strict_warnings(native, tmp_path):
+    # the runtime build passes no warning flags; this catches edits that only
+    # a warning would flag
+    done = subprocess.run(
+        [cachesim._CC, "-O2", "-Wall", "-Wextra", "-Werror", "-std=c11", "-shared", "-fPIC",
+         "-o", str(tmp_path / "lru.so"), str(cachesim._KERNEL_SOURCE)],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # (buffer, offset, length) of a bad record in a 1024 B buffer
