@@ -7,6 +7,12 @@ only valid candidates, and appends everything (including failures and
 duplicates) to a persistent history. Ranking considers validated entries
 only, so a broken remapping can never be returned as best.
 
+The kernel's trace is generated once per run and read once into a record
+table (``traces.materialize``, under its byte budget): the locality summary
+and every candidate's simulation read slices of that table instead of
+calling the kernel's stream function again. A trace too large for the
+budget stays lazy, with identical results.
+
 Proposers are pluggable: a deterministic parametric search, or a
 completion-service call that reads the rendered hardware context and
 returns a structured proposal (with replayable fixtures for offline runs).
@@ -36,7 +42,7 @@ from .patterns import (
 )
 from .promptio import ProposalParseError, build_prompt, parse_proposal
 from .records import from_dict, to_dict
-from .traces import LocalitySummary, locality_summary
+from .traces import LocalitySummary, locality_summary, materialize
 
 DEFAULT_MAX_ITERS = 5
 
@@ -198,7 +204,7 @@ def optimize(
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
     sink = history_sink if history_sink is not None else NullHistorySink()
-    trace = generate_trace(spec)
+    trace = materialize(generate_trace(spec))
     grid = trace.grid
     locality = locality_summary(trace)
     summary = summarize_kernel(spec, grid)

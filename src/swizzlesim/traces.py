@@ -5,9 +5,12 @@ and writes against a set of buffers laid out in one global address space.
 Traces stay at byte-range granularity; the cache simulator quantizes to
 lines, so generators never need to know the line size.
 
-Workgroup streams are materialized lazily (a stream function per trace)
-because desk-scale kernels can reach tens of millions of records; the
-simulator only ever holds the streams of currently-resident workgroups.
+Workgroup streams come from a stream function per trace, lazily, because
+desk-scale kernels can reach tens of millions of records: simulating a lazy
+trace holds only the streams of currently-resident workgroups. Where one
+trace is read many times (the optimization loop), ``materialize`` reads each
+stream once into a columnar record table and hands out slices of it; a trace
+whose table would pass ``RECORD_TABLE_BYTES`` stays lazy.
 
 Multi-phase kernels are modeled as waves: each wave is one dispatch over
 the same launch grid, and all workgroups of a wave finish before the next
@@ -167,6 +170,54 @@ def make_buffers(sizes: Sequence[tuple[str, int]]) -> list[Buffer]:
     return buffers
 
 
+# materialize() keeps the lazy trace when its table would pass this many bytes
+RECORD_TABLE_BYTES = 32 << 20
+_RECORD_BYTES = 21  # int32 buffer id, int64 offset and length, bool write flag
+_VIEW_BYTES = 520  # one member's Stream of four table views
+
+
+def materialize(trace: AccessTrace) -> AccessTrace:
+    """``trace`` with every member (wave, pid) stream read once into a record table.
+
+    The table is the concatenated, read-only ``bufs``/``offs``/``lens``/``writes``
+    of the wave members' streams. The returned trace's stream function hands
+    out one ``Stream`` of slices of it per member (wave, pid), and falls
+    through to the original stream function for a pid that is no member of
+    the wave. Reading stops as soon as the table passes
+    ``RECORD_TABLE_BYTES``, and ``trace`` itself is returned.
+    """
+    total = trace.grid.total_blocks
+    size = 8 * trace.num_waves * total  # the lookup lists
+    streams: list[Stream] = []
+    members: list[tuple[int, int]] = []
+    for wave, pids in enumerate(trace.wave_pids):
+        for pid in pids.tolist():
+            s = trace.stream(pid, wave)
+            size += _VIEW_BYTES + len(s) * _RECORD_BYTES
+            if size > RECORD_TABLE_BYTES:
+                return trace
+            streams.append(s)
+            members.append((wave, pid))
+    table = Stream.concat(streams)
+    columns = (table.bufs, table.offs, table.lens, table.writes)
+    for column in columns:
+        column.flags.writeable = False
+    stops = np.cumsum([len(s) for s in streams], dtype=np.int64).tolist()
+    del streams
+    views: list[list[Stream | None]] = [[None] * total for _ in trace.wave_pids]
+    start = 0
+    for (wave, pid), stop in zip(members, stops):
+        views[wave][pid] = Stream(*(column[start:stop] for column in columns))
+        start = stop
+    lazy = trace._stream_fn
+
+    def stream(wave: int, pid: int) -> Stream:
+        s = views[wave][pid]
+        return lazy(wave, pid) if s is None else s
+
+    return AccessTrace(trace.kernel, trace.grid, trace.buffers, stream, trace.wave_pids)
+
+
 def records_outside(stream: Stream, lengths: np.ndarray) -> bool:
     """True if a record is empty, names no buffer, starts before its buffer or
     ends past it."""
@@ -200,6 +251,9 @@ class LocalitySummary:
 
 GRANULE_BYTES = 256
 MIN_SHARED_BYTES = 4096
+# Upper bound on the granules one chunk of ``locality_summary`` expands at once;
+# it bounds the pass's transient memory, whatever the trace's size.
+_CHUNK_GRANULES = 1 << 19
 
 
 def locality_summary(trace: AccessTrace) -> LocalitySummary:
@@ -208,39 +262,69 @@ def locality_summary(trace: AccessTrace) -> LocalitySummary:
     Two pids belong to one sharing group when they touch exactly the same
     ``GRANULE_BYTES`` granule somewhere; the group's shared_bytes counts
     granules touched by that full pid set. Groups below ``MIN_SHARED_BYTES``
-    are dropped.
+    are dropped. A group is ``cross_wave`` when one of its granules is
+    touched in more than one wave.
+
+    Each (granule, pid, wave) is one int64 key, ordered by granule, then
+    pid, then wave. The streams are read in chunks of about
+    ``_CHUNK_GRANULES`` granules, each deduplicated by sort; a workgroup's
+    stream lies in one chunk, so the chunks' keys are disjoint and one merge
+    sort orders them all. Consecutive granules with one buffer and one pid
+    set form a run, and only the runs of two or more pids reach Python, to
+    form the group keys.
     """
-    touched: dict[int, set[int]] = {}
-    touched_waves: dict[int, set[int]] = {}
-    for wave in range(trace.num_waves):
-        for pid in trace.wave_pids[wave]:
-            s = trace.stream(int(pid), wave)
-            if len(s) == 0:
-                continue
-            goff = s.offs + trace.base_offsets[s.bufs]
-            firsts = goff // GRANULE_BYTES
-            lasts = (goff + s.lens - 1) // GRANULE_BYTES
-            granules = expand_ranges(firsts, lasts)
-            for g in np.unique(granules).tolist():
-                touched.setdefault(g, set()).add(int(pid))
-                touched_waves.setdefault(g, set()).add(wave)
+    waves = trace.num_waves
+    total = trace.grid.total_blocks
+    parts = [
+        _dedupe_chunk(streams, owner, trace.base_offsets, total * waves)
+        for streams, owner in _record_chunks(trace)
+    ]
+    keys = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    del parts
+    keys.sort(kind="stable")  # a merge of the sorted chunks
+
+    pair = keys // waves  # granule * total + pid
+    wave = keys - pair * waves
+    del keys
+    first = _run_starts(pair // total)  # one per granule
+    cross = np.minimum.reduceat(wave, first) != np.maximum.reduceat(wave, first)
+    del wave
+    pair = pair[_run_starts(pair)]  # distinct (granule, pid)
+    granule = pair // total
+    pid = pair - granule * total
+    del pair
+    first = _run_starts(granule)  # the same granules; each one's pids are pid[first:][:size]
+    size = np.diff(first, append=len(pid))
+    bounds = sorted((buf.base_offset // GRANULE_BYTES, buf.name) for buf in trace.buffers)
+    names = [name for _, name in bounds]
+    buffer_of = np.searchsorted([start for start, _ in bounds], granule[first], side="right") - 1
+    del granule
+
+    # A granule continues the previous granule's run when it has the same
+    # buffer, as many pids and, position by position, the same pids.
+    step = np.repeat(size, size)
+    same = np.logical_and.reduceat(pid == pid[np.maximum(np.arange(len(pid)) - step, 0)], first)
+    del step
+    same[1:] &= (size[1:] == size[:-1]) & (buffer_of[1:] == buffer_of[:-1])
+    same[:1] = False
+    run = np.flatnonzero(~same)
+    granules = np.diff(run, append=len(first))
+    run_cross = np.logical_or.reduceat(cross, run)
+    keep = size[run] >= 2
+    run = run[keep]
 
     by_buffer_and_group: dict[tuple[str, tuple[int, ...]], list] = {}
-    bounds = sorted((buf.base_offset // GRANULE_BYTES, buf.name) for buf in trace.buffers)
-    starts = [b[0] for b in bounds]
-    for granule, pids in touched.items():
-        if len(pids) < 2:
-            continue
-        idx = np.searchsorted(starts, granule, side="right") - 1
-        name = bounds[idx][1]
-        key = (name, tuple(sorted(pids)))
-        entry = by_buffer_and_group.setdefault(key, [0, False])
-        entry[0] += 1
-        if len(touched_waves[granule]) > 1:
-            entry[1] = True
+    for idx, lo, n, count, crosses in zip(
+        buffer_of[run].tolist(), first[run].tolist(), size[run].tolist(),
+        granules[keep].tolist(), run_cross[keep].tolist(),
+    ):
+        entry = by_buffer_and_group.setdefault((names[idx], tuple(pid[lo:lo + n].tolist())),
+                                               [0, False])
+        entry[0] += count
+        entry[1] = entry[1] or crosses
 
     groups = []
-    for (name, pids), (count, cross) in by_buffer_and_group.items():
+    for (name, pids), (count, crosses) in by_buffer_and_group.items():
         shared = count * GRANULE_BYTES
         if shared >= MIN_SHARED_BYTES:
             groups.append(
@@ -248,13 +332,59 @@ def locality_summary(trace: AccessTrace) -> LocalitySummary:
                     buffer_name=name,
                     pids=pids,
                     shared_bytes=shared,
-                    reuse_class="cross_wave" if cross else "intra_wave",
+                    reuse_class="cross_wave" if crosses else "intra_wave",
                 )
             )
     groups.sort(key=lambda g: (-g.shared_bytes, g.buffer_name, g.pids))
     return LocalitySummary(
         kernel=trace.kernel, granule_bytes=GRANULE_BYTES, groups=tuple(groups)
     )
+
+
+def _record_chunks(trace: AccessTrace):
+    """(streams, owner keys) of consecutive non-empty member streams, about
+    ``_CHUNK_GRANULES`` granules per chunk; a stream's owner key is
+    ``pid * num_waves + wave``."""
+    waves = trace.num_waves
+    streams: list[Stream] = []
+    owner: list[int] = []
+    granules = 0
+    for wave, members in enumerate(trace.wave_pids):
+        for pid in members.tolist():
+            s = trace.stream(pid, wave)
+            n = len(s)
+            if n == 0:
+                continue
+            streams.append(s)
+            owner.append(pid * waves + wave)
+            # a record of L bytes spans at most L // GRANULE_BYTES + 2 granules
+            granules += 2 * n + int(s.lens.sum()) // GRANULE_BYTES
+            if granules >= _CHUNK_GRANULES:
+                yield streams, owner
+                streams, owner, granules = [], [], 0
+    if streams:
+        yield streams, owner
+
+
+def _dedupe_chunk(streams: list[Stream], owner: list[int], bases: np.ndarray,
+                  owners: int) -> np.ndarray:
+    """Sorted distinct keys ``granule * owners + owner`` of one chunk."""
+    s = Stream.concat(streams)
+    goff = s.offs + bases[s.bufs]
+    firsts = goff // GRANULE_BYTES
+    lasts = (goff + s.lens - 1) // GRANULE_BYTES
+    per_record = np.repeat(np.asarray(owner, dtype=np.int64), [len(t) for t in streams])
+    keys = expand_ranges(firsts, lasts) * owners
+    keys += np.repeat(per_record, lasts - firsts + 1)
+    keys.sort()
+    return keys[_run_starts(keys)]
+
+
+def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values."""
+    if len(sorted_values) == 0:
+        return np.zeros(0, dtype=np.int64)
+    return np.flatnonzero(np.concatenate(([True], sorted_values[1:] != sorted_values[:-1])))
 
 
 def expand_ranges(firsts: np.ndarray, lasts: np.ndarray) -> np.ndarray:

@@ -7,7 +7,15 @@ import pytest
 
 from swizzlesim.arch import ArchSpec, MI300X_LIKE
 from swizzlesim.dsl import BinOp, Ident, Lit, MinMax, VOCABULARY
-from swizzlesim.traces import AccessTrace, records_outside
+from swizzlesim.traces import (
+    GRANULE_BYTES,
+    MIN_SHARED_BYTES,
+    AccessTrace,
+    LocalitySummary,
+    SharingGroup,
+    expand_ranges,
+    records_outside,
+)
 
 
 @pytest.fixture
@@ -127,3 +135,43 @@ def check_write_coverage(trace: AccessTrace, buffer_name: str, waves=None) -> No
     ends = starts + lens[order]
     if starts[0] != 0 or ends[-1] != buf.length_bytes or (starts[1:] != ends[:-1]).any():
         raise AssertionError(f"writes do not tile buffer {buffer_name!r} exactly once")
+
+
+def reference_locality_summary(trace: AccessTrace) -> LocalitySummary:
+    """Set-based oracle for ``locality_summary``: a Python set of pids and one
+    of waves per touched granule."""
+    touched: dict[int, set[int]] = {}
+    touched_waves: dict[int, set[int]] = {}
+    for wave in range(trace.num_waves):
+        for pid in trace.wave_pids[wave]:
+            s = trace.stream(int(pid), wave)
+            if len(s) == 0:
+                continue
+            goff = s.offs + trace.base_offsets[s.bufs]
+            firsts = goff // GRANULE_BYTES
+            lasts = (goff + s.lens - 1) // GRANULE_BYTES
+            for g in np.unique(expand_ranges(firsts, lasts)).tolist():
+                touched.setdefault(g, set()).add(int(pid))
+                touched_waves.setdefault(g, set()).add(wave)
+
+    by_buffer_and_group: dict[tuple[str, tuple[int, ...]], list] = {}
+    bounds = sorted((buf.base_offset // GRANULE_BYTES, buf.name) for buf in trace.buffers)
+    starts = [b[0] for b in bounds]
+    for granule, pids in touched.items():
+        if len(pids) < 2:
+            continue
+        name = bounds[np.searchsorted(starts, granule, side="right") - 1][1]
+        entry = by_buffer_and_group.setdefault((name, tuple(sorted(pids))), [0, False])
+        entry[0] += 1
+        if len(touched_waves[granule]) > 1:
+            entry[1] = True
+
+    groups = [
+        SharingGroup(buffer_name=name, pids=pids, shared_bytes=count * GRANULE_BYTES,
+                     reuse_class="cross_wave" if cross else "intra_wave")
+        for (name, pids), (count, cross) in by_buffer_and_group.items()
+        if count * GRANULE_BYTES >= MIN_SHARED_BYTES
+    ]
+    groups.sort(key=lambda g: (-g.shared_bytes, g.buffer_name, g.pids))
+    return LocalitySummary(kernel=trace.kernel, granule_bytes=GRANULE_BYTES,
+                           groups=tuple(groups))

@@ -1,12 +1,13 @@
 import json
+from collections import Counter
 
 import pytest
 
-from swizzlesim import patterns
+from swizzlesim import loop, patterns, traces
 from swizzlesim.arch import MI300X_LIKE
 from swizzlesim.cachesim import report_from_dict
 from swizzlesim.client import ReplayExhaustedError
-from swizzlesim.kernels import KernelSpec, spec_with_size
+from swizzlesim.kernels import KernelSpec, generate_trace, spec_with_size
 from swizzlesim.loop import (
     HistoryEntry,
     JsonlHistorySink,
@@ -232,6 +233,39 @@ def test_one_remap_evaluation_per_history_entry(monkeypatch):
              history_sink=entries)
     assert len(entries) == 7
     assert calls == [e.pattern["name"] for e in entries]
+
+
+def test_optimize_reads_each_stream_once(tmp_path, monkeypatch):
+    spec = KernelSpec("softmax", {"rows": 16, "cols": 4096}, {"cols": 1024})  # 2 waves
+    calls = Counter()
+
+    def counted_trace(spec):
+        trace = generate_trace(spec)
+        stream_fn = trace._stream_fn
+
+        def counting(wave, pid):
+            calls[wave, pid] += 1
+            return stream_fn(wave, pid)
+
+        trace._stream_fn = counting
+        return trace
+
+    monkeypatch.setattr(loop, "generate_trace", counted_trace)
+    with JsonlHistorySink(tmp_path / "table.jsonl") as sink:
+        optimize(spec, MI300X_LIKE, SearchProposer(), max_iters=6, history_sink=sink)
+    lazy = generate_trace(spec)
+    assert calls == Counter(
+        {(wave, pid): 1 for wave, members in enumerate(lazy.wave_pids) for pid in members.tolist()}
+    )
+
+    # with no budget the table is never built and every stream is read lazily
+    monkeypatch.setattr(traces, "RECORD_TABLE_BYTES", 0)
+    assert traces.materialize(lazy) is lazy
+    calls.clear()
+    with JsonlHistorySink(tmp_path / "lazy.jsonl") as sink:
+        optimize(spec, MI300X_LIKE, SearchProposer(), max_iters=6, history_sink=sink)
+    assert min(calls.values()) > 1
+    assert (tmp_path / "lazy.jsonl").read_bytes() == (tmp_path / "table.jsonl").read_bytes()
 
 
 # --- llm proposer ----------------------------------------------------------------

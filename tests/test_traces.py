@@ -1,5 +1,10 @@
-import pytest
+import hashlib
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from swizzlesim import traces
 from swizzlesim.kernels import (
     DEFAULT_SPECS,
     KERNEL_KINDS,
@@ -11,9 +16,18 @@ from swizzlesim.kernels import (
     spec_with_size,
 )
 from swizzlesim.patterns import GridSpec
-from swizzlesim.traces import AccessTrace, Buffer, Stream, locality_summary
+from swizzlesim.traces import (
+    GRANULE_BYTES,
+    MIN_SHARED_BYTES,
+    AccessTrace,
+    Buffer,
+    Stream,
+    locality_summary,
+    make_buffers,
+    materialize,
+)
 
-from conftest import check_write_coverage, validate_trace_bounds
+from conftest import check_write_coverage, reference_locality_summary, validate_trace_bounds
 
 
 def small(kind, **dims):
@@ -268,6 +282,114 @@ def test_locality_groups_sorted_descending():
     summary = locality_summary(generate_trace(small("gemm", m=256, n=128, k=128)))
     sizes = [g.shared_bytes for g in summary.groups]
     assert sizes == sorted(sizes, reverse=True)
+
+
+# SHA-256 over repr(locality_summary(...)) of every kernel at spec_with_size(kind, 128),
+# one line each, in KERNEL_KINDS order.
+GOLDEN_LOCALITY_DIGEST = "1aaa83cf7217cedc239bdc2d068a5f8cd2d7f13647325fd0a3cacb4bebf4b84a"
+
+
+def test_golden_locality_digest():
+    digest = hashlib.sha256()
+    for kind in KERNEL_KINDS:
+        summary = locality_summary(generate_trace(spec_with_size(kind, 128)))
+        digest.update(repr(summary).encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_LOCALITY_DIGEST, (
+        "locality summaries changed; a deliberate change must update "
+        "GOLDEN_LOCALITY_DIGEST and say so in CHANGES.md"
+    )
+
+
+SHARED_RUN = MIN_SHARED_BYTES // GRANULE_BYTES  # granules in the smallest kept group
+
+
+@st.composite
+def sharing_traces(draw):
+    """Small random traces: 1-3 waves over up to 6 pids and 1-4 buffers, with
+    empty streams, multi-granule records and, in most examples, one block of
+    granules just below, at or just above ``MIN_SHARED_BYTES`` that several
+    pids read, in one wave or in several."""
+    total = draw(st.integers(1, 6))
+    num_waves = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 40 * GRANULE_BYTES), min_size=1, max_size=4))
+    streams = {}
+    wave_pids = []
+    for wave in range(num_waves):
+        members = sorted(draw(st.sets(st.integers(0, total - 1))))
+        wave_pids.append(members)
+        for pid in members:
+            records = []
+            for _ in range(draw(st.integers(0, 4))):
+                buf = draw(st.integers(0, len(sizes) - 1))
+                off = draw(st.integers(0, sizes[buf] - 1))
+                length = draw(st.integers(1, min(sizes[buf] - off, 20 * GRANULE_BYTES)))
+                records.append((buf, off, length, draw(st.booleans())))
+            streams[wave, pid] = records
+    if len(streams) > 1 and draw(st.integers(0, 3)):
+        # A block of `run` granules read by several member streams, in two
+        # pieces around one granule that only the first reader touches, so
+        # that one group spans two runs of granules. The block lies past the
+        # random records or over them (which splits the group).
+        buf = draw(st.integers(0, len(sizes) - 1))
+        run = draw(st.integers(SHARED_RUN - 1, SHARED_RUN + 1))
+        split = draw(st.integers(0, run))
+        start = draw(st.sampled_from([0, -(-sizes[buf] // GRANULE_BYTES) * GRANULE_BYTES]))
+        sizes[buf] = max(sizes[buf], start + (run + 1) * GRANULE_BYTES)
+        pieces = [(start, split), (start + (split + 1) * GRANULE_BYTES, run - split)]
+        readers = draw(st.lists(st.sampled_from(sorted(streams)), min_size=2, max_size=5,
+                                unique=True))
+        if draw(st.integers(0, 2)):  # readers of one wave only
+            readers = [key for key in readers if key[0] == readers[0][0]]
+        for key in readers:
+            streams[key] += [(buf, lo, n * GRANULE_BYTES, False) for lo, n in pieces if n]
+        if buf + 1 < len(sizes) and draw(st.booleans()):
+            # the same readers in the next buffer's first granule: a run must
+            # not continue across the buffer boundary
+            for key in readers:
+                streams[key].append((buf + 1, 0, 1, False))
+        first_wave, first_pid = readers[0]
+        streams[readers[0]].append((buf, start + split * GRANULE_BYTES, GRANULE_BYTES, False))
+        # the first reader may reread part of the first piece in another wave
+        again = [key for key in streams if key[1] == first_pid and key[0] != first_wave]
+        if split and again and draw(st.integers(0, 3)):
+            reread = draw(st.integers(1, split)) * GRANULE_BYTES
+            streams[draw(st.sampled_from(again))].append((buf, start, reread, False))
+
+    def stream_fn(wave, pid):
+        records = streams.get((wave, pid), [])
+        return Stream([r[0] for r in records], [r[1] for r in records],
+                      [r[2] for r in records], [r[3] for r in records])
+
+    buffers = make_buffers([(f"b{i}", size) for i, size in enumerate(sizes)])
+    return AccessTrace("random", GridSpec.from_block_counts(total), buffers, stream_fn,
+                       wave_pids=[np.array(m, dtype=np.int64) for m in wave_pids])
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace=sharing_traces(), chunk=st.sampled_from([1, 7, 64, traces._CHUNK_GRANULES]))
+def test_locality_summary_matches_set_oracle(trace, chunk):
+    expected = reference_locality_summary(trace)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(traces, "_CHUNK_GRANULES", chunk)
+        assert locality_summary(trace) == expected
+        assert locality_summary(materialize(trace)) == expected
+
+
+SMALL_KERNELS = [(kind, dims) for kind, dims, _ in COVERAGE_CASES] + [
+    ("fdtd2d", dict(ny=256, nx=256))
+]
+
+
+@pytest.mark.parametrize("kind,dims", SMALL_KERNELS)
+def test_materialized_records_match_lazy(kind, dims):
+    lazy = generate_trace(small(kind, **dims))
+    table = materialize(lazy)
+    assert table is not lazy
+    assert not table.stream(0, 0).offs.flags.writeable
+    # non-members of a wave (smith_waterman) fall through to the lazy stream
+    for wave in range(lazy.num_waves):
+        for pid in range(lazy.grid.total_blocks):
+            assert table.records_for(pid, wave) == lazy.records_for(pid, wave)
 
 
 def test_spec_with_size_roundtrip():
