@@ -64,11 +64,12 @@ class SimulationError(ValueError):
 
 @dataclass(frozen=True)
 class ExecParams:
-    """Execution-model options of ``simulate``; there are none.
+    """Execution-model options; there are none.
 
-    The execution model is fixed (see the module docstring). The class stays
-    so that callers passing ``ExecParams()`` to ``simulate``,
-    ``simulate_pair`` or ``optimize`` keep working.
+    The execution model is fixed (see the module docstring). Only
+    ``simulate_pair`` takes an ``ExecParams``, as its third positional
+    argument, and ignores it; the class stays so that its callers keep
+    working.
     """
 
 
@@ -315,7 +316,6 @@ def simulate(
     trace: AccessTrace,
     pattern: SwizzlePattern,
     arch: ArchSpec,
-    exec_params: ExecParams = ExecParams(),
 ) -> BottleneckReport:
     """Run the trace under a swizzle pattern; the pattern is validated first."""
     table = validated_remap_table(pattern, trace.grid, arch)
@@ -363,8 +363,8 @@ def simulate_pair(
     pattern: SwizzlePattern,
 ) -> tuple[BottleneckReport, BottleneckReport]:
     """(baseline-with-identity, swizzled) reports over the same trace."""
-    baseline = simulate(trace, builtin_pattern("identity", trace.grid, arch), arch, exec_params)
-    swizzled = simulate(trace, pattern, arch, exec_params)
+    baseline = simulate(trace, builtin_pattern("identity", trace.grid, arch), arch)
+    swizzled = simulate(trace, pattern, arch)
     return baseline, swizzled
 
 

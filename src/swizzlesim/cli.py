@@ -27,6 +27,7 @@ from .cachesim import ExecParams, hit_rate_delta, report_to_dict, simulate_pair
 from .client import ClientConfig, ClientError, CompletionClient
 from .kernels import (
     KERNEL_KINDS,
+    default_pattern,
     default_spec,
     generate_trace,
     launch_grid,
@@ -163,26 +164,11 @@ def _resolve_pattern(
     return builtin_pattern(name, grid, arch, check_grid=check_grid)
 
 
-# Kernels ship with a natural builtin so `simulate --kernel X` needs no flags.
-_DEFAULT_PATTERN = {
-    "gemm": "gemm_contiguous",
-    "layernorm": "layernorm_rowgroup",
-    "softmax": "softmax_rowgroup",
-    "fdtd2d": "fdtd_stripe",
-    "stencil2d": "stencil_group",
-    "transpose": "transpose_band",
-    "smith_waterman": "gemm_contiguous",
-    "spmv_naive": "gemm_contiguous",
-    "black_scholes": "gemm_contiguous",
-    "fused_elementwise": "gemm_contiguous",
-}
-
-
 def cmd_simulate(args) -> int:
     arch = resolve_arch(args.arch)
     spec = _resolve_spec(args)
     trace = generate_trace(spec)
-    pattern = _resolve_pattern(args, trace.grid, arch, _DEFAULT_PATTERN[spec.kind])
+    pattern = _resolve_pattern(args, trace.grid, arch, default_pattern(spec.kind))
     baseline, swizzled = simulate_pair(trace, arch, ExecParams(), pattern)
     if args.out_dir is not None:
         out = Path(args.out_dir)
@@ -214,7 +200,7 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
 
     pattern_label = args.pattern or (
-        "custom_expr" if args.expr is not None else _DEFAULT_PATTERN[args.kernel]
+        "custom_expr" if args.expr is not None else default_pattern(args.kernel)
     )
     rows = []
     failures = []
@@ -222,7 +208,7 @@ def cmd_sweep(args) -> int:
         spec = spec_with_size(args.kernel, size)
         trace = generate_trace(spec)
         try:
-            pattern = _resolve_pattern(args, trace.grid, arch, _DEFAULT_PATTERN[spec.kind])
+            pattern = _resolve_pattern(args, trace.grid, arch, default_pattern(spec.kind))
             baseline, swizzled = simulate_pair(trace, arch, ExecParams(), pattern)
         except (PatternError, dsl.EvalError) as exc:
             failures.append((size, str(exc)))

@@ -66,7 +66,6 @@ class ClientConfig:
     timeout: float = 60.0
     max_retries: int = 2
     fixture_path: str | None = None
-    store_prompts: bool = False
 
     def __post_init__(self):
         if self.mode in (Mode.LIVE, Mode.RECORD):
@@ -84,14 +83,12 @@ class ClientConfig:
             raise ClientError(f"replay fixture not readable: {self.fixture_path}")
 
     @classmethod
-    def live_from_env(cls, timeout: float = 60.0, max_retries: int = 2) -> "ClientConfig":
+    def live_from_env(cls) -> "ClientConfig":
         return cls(
             mode=Mode.LIVE,
             endpoint=os.environ.get(ENV_ENDPOINT),
             credential=os.environ.get(ENV_API_KEY),
             model_name=os.environ.get(ENV_MODEL),
-            timeout=timeout,
-            max_retries=max_retries,
         )
 
     @classmethod
@@ -126,10 +123,8 @@ def load_fixture(path: str) -> list[dict]:
     return entries
 
 
-def write_fixture_entry(path: str, prompt: str, response: str, store_prompt: bool = False) -> None:
+def write_fixture_entry(path: str, prompt: str, response: str) -> None:
     entry = {"prompt_digest": prompt_digest(prompt), "response": response}
-    if store_prompt:
-        entry["prompt"] = prompt
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(entry, sort_keys=True) + "\n")
         fh.flush()
@@ -151,9 +146,7 @@ class CompletionClient:
             return self._replay(prompt)
         response = self._live(prompt)
         if self.config.mode is Mode.RECORD:
-            write_fixture_entry(
-                self.config.fixture_path, prompt, response, self.config.store_prompts
-            )
+            write_fixture_entry(self.config.fixture_path, prompt, response)
         return response
 
     def _replay(self, prompt: str) -> str:

@@ -16,37 +16,33 @@ the memory behavior of straightforward tiled kernels:
 * layernorm: like softmax without the barrier, plus shared weight/bias
   chunk reads.
 * spmv_naive: banded CSR, fixed half-width, derived from dims only.
-* black_scholes / fused_elementwise: disjoint streaming, no reuse.
+* black_scholes / fused_elementwise: disjoint streaming, no reuse; one
+  generator, differing only in the input and output buffers.
 * fdtd2d: per timestep (wave), read one field's tile plus its halo, write
   the other field; fields swap roles each step.
 * smith_waterman: block wavefront over the DP matrix; one wave per
   anti-diagonal reading left/top/diagonal halos.
 * stencil2d: 5-point update reading the center tile plus one-line halos
-  (neighbor rows) and one-column halos (neighbor columns).
+  (neighbor rows) and one-column halos (neighbor columns); the same tile
+  stream as fdtd2d, in one wave.
+
+Each kind is one entry of the registry ``_KINDS`` at the bottom of this
+module: its generator, default dims, launch-grid axes, the dims that
+``spec_with_size`` sets and the builtin that ``swizzlesim simulate`` uses
+when given no pattern. ``KERNEL_KINDS``, ``DEFAULT_SPECS`` and every
+function here read the registry, so adding a kernel means one registry
+entry plus its generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .patterns import GridSpec
 from .traces import AccessTrace, Stream, make_buffers, seg_elements, seg_rows, seg_single
-
-KERNEL_KINDS = (
-    "gemm",
-    "fused_elementwise",
-    "layernorm",
-    "softmax",
-    "spmv_naive",
-    "transpose",
-    "black_scholes",
-    "fdtd2d",
-    "smith_waterman",
-    "stencil2d",
-)
 
 
 class KernelSpecError(ValueError):
@@ -85,33 +81,6 @@ def _cdiv(a: int, b: int) -> int:
     return -(-a // b)
 
 
-# Desk-scale defaults: hardware-scale problem sizes are not meaningful for
-# a trace simulator, so sizes are chosen to finish in seconds while keeping
-# each kernel's reuse structure intact. The gemm default is rectangular
-# (more row-tiles than column-tiles): on a square grid whose column count
-# is a multiple of num_xcds, round-robin dispatch already groups whole
-# columns per XCD and contiguous row grouping merely mirrors it, so the two
-# schedules hit identically and no swizzle can show an effect.
-DEFAULT_SPECS: dict[str, KernelSpec] = {
-    "gemm": KernelSpec("gemm", {"m": 2048, "n": 512, "k": 1024}, {"m": 64, "n": 64, "k": 64}),
-    "fused_elementwise": KernelSpec("fused_elementwise", {"n": 1 << 22}, {"n": 4096}),
-    "layernorm": KernelSpec("layernorm", {"rows": 512, "cols": 8192}, {"cols": 1024}),
-    "softmax": KernelSpec("softmax", {"rows": 4096, "cols": 4096}, {"cols": 1024}),
-    "spmv_naive": KernelSpec(
-        "spmv_naive", {"rows": 65536, "half_width": 16}, {"rows": 256}
-    ),
-    "transpose": KernelSpec("transpose", {"m": 4096, "n": 4096}, {"m": 64, "n": 64}),
-    "black_scholes": KernelSpec("black_scholes", {"n": 1 << 22}, {"n": 4096}),
-    "fdtd2d": KernelSpec(
-        "fdtd2d", {"ny": 1024, "nx": 1024, "steps": 2}, {"y": 64, "x": 64}
-    ),
-    "smith_waterman": KernelSpec(
-        "smith_waterman", {"m": 2048, "n": 2048}, {"m": 128, "n": 128}
-    ),
-    "stencil2d": KernelSpec("stencil2d", {"m": 2048, "n": 2048}, {"m": 64, "n": 64}),
-}
-
-
 def default_spec(kind: str) -> KernelSpec:
     try:
         return DEFAULT_SPECS[kind]
@@ -119,53 +88,34 @@ def default_spec(kind: str) -> KernelSpec:
         raise KernelSpecError(f"unknown kernel kind {kind!r}") from None
 
 
+def default_pattern(kind: str) -> str:
+    """The builtin ``swizzlesim simulate`` and ``sweep`` use when given no pattern."""
+    return _KINDS[kind].pattern
+
+
 def spec_with_size(kind: str, size: int) -> KernelSpec:
     """Default spec rescaled to one problem size (square for 2-D kernels)."""
     base = default_spec(kind)
     dims = dict(base.problem_dims)
-    if kind in ("gemm",):
-        dims.update(m=size, n=size, k=size)
-    elif kind in ("transpose", "smith_waterman", "stencil2d"):
-        dims.update(m=size, n=size)
-    elif kind == "fdtd2d":
-        dims.update(ny=size, nx=size)
-    elif kind in ("softmax", "layernorm"):
-        dims.update(rows=size)
-    elif kind in ("fused_elementwise", "black_scholes"):
-        dims.update(n=size)
-    elif kind == "spmv_naive":
-        dims.update(rows=size)
+    dims.update(dict.fromkeys(_KINDS[kind].sized, size))
     return KernelSpec(kind, dims, base.block_dims, base.dtype_bytes)
 
 
 def launch_grid(spec: KernelSpec) -> GridSpec:
     """Ceiling-division tile counts per axis for one dispatch."""
-    kind = spec.kind
-    if kind == "gemm":
-        return GridSpec.tiled((spec.dim("m"), spec.dim("n")), (spec.block("m"), spec.block("n")))
-    if kind in ("fused_elementwise", "black_scholes"):
-        return GridSpec.tiled((spec.dim("n"),), (spec.block("n"),))
-    if kind in ("layernorm", "softmax"):
-        return GridSpec.tiled((spec.dim("rows"), spec.dim("cols")), (1, spec.block("cols")))
-    if kind == "spmv_naive":
-        return GridSpec.tiled((spec.dim("rows"),), (spec.block("rows"),))
-    if kind in ("transpose", "smith_waterman", "stencil2d"):
-        return GridSpec.tiled((spec.dim("m"), spec.dim("n")), (spec.block("m"), spec.block("n")))
-    if kind == "fdtd2d":
-        return GridSpec.tiled((spec.dim("ny"), spec.dim("nx")), (spec.block("y"), spec.block("x")))
-    raise KernelSpecError(f"unknown kernel kind {kind!r}")
+    axes = _KINDS[spec.kind].axes
+    return GridSpec.tiled(
+        tuple(spec.dim(problem) for problem, _ in axes),
+        tuple(block if block == 1 else spec.block(block) for _, block in axes),
+    )
 
 
 def generate_trace(spec: KernelSpec) -> AccessTrace:
-    try:
-        gen = _GENERATORS[spec.kind]
-    except KeyError:
-        raise KernelSpecError(f"unknown kernel kind {spec.kind!r}") from None
-    return gen(spec)
+    return _KINDS[spec.kind].generate(spec, launch_grid(spec))
 
 
 # ---------------------------------------------------------------------------
-# Generators
+# Generators: (spec, launch grid) -> trace
 # ---------------------------------------------------------------------------
 
 
@@ -176,11 +126,10 @@ def _tile_bounds(pid: int, grid: GridSpec, bm: int, bn: int, m: int, n: int):
     return r0, min(r0 + bm, m), c0, min(c0 + bn, n)
 
 
-def _gen_gemm(spec: KernelSpec) -> AccessTrace:
+def _gen_gemm(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
     m, n, k = spec.dim("m"), spec.dim("n"), spec.dim("k")
     bm, bn, bk = spec.block("m"), spec.block("n"), spec.block("k")
     es = spec.dtype_bytes
-    grid = launch_grid(spec)
     buffers = make_buffers([("a", m * k * es), ("b", k * n * es), ("c", m * n * es)])
 
     def stream(wave: int, pid: int) -> Stream:
@@ -196,52 +145,29 @@ def _gen_gemm(spec: KernelSpec) -> AccessTrace:
     return AccessTrace("gemm", grid, buffers, stream)
 
 
-def _gen_fused_elementwise(spec: KernelSpec) -> AccessTrace:
-    n, bn, es = spec.dim("n"), spec.block("n"), spec.dtype_bytes
-    grid = launch_grid(spec)
-    buffers = make_buffers([("a", n * es), ("b", n * es), ("out", n * es)])
+def _streaming(inputs: tuple[str, ...], outputs: tuple[str, ...]):
+    """Generator of an elementwise kernel: each workgroup reads its chunk of
+    every input buffer, then writes its chunk of every output buffer."""
 
-    def stream(wave: int, pid: int) -> Stream:
-        e0, e1 = pid * bn, min((pid + 1) * bn, n)
-        length = (e1 - e0) * es
-        return Stream.concat(
-            [
-                seg_single(0, e0 * es, length),
-                seg_single(1, e0 * es, length),
-                seg_single(2, e0 * es, length, write=True),
-            ]
-        )
+    def generate(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
+        n, bn, es = spec.dim("n"), spec.block("n"), spec.dtype_bytes
+        buffers = make_buffers([(name, n * es) for name in inputs + outputs])
+        count = len(buffers)
 
-    return AccessTrace("fused_elementwise", grid, buffers, stream)
+        def stream(wave: int, pid: int) -> Stream:
+            e0, e1 = pid * bn, min((pid + 1) * bn, n)
+            bufs = np.arange(count)
+            return Stream(bufs, np.full(count, e0 * es), np.full(count, (e1 - e0) * es),
+                          bufs >= len(inputs))
 
+        return AccessTrace(spec.kind, grid, buffers, stream)
 
-def _gen_black_scholes(spec: KernelSpec) -> AccessTrace:
-    n, bn, es = spec.dim("n"), spec.block("n"), spec.dtype_bytes
-    grid = launch_grid(spec)
-    buffers = make_buffers(
-        [("spot", n * es), ("strike", n * es), ("tte", n * es), ("call", n * es), ("put", n * es)]
-    )
-
-    def stream(wave: int, pid: int) -> Stream:
-        e0, e1 = pid * bn, min((pid + 1) * bn, n)
-        length = (e1 - e0) * es
-        return Stream.concat(
-            [
-                seg_single(0, e0 * es, length),
-                seg_single(1, e0 * es, length),
-                seg_single(2, e0 * es, length),
-                seg_single(3, e0 * es, length, write=True),
-                seg_single(4, e0 * es, length, write=True),
-            ]
-        )
-
-    return AccessTrace("black_scholes", grid, buffers, stream)
+    return generate
 
 
-def _gen_softmax(spec: KernelSpec) -> AccessTrace:
+def _gen_softmax(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
     rows, cols = spec.dim("rows"), spec.dim("cols")
     chunk, es = spec.block("cols"), spec.dtype_bytes
-    grid = launch_grid(spec)
     buffers = make_buffers([("x", rows * cols * es), ("out", rows * cols * es)])
     nchunks = grid.num_blocks_n
 
@@ -264,10 +190,9 @@ def _gen_softmax(spec: KernelSpec) -> AccessTrace:
     return AccessTrace("softmax", grid, buffers, stream, wave_pids=waves)
 
 
-def _gen_layernorm(spec: KernelSpec) -> AccessTrace:
+def _gen_layernorm(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
     rows, cols = spec.dim("rows"), spec.dim("cols")
     chunk, es = spec.block("cols"), spec.dtype_bytes
-    grid = launch_grid(spec)
     buffers = make_buffers(
         [("x", rows * cols * es), ("weight", cols * es), ("bias", cols * es), ("out", rows * cols * es)]
     )
@@ -290,12 +215,11 @@ def _gen_layernorm(spec: KernelSpec) -> AccessTrace:
     return AccessTrace("layernorm", grid, buffers, stream)
 
 
-def _gen_spmv(spec: KernelSpec) -> AccessTrace:
+def _gen_spmv(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
     rows = spec.dim("rows")
     hw = spec.dim("half_width")
     br, es = spec.block("rows"), spec.dtype_bytes
     idx_bytes = 4
-    grid = launch_grid(spec)
 
     r = np.arange(rows, dtype=np.int64)
     lo = np.maximum(r - hw, 0)
@@ -338,10 +262,9 @@ def _gen_spmv(spec: KernelSpec) -> AccessTrace:
     return AccessTrace("spmv_naive", grid, buffers, stream)
 
 
-def _gen_transpose(spec: KernelSpec) -> AccessTrace:
+def _gen_transpose(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
     m, n = spec.dim("m"), spec.dim("n")
     bm, bn, es = spec.block("m"), spec.block("n"), spec.dtype_bytes
-    grid = launch_grid(spec)
     buffers = make_buffers([("in", m * n * es), ("out", n * m * es)])
 
     def stream(wave: int, pid: int) -> Stream:
@@ -367,64 +290,51 @@ def _gen_transpose(spec: KernelSpec) -> AccessTrace:
     return AccessTrace("transpose", grid, buffers, stream)
 
 
-def _halo_segments(buf, r0, r1, c0, c1, m, n, es):
-    """One-line row halos and per-element column halos around a tile."""
-    segs = []
+def _tile_stream(src, dst, r0, r1, c0, c1, m, n, es) -> Stream:
+    """A 5-point update of one tile: the ``src`` tile, its one-line row halos
+    and per-element column halos, then the ``dst`` tile's write."""
+    row_bytes = (c1 - c0) * es
+    segs = [seg_rows(src, (r0 * n + c0) * es, row_bytes, n * es, r1 - r0)]
     if r0 > 0:
-        segs.append(seg_single(buf, ((r0 - 1) * n + c0) * es, (c1 - c0) * es))
+        segs.append(seg_single(src, ((r0 - 1) * n + c0) * es, row_bytes))
     if r1 < m:
-        segs.append(seg_single(buf, (r1 * n + c0) * es, (c1 - c0) * es))
+        segs.append(seg_single(src, (r1 * n + c0) * es, row_bytes))
+    rows = np.arange(r0, r1, dtype=np.int64)
     if c0 > 0:
-        rows = np.arange(r0, r1, dtype=np.int64)
-        segs.append(seg_elements(buf, (rows * n + c0 - 1) * es, es))
+        segs.append(seg_elements(src, (rows * n + c0 - 1) * es, es))
     if c1 < n:
-        rows = np.arange(r0, r1, dtype=np.int64)
-        segs.append(seg_elements(buf, (rows * n + c1) * es, es))
-    return segs
+        segs.append(seg_elements(src, (rows * n + c1) * es, es))
+    segs.append(seg_rows(dst, (r0 * n + c0) * es, row_bytes, n * es, r1 - r0, write=True))
+    return Stream.concat(segs)
 
 
-def _gen_stencil2d(spec: KernelSpec) -> AccessTrace:
+def _gen_stencil2d(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
     m, n = spec.dim("m"), spec.dim("n")
     bm, bn, es = spec.block("m"), spec.block("n"), spec.dtype_bytes
-    grid = launch_grid(spec)
     buffers = make_buffers([("in", m * n * es), ("out", m * n * es)])
 
     def stream(wave: int, pid: int) -> Stream:
-        r0, r1, c0, c1 = _tile_bounds(pid, grid, bm, bn, m, n)
-        segs = [seg_rows(0, (r0 * n + c0) * es, (c1 - c0) * es, n * es, r1 - r0)]
-        segs.extend(_halo_segments(0, r0, r1, c0, c1, m, n, es))
-        segs.append(seg_rows(1, (r0 * n + c0) * es, (c1 - c0) * es, n * es, r1 - r0, write=True))
-        return Stream.concat(segs)
+        return _tile_stream(0, 1, *_tile_bounds(pid, grid, bm, bn, m, n), m, n, es)
 
     return AccessTrace("stencil2d", grid, buffers, stream)
 
 
-def _gen_fdtd2d(spec: KernelSpec) -> AccessTrace:
+def _gen_fdtd2d(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
     ny, nx = spec.dim("ny"), spec.dim("nx")
-    steps = spec.dim("steps")
     by, bx, es = spec.block("y"), spec.block("x"), spec.dtype_bytes
-    grid = launch_grid(spec)
     buffers = make_buffers([("e", ny * nx * es), ("h", ny * nx * es)])
 
     def stream(wave: int, pid: int) -> Stream:
         src, dst = (1, 0) if wave % 2 == 0 else (0, 1)
-        r0, r1, c0, c1 = _tile_bounds(pid, grid, by, bx, ny, nx)
-        segs = [seg_rows(src, (r0 * nx + c0) * es, (c1 - c0) * es, nx * es, r1 - r0)]
-        segs.extend(_halo_segments(src, r0, r1, c0, c1, ny, nx, es))
-        segs.append(
-            seg_rows(dst, (r0 * nx + c0) * es, (c1 - c0) * es, nx * es, r1 - r0, write=True)
-        )
-        return Stream.concat(segs)
+        return _tile_stream(src, dst, *_tile_bounds(pid, grid, by, bx, ny, nx), ny, nx, es)
 
-    total = grid.total_blocks
-    waves = [np.arange(total) for _ in range(steps)]
+    waves = [np.arange(grid.total_blocks) for _ in range(spec.dim("steps"))]
     return AccessTrace("fdtd2d", grid, buffers, stream, wave_pids=waves)
 
 
-def _gen_smith_waterman(spec: KernelSpec) -> AccessTrace:
+def _gen_smith_waterman(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
     m, n = spec.dim("m"), spec.dim("n")
     bm, bn, es = spec.block("m"), spec.block("n"), spec.dtype_bytes
-    grid = launch_grid(spec)
     buffers = make_buffers([("seq_a", m * es), ("seq_b", n * es), ("dp", m * n * es)])
     nbn = grid.num_blocks_n
 
@@ -452,15 +362,54 @@ def _gen_smith_waterman(spec: KernelSpec) -> AccessTrace:
     return AccessTrace("smith_waterman", grid, buffers, stream, wave_pids=waves)
 
 
-_GENERATORS = {
-    "gemm": _gen_gemm,
-    "fused_elementwise": _gen_fused_elementwise,
-    "layernorm": _gen_layernorm,
-    "softmax": _gen_softmax,
-    "spmv_naive": _gen_spmv,
-    "transpose": _gen_transpose,
-    "black_scholes": _gen_black_scholes,
-    "fdtd2d": _gen_fdtd2d,
-    "smith_waterman": _gen_smith_waterman,
-    "stencil2d": _gen_stencil2d,
+# ---------------------------------------------------------------------------
+# The registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Kind:
+    generate: Callable[[KernelSpec, GridSpec], AccessTrace]
+    problem: dict[str, int]  # default problem dims
+    block: dict[str, int]  # default block dims
+    axes: tuple[tuple[str, str | int], ...]  # launch-grid axes: (problem dim, block dim or 1)
+    sized: tuple[str, ...]  # the problem dims spec_with_size sets
+    pattern: str  # the builtin simulate uses when given no pattern
+
+
+_MN = (("m", "m"), ("n", "n"))
+
+# Desk-scale defaults: hardware-scale problem sizes are not meaningful for
+# a trace simulator, so sizes are chosen to finish in seconds while keeping
+# each kernel's reuse structure intact. The gemm default is rectangular
+# (more row-tiles than column-tiles): on a square grid whose column count
+# is a multiple of num_xcds, round-robin dispatch already groups whole
+# columns per XCD and contiguous row grouping merely mirrors it, so the two
+# schedules hit identically and no swizzle can show an effect.
+_KINDS: dict[str, _Kind] = {
+    "gemm": _Kind(_gen_gemm, {"m": 2048, "n": 512, "k": 1024}, {"m": 64, "n": 64, "k": 64},
+                  _MN, ("m", "n", "k"), "gemm_contiguous"),
+    "fused_elementwise": _Kind(_streaming(("a", "b"), ("out",)), {"n": 1 << 22}, {"n": 4096},
+                               (("n", "n"),), ("n",), "gemm_contiguous"),
+    "layernorm": _Kind(_gen_layernorm, {"rows": 512, "cols": 8192}, {"cols": 1024},
+                       (("rows", 1), ("cols", "cols")), ("rows",), "layernorm_rowgroup"),
+    "softmax": _Kind(_gen_softmax, {"rows": 4096, "cols": 4096}, {"cols": 1024},
+                     (("rows", 1), ("cols", "cols")), ("rows",), "softmax_rowgroup"),
+    "spmv_naive": _Kind(_gen_spmv, {"rows": 65536, "half_width": 16}, {"rows": 256},
+                        (("rows", "rows"),), ("rows",), "gemm_contiguous"),
+    "transpose": _Kind(_gen_transpose, {"m": 4096, "n": 4096}, {"m": 64, "n": 64},
+                       _MN, ("m", "n"), "transpose_band"),
+    "black_scholes": _Kind(_streaming(("spot", "strike", "tte"), ("call", "put")),
+                           {"n": 1 << 22}, {"n": 4096}, (("n", "n"),), ("n",), "gemm_contiguous"),
+    "fdtd2d": _Kind(_gen_fdtd2d, {"ny": 1024, "nx": 1024, "steps": 2}, {"y": 64, "x": 64},
+                    (("ny", "y"), ("nx", "x")), ("ny", "nx"), "fdtd_stripe"),
+    "smith_waterman": _Kind(_gen_smith_waterman, {"m": 2048, "n": 2048}, {"m": 128, "n": 128},
+                            _MN, ("m", "n"), "gemm_contiguous"),
+    "stencil2d": _Kind(_gen_stencil2d, {"m": 2048, "n": 2048}, {"m": 64, "n": 64},
+                       _MN, ("m", "n"), "stencil_group"),
+}
+
+KERNEL_KINDS = tuple(_KINDS)
+DEFAULT_SPECS: dict[str, KernelSpec] = {
+    kind: KernelSpec(kind, entry.problem, entry.block) for kind, entry in _KINDS.items()
 }

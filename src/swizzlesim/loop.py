@@ -7,9 +7,9 @@ only valid candidates, and appends everything (including failures and
 duplicates) to a persistent history. Ranking considers validated entries
 only, so a broken remapping can never be returned as best.
 
-The kernel's trace is generated once per run and read once into a record
-table (``traces.materialize``, under its byte budget): the locality summary
-and every candidate's simulation read slices of that table instead of
+The kernel's trace is generated once per run and each of its streams read
+once and kept (``traces.materialize``, under its byte budget): the locality
+summary and every candidate's simulation read the kept streams instead of
 calling the kernel's stream function again. A trace too large for the
 budget stays lazy, with identical results.
 
@@ -27,7 +27,7 @@ from typing import Iterable, Protocol, Sequence
 
 from . import dsl
 from .arch import ArchSpec
-from .cachesim import BottleneckReport, ExecParams, compare_reports, simulate
+from .cachesim import BottleneckReport, compare_reports, simulate
 from .client import CompletionClient, ClientError, ReplayExhaustedError
 from .kernels import KernelSpec, generate_trace
 from .patterns import (
@@ -45,6 +45,7 @@ from .records import from_dict, to_dict
 from .traces import LocalitySummary, locality_summary, materialize
 
 DEFAULT_MAX_ITERS = 5
+MAX_PARSE_RETRIES = 2  # LlmProposer's re-prompts after an unparseable response
 
 
 class LoopError(RuntimeError):
@@ -67,10 +68,6 @@ class HistoryEntry:
     validation: ValidationResult
     report: BottleneckReport | None
     critique: str | None = None
-
-    @property
-    def valid(self) -> bool:
-        return self.report is not None
 
 
 @dataclass(frozen=True)
@@ -198,7 +195,6 @@ def optimize(
     proposer: Proposer,
     max_iters: int = DEFAULT_MAX_ITERS,
     history_sink=None,
-    exec_params: ExecParams = ExecParams(),
 ) -> OptimizationResult:
     """Run the full loop; returns the best validated entry and progression."""
     if max_iters < 0:
@@ -214,7 +210,7 @@ def optimize(
 
     identity = builtin_pattern("identity", grid, arch)
     baseline_validation = ValidationResult.success()
-    baseline_report = simulate(trace, identity, arch, exec_params)
+    baseline_report = simulate(trace, identity, arch)
     baseline = HistoryEntry(
         iteration=0,
         pattern=pattern_to_dict(identity),
@@ -268,7 +264,7 @@ def optimize(
         else:
             # simulate validates the pattern on the same table it runs
             try:
-                report = simulate(trace, pattern, arch, exec_params)
+                report = simulate(trace, pattern, arch)
                 validation = ValidationResult.success()
             except NonBijectiveError as exc:
                 report, validation = None, exc.result
@@ -377,15 +373,14 @@ class LlmProposer:
     prompt; fixture exhaustion in replay mode ends the loop cleanly.
     """
 
-    def __init__(self, client: CompletionClient, max_parse_retries: int = 2):
+    def __init__(self, client: CompletionClient):
         self.client = client
-        self.max_parse_retries = max_parse_retries
 
     def propose(self, ctx: ProposeContext) -> Proposal:
         iteration = len(ctx.history)
         prompt = build_prompt(ctx.kernel_summary, ctx.locality, ctx.history, ctx.arch).render()
         last_error: Exception | None = None
-        for attempt in range(self.max_parse_retries + 1):
+        for attempt in range(MAX_PARSE_RETRIES + 1):
             try:
                 response = self.client.complete(prompt)
             except ReplayExhaustedError as exc:
@@ -412,5 +407,5 @@ class LlmProposer:
             critique = record.improvement_rationale or record.new_approach or None
             return Proposal(pattern=pattern, critique=critique)
         raise ProposerError(
-            f"no parseable proposal after {self.max_parse_retries + 1} attempts: {last_error}"
+            f"no parseable proposal after {MAX_PARSE_RETRIES + 1} attempts: {last_error}"
         )

@@ -9,8 +9,8 @@ Workgroup streams come from a stream function per trace, lazily, because
 desk-scale kernels can reach tens of millions of records: simulating a lazy
 trace holds only the streams of currently-resident workgroups. Where one
 trace is read many times (the optimization loop), ``materialize`` reads each
-stream once into a columnar record table and hands out slices of it; a trace
-whose table would pass ``RECORD_TABLE_BYTES`` stays lazy.
+stream once and keeps it; a trace whose kept streams would pass
+``RECORD_TABLE_BYTES`` stays lazy.
 
 Multi-phase kernels are modeled as waves: each wave is one dispatch over
 the same launch grid, and all workgroups of a wave finish before the next
@@ -91,13 +91,8 @@ def seg_rows(
     buf: int, start: int, row_bytes: int, row_stride: int, nrows: int, write: bool = False
 ) -> Stream:
     """One record per row of a strided 2-D sub-block."""
-    offs = start + np.arange(nrows, dtype=np.int64) * row_stride
-    return Stream(
-        np.full(nrows, buf, dtype=np.int32),
-        offs,
-        np.full(nrows, row_bytes, dtype=np.int64),
-        np.full(nrows, write, dtype=bool),
-    )
+    offsets = start + np.arange(nrows, dtype=np.int64) * row_stride
+    return seg_elements(buf, offsets, row_bytes, write)
 
 
 def seg_elements(buf: int, offsets: np.ndarray, elem_bytes: int, write: bool = False) -> Stream:
@@ -170,49 +165,37 @@ def make_buffers(sizes: Sequence[tuple[str, int]]) -> list[Buffer]:
     return buffers
 
 
-# materialize() keeps the lazy trace when its table would pass this many bytes
+# materialize() keeps the lazy trace when its memo would pass this many bytes
 RECORD_TABLE_BYTES = 32 << 20
-_RECORD_BYTES = 21  # int32 buffer id, int64 offset and length, bool write flag
-_VIEW_BYTES = 520  # one member's Stream of four table views
+_STREAM_BYTES = 520  # one member's Stream object and its four array headers
 
 
 def materialize(trace: AccessTrace) -> AccessTrace:
-    """``trace`` with every member (wave, pid) stream read once into a record table.
+    """``trace`` with every member (wave, pid) stream read once and kept.
 
-    The table is the concatenated, read-only ``bufs``/``offs``/``lens``/``writes``
-    of the wave members' streams. The returned trace's stream function hands
-    out one ``Stream`` of slices of it per member (wave, pid), and falls
-    through to the original stream function for a pid that is no member of
-    the wave. Reading stops as soon as the table passes
-    ``RECORD_TABLE_BYTES``, and ``trace`` itself is returned.
+    The returned trace's stream function hands out each member's own
+    ``Stream``, its columns made read-only, and falls through to the original
+    stream function for a pid that is no member of the wave. Reading stops as
+    soon as the kept streams pass ``RECORD_TABLE_BYTES``, and ``trace``
+    itself is returned.
     """
     total = trace.grid.total_blocks
     size = 8 * trace.num_waves * total  # the lookup lists
-    streams: list[Stream] = []
-    members: list[tuple[int, int]] = []
+    memo: list[list[Stream | None]] = [[None] * total for _ in trace.wave_pids]
     for wave, pids in enumerate(trace.wave_pids):
         for pid in pids.tolist():
             s = trace.stream(pid, wave)
-            size += _VIEW_BYTES + len(s) * _RECORD_BYTES
+            columns = (s.bufs, s.offs, s.lens, s.writes)
+            size += _STREAM_BYTES + sum(column.nbytes for column in columns)
             if size > RECORD_TABLE_BYTES:
                 return trace
-            streams.append(s)
-            members.append((wave, pid))
-    table = Stream.concat(streams)
-    columns = (table.bufs, table.offs, table.lens, table.writes)
-    for column in columns:
-        column.flags.writeable = False
-    stops = np.cumsum([len(s) for s in streams], dtype=np.int64).tolist()
-    del streams
-    views: list[list[Stream | None]] = [[None] * total for _ in trace.wave_pids]
-    start = 0
-    for (wave, pid), stop in zip(members, stops):
-        views[wave][pid] = Stream(*(column[start:stop] for column in columns))
-        start = stop
+            for column in columns:
+                column.flags.writeable = False
+            memo[wave][pid] = s
     lazy = trace._stream_fn
 
     def stream(wave: int, pid: int) -> Stream:
-        s = views[wave][pid]
+        s = memo[wave][pid]
         return lazy(wave, pid) if s is None else s
 
     return AccessTrace(trace.kernel, trace.grid, trace.buffers, stream, trace.wave_pids)

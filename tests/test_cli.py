@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from swizzlesim.cli import main
+from swizzlesim.kernels import KERNEL_KINDS, default_pattern
 from swizzlesim.loop import load_history
 
 
@@ -25,6 +26,22 @@ def test_simulate_writes_reports_and_delta(tmp_path, capsys):
     assert baseline["pattern"] == "identity"
     assert swizzled["pattern"] == "stencil_group"
     assert swizzled["l2_hit_rate"] > baseline["l2_hit_rate"]
+
+
+def test_default_pattern_per_kernel():
+    # the builtin `simulate --kernel K` runs without --pattern or --expr
+    assert {kind: default_pattern(kind) for kind in KERNEL_KINDS} == {
+        "gemm": "gemm_contiguous",
+        "layernorm": "layernorm_rowgroup",
+        "softmax": "softmax_rowgroup",
+        "fdtd2d": "fdtd_stripe",
+        "stencil2d": "stencil_group",
+        "transpose": "transpose_band",
+        "smith_waterman": "gemm_contiguous",
+        "spmv_naive": "gemm_contiguous",
+        "black_scholes": "gemm_contiguous",
+        "fused_elementwise": "gemm_contiguous",
+    }
 
 
 def test_simulate_identity_delta_zero(tmp_path, capsys):

@@ -13,7 +13,6 @@ from swizzlesim.client import (
     TransportError,
     load_fixture,
     prompt_digest,
-    write_fixture_entry,
 )
 
 
@@ -167,10 +166,3 @@ def test_record_appends_fixture(monkeypatch, tmp_path):
     # and the recorded fixture replays
     replayed = CompletionClient(ClientConfig.replay(str(path)))
     assert replayed.complete("p1") == "recorded"
-
-
-def test_write_fixture_entry_optionally_stores_prompt(tmp_path):
-    path = tmp_path / "f.jsonl"
-    write_fixture_entry(str(path), "the prompt", "resp", store_prompt=True)
-    entry = load_fixture(str(path))[0]
-    assert entry["prompt"] == "the prompt"

@@ -59,3 +59,67 @@ def test_scan_flags_unused_and_counts_string_annotations():
         "    return np.zeros(1)\n"
     )
     assert unused_imports(source) == ["os (line 2)"]
+
+
+PACKAGE = sorted((ROOT / "src" / "swizzlesim").glob("*.py"))
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, defining node) of each single-underscore module-level name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(tree: ast.AST, skip: ast.AST) -> set[str]:
+    """Names loaded, and attributes read, anywhere in ``tree`` outside ``skip``."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """Private module-level names of ``sources`` that no module references
+    outside the name's own definition."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    unused = []
+    for path, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            if not any(name in _references(other, node) for other in trees.values()):
+                unused.append(f"{path}: {name} (line {node.lineno})")
+    return unused
+
+
+def test_every_private_module_name_is_referenced():
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unreferenced_privates(sources) == []
+
+
+def test_private_scan_flags_a_leftover_table():
+    sources = {
+        "a.py": (
+            "def _gen(spec):\n    return _gen(spec - 1) if spec else 0\n"
+            "_TABLE = {'k': _gen}\n"
+            "def _used():\n    return 1\n"
+            "__all__ = []\n"
+        ),
+        "b.py": "from a import _used\nvalue = _used()\n",
+    }
+    assert unreferenced_privates(sources) == ["a.py: _TABLE (line 3)"]

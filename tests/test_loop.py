@@ -306,8 +306,7 @@ def test_llm_proposer_retries_on_parse_error_with_feedback():
 
 def test_llm_proposer_fails_after_retry_budget():
     client = ScriptedClient(["junk", "junk", "junk"])
-    result = optimize(SMALL_GEMM, MI300X_LIKE,
-                      LlmProposer(client, max_parse_retries=2), max_iters=1)
+    result = optimize(SMALL_GEMM, MI300X_LIKE, LlmProposer(client), max_iters=1)
     # failure entry recorded, baseline still best
     assert result.iterations_run == 1
     assert result.best.iteration == 0
