@@ -258,7 +258,7 @@ def test_optimize_reads_each_stream_once(tmp_path, monkeypatch):
         {(wave, pid): 1 for wave, members in enumerate(lazy.wave_pids) for pid in members.tolist()}
     )
 
-    # with no budget the table is never built and every stream is read lazily
+    # with no budget no stream is kept and every stream is read lazily
     monkeypatch.setattr(traces, "RECORD_TABLE_BYTES", 0)
     assert traces.materialize(lazy) is lazy
     calls.clear()

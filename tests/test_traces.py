@@ -65,25 +65,25 @@ def test_launch_grid_examples():
 # or a lost partial tile shows; values taken from the generators before they
 # shared a registry.
 PINNED_STREAMS = {
-    "gemm": ({'m': 200, 'n': 136, 'k': 100}, {'m': 64, 'n': 32, 'k': 48}, (4, 5),
+    "gemm": ({"m": 200, "n": 136, "k": 100}, {"m": 64, "n": 32, "k": 48}, (4, 5),
         "a8bece56ef5a7955c053a55349ad0359b49806759d927832cdc0165a75ffb095"),
-    "fused_elementwise": ({'n': 10000}, {'n': 4096}, (3, 1),
+    "fused_elementwise": ({"n": 10000}, {"n": 4096}, (3, 1),
         "3571ac7f685fa1b8e53c904c801f7602e6b29719907f1497c75eea2fc396cc5b"),
-    "layernorm": ({'rows': 5, 'cols': 3000}, {'cols': 1024}, (5, 3),
+    "layernorm": ({"rows": 5, "cols": 3000}, {"cols": 1024}, (5, 3),
         "a21e45d870ec9b7c1fa396363dd6776560fc0d8c6d48e857b1fd554ba5592793"),
-    "softmax": ({'rows': 3, 'cols': 2500}, {'cols': 1024}, (3, 3),
+    "softmax": ({"rows": 3, "cols": 2500}, {"cols": 1024}, (3, 3),
         "5aff320cdbccd5fb7412cab777221c7829c364937d983ea64570cbf507cb27b6"),
-    "spmv_naive": ({'rows': 1000, 'half_width': 5}, {'rows': 256}, (4, 1),
+    "spmv_naive": ({"rows": 1000, "half_width": 5}, {"rows": 256}, (4, 1),
         "126d4c5833935d39223d4d6b9f56774b38f5cbdca874c4c9eac5569f011380b4"),
-    "transpose": ({'m': 200, 'n': 100}, {'m': 32, 'n': 64}, (7, 2),
+    "transpose": ({"m": 200, "n": 100}, {"m": 32, "n": 64}, (7, 2),
         "93b23c6b9afe79aa784a8c01eb35ac16441d67a750cae60762ad7a58b4be05d7"),
-    "black_scholes": ({'n': 9000}, {'n': 4096}, (3, 1),
+    "black_scholes": ({"n": 9000}, {"n": 4096}, (3, 1),
         "b20f823fd4356a631c8733025b7c1b306bb3dcd4063b24f07b1c722d270d359f"),
-    "fdtd2d": ({'ny': 200, 'nx': 100, 'steps': 3}, {'y': 32, 'x': 64}, (7, 2),
+    "fdtd2d": ({"ny": 200, "nx": 100, "steps": 3}, {"y": 32, "x": 64}, (7, 2),
         "20eede2d48abdcc70351a7f0c00f20cb80735f0019e6e01092dfa7bfe27c2464"),
-    "smith_waterman": ({'m': 300, 'n': 200}, {'m': 128, 'n': 64}, (3, 4),
+    "smith_waterman": ({"m": 300, "n": 200}, {"m": 128, "n": 64}, (3, 4),
         "148d35a21e5bb4febffe387a535b541cfedfa9a0c45fa7c152223777d8d38026"),
-    "stencil2d": ({'m': 200, 'n': 130}, {'m': 64, 'n': 32}, (4, 5),
+    "stencil2d": ({"m": 200, "n": 130}, {"m": 64, "n": 32}, (4, 5),
         "6fa7647a10d1b66c26d849c9115664828f1776c765e9ed7a49094992192f18bb"),
 }
 
