@@ -1,6 +1,7 @@
 /* The native kernel behind swizzlesim.cachesim. Its one entry point,
- * xcd_drain, runs one XCD's resident workgroup slots: it expands their
- * records into line touches and feeds each touch to a set-associative LRU.
+ * xcd_drain, runs one XCD's queue of workgroups for one wave: it loads them
+ * into resident slots, expands their records into line touches and feeds
+ * each touch to a set-associative LRU.
  *
  * tags holds num_sets rows of `ways` line ids, most recently used first;
  * fill[s] is how many entries of row s are valid. A miss allocates the line
@@ -11,6 +12,7 @@
  */
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 /* Touch one line; 1 on a hit. */
 static inline int lru_touch(int64_t line, int64_t *tags, int32_t *fill,
@@ -35,12 +37,10 @@ static inline int lru_touch(int64_t line, int64_t *tags, int32_t *fill,
     return hit;
 }
 
-/* One resident workgroup: its record arrays, which the caller keeps alive
- * while the slot is resident, the record being expanded, and that record's
- * current and last line. cachesim._run_native sees a slot as a row of
- * eight int64 words: it writes the first four (the three array addresses
- * and `records`) and reads word cachesim._ORIGIN; cachesim._SLOT_WORDS is
- * the row length. The asserts below fail the build if this layout moves. */
+/* One resident workgroup: its record arrays, copied with `records` from its
+ * queue row, the record being expanded, and that record's current and last
+ * line. The caller owns the slots, cachesim._SLOT_WORDS int64 words each,
+ * and keeps a workgroup's arrays alive while a slot points into them. */
 typedef struct {
     const int32_t *bufs;
     const int64_t *offs;
@@ -49,15 +49,12 @@ typedef struct {
     int64_t rec;
     int64_t line;
     int64_t last;
-    int64_t origin;  /* set on return: a survivor's slot index in this call */
 } slot_t;
 
-_Static_assert(sizeof(slot_t) == 8 * sizeof(int64_t), "slot_t is eight int64 words");
+_Static_assert(sizeof(slot_t) == 7 * sizeof(int64_t), "cachesim._SLOT_WORDS is 7");
 _Static_assert(offsetof(slot_t, bufs) == 0 && offsetof(slot_t, offs) == 8
                && offsetof(slot_t, lens) == 16 && offsetof(slot_t, records) == 24,
-               "cachesim._run_native writes words 0-3 as bufs, offs, lens, records");
-_Static_assert(offsetof(slot_t, origin) == 7 * sizeof(int64_t),
-               "cachesim._ORIGIN reads origin as word 7");
+               "a queue row is words 0-3 of a slot: bufs, offs, lens, records");
 
 static inline void load_record(slot_t *s, const int64_t *bases, int64_t line_shift)
 {
@@ -66,64 +63,75 @@ static inline void load_record(slot_t *s, const int64_t *bases, int64_t line_shi
     s->last = (start + s->lens[s->rec] - 1) >> line_shift;
 }
 
-/* Run one XCD's resident slots until the first turn in which a slot drains.
+/* Run one XCD's workgroups of one wave from a queue.
  *
- * slots[0, loaded) carry on from the previous call; slots[loaded, n) are
- * newly loaded and are checked first, in order: a record is bad if it is
- * empty, names no buffer, starts before its buffer or ends past it. The
- * first bad slot k returns -(k + 1) before any line is touched.
+ * queue holds `rows` rows of four int64 words, one per workgroup in launch
+ * order: the addresses of its bufs (int32), offs and lens (int64) arrays and
+ * its record count. slots[0, loaded) carry on from the previous call. Free
+ * slots are loaded from the queue in order, skipping rows of no records; a
+ * row is checked as it loads: a record is bad if it is empty, names no
+ * buffer, starts before its buffer or ends past it. The first bad row k
+ * returns -(k + 1) before any of its lines is touched.
  *
  * Each turn touches the current line of every slot, in slot order, marks
  * touched[line] and counts hits into counts[0] and touches into counts[1].
  * After the turn in which one or more slots drain, the survivors move to
- * the front in order, each with origin set to its index before the move,
- * and their number is returned. tags and fill are the XCD's LRU rows (see
- * the top of this file); they persist across calls.
+ * the front in order and the next rows load after them. With `more` zero
+ * the call returns 0 when every slot and the queue are empty; otherwise it
+ * returns the number of slots in use as soon as a slot is free and the queue
+ * is empty, so that the caller can pass the wave's next rows. tags and fill
+ * are the XCD's LRU rows (see the top of this file); they persist across calls.
  */
-int64_t xcd_drain(slot_t *slots, int64_t n, int64_t loaded,
+int64_t xcd_drain(slot_t *slots, int64_t capacity, int64_t loaded,
+                  const int64_t *queue, int64_t rows, int64_t more,
                   const int64_t *bases, const int64_t *lengths, int64_t num_buffers,
                   int64_t line_shift, uint8_t *touched, int64_t *counts,
                   int64_t *tags, int32_t *fill, int64_t num_sets, int64_t ways)
 {
-    for (int64_t k = loaded; k < n; k++) {
-        slot_t *s = &slots[k];
-        for (int64_t r = 0; r < s->records; r++) {
-            int32_t buf = s->bufs[r];
-            int64_t off = s->offs[r], len = s->lens[r];
-            if (buf < 0 || buf >= num_buffers || len < 1 || off < 0
-                || len > lengths[buf] - off)
-                return -(k + 1);
+    int64_t n = loaded;
+    for (int64_t next = 0;;) {
+        for (; n < capacity && next < rows; next++) {
+            if (queue[4 * next + 3] < 1)
+                continue;
+            slot_t *s = &slots[n];
+            memcpy(s, queue + 4 * next, 4 * sizeof(int64_t));
+            for (int64_t r = 0; r < s->records; r++) {
+                int32_t buf = s->bufs[r];
+                int64_t off = s->offs[r], len = s->lens[r];
+                if (buf < 0 || buf >= num_buffers || len < 1 || off < 0
+                    || len > lengths[buf] - off)
+                    return -(next + 1);
+            }
+            s->rec = 0;
+            load_record(s, bases, line_shift);
+            n++;
         }
-        s->rec = 0;
-        load_record(s, bases, line_shift);
-    }
+        if (n == 0 || (more && n < capacity))
+            return n;
 
-    int64_t hits = 0, turns = 0;
-    int drained = 0;
-    while (!drained) {
-        for (int64_t k = 0; k < n; k++) {
-            slot_t *s = &slots[k];
-            touched[s->line] = 1;
-            hits += lru_touch(s->line, tags, fill, num_sets, ways);
-            if (s->line < s->last)
-                s->line++;
-            else if (++s->rec < s->records)
-                load_record(s, bases, line_shift);
-            else
-                drained = 1;
+        int64_t hits = 0, turns = 0;
+        int drained = 0;
+        while (!drained) {
+            for (int64_t k = 0; k < n; k++) {
+                slot_t *s = &slots[k];
+                touched[s->line] = 1;
+                hits += lru_touch(s->line, tags, fill, num_sets, ways);
+                if (s->line < s->last)
+                    s->line++;
+                else if (++s->rec < s->records)
+                    load_record(s, bases, line_shift);
+                else
+                    drained = 1;
+            }
+            turns++;
         }
-        turns++;
-    }
-    counts[0] += hits;
-    counts[1] += turns * n;
+        counts[0] += hits;
+        counts[1] += turns * n;
 
-    int64_t left = 0;
-    for (int64_t k = 0; k < n; k++) {
-        if (slots[k].rec < slots[k].records) {
-            slots[left] = slots[k];
-            slots[left].origin = k;
-            left++;
-        }
+        int64_t left = 0;
+        for (int64_t k = 0; k < n; k++)
+            if (slots[k].rec < slots[k].records)
+                slots[left++] = slots[k];
+        n = left;
     }
-    return left;
 }

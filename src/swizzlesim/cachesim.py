@@ -17,13 +17,14 @@ buffer or ends past it raises ``SimulationError``, as does a record of length
 zero or less.
 
 Each XCD's pass runs in a small C kernel, ``_lru.c`` beside this module,
-whose one entry point is ``xcd_drain``. It holds the resident slots, each
-pointing at one workgroup's raw record arrays: it checks each newly loaded
-slot's records against the buffer bounds, expands records into line touches
-on the fly, marks the touched-line bitmap and updates the LRU rows, one touch
-per slot per turn, until a slot drains. It then moves the survivors to the
-front and returns; Python loads the next launch pids' streams after them and
-calls again, so there is one foreign call per drain event, not per touch.
+whose one entry point is ``xcd_drain``. It takes a queue of one XCD's
+workgroups of one wave, in launch order, each row the addresses of a
+workgroup's raw record arrays and its record count. It loads the resident
+slots from the queue, checking each row's records against the buffer bounds,
+expands records into line touches on the fly, marks the touched-line bitmap
+and updates the LRU rows, one touch per slot per turn, and refills a drained
+slot after the survivors. A materialized trace keeps every member's row, so
+a wave is one foreign call; a lazy trace is fed a stream per free slot.
 ``_run_native`` owns each XCD's tag rows and fill counts for the whole pass.
 
 The first cache built in a process compiles the kernel with ``gcc`` into
@@ -137,10 +138,10 @@ def _load_kernel():
         reason = str(exc)
     else:
         c_ptr, c_i64 = ctypes.c_void_p, ctypes.c_int64
-        # slots, n, loaded, bases, lengths, num_buffers, line_shift, touched,
-        # counts, tags, fill, num_sets, ways
-        kernel.xcd_drain.argtypes = [c_ptr, c_i64, c_i64, c_ptr, c_ptr, c_i64, c_i64,
-                                     c_ptr, c_ptr, c_ptr, c_ptr, c_i64, c_i64]
+        # slots, capacity, loaded, queue, rows, more, bases, lengths, num_buffers,
+        # line_shift, touched, counts, tags, fill, num_sets, ways
+        kernel.xcd_drain.argtypes = [c_ptr, c_i64, c_i64, c_ptr, c_i64, c_i64, c_ptr, c_ptr,
+                                     c_i64, c_i64, c_ptr, c_ptr, c_ptr, c_ptr, c_i64, c_i64]
         kernel.xcd_drain.restype = c_i64
         return kernel
     warnings.warn(f"native LRU kernel unavailable, using the Python LRU: {reason}",
@@ -262,8 +263,7 @@ def _run_python(
     return hits, accesses
 
 
-_SLOT_WORDS = 8  # one slot_t of _lru.c: bufs, offs, lens, records, rec, line, last, origin
-_ORIGIN = 7
+_SLOT_WORDS = 7  # one slot_t of _lru.c: bufs, offs, lens, records, rec, line, last
 
 
 def _run_native(
@@ -273,42 +273,41 @@ def _run_native(
     """(hits, touches) of one XCD, all waves, in the kernel's ``xcd_drain``.
 
     The XCD's tag rows (``ways`` line ids per set, most recently used first)
-    and fill counts live here and persist across waves. The kernel runs the
-    resident slots until one drains and returns the survivors, moved to the
-    front; the next launch pids' streams are loaded after them and the
-    kernel is called again, so there is one call per drain, not per touch.
-    ``resident`` holds each slot's (pid, arrays) so that the arrays the
-    kernel reads stay alive while the slot is resident.
+    and fill counts live here and persist across waves. On a materialized
+    trace a wave is one queue, indexed from ``trace.queue_rows``, and one
+    call. A lazy trace's streams are read as many at a time as there are
+    free slots, so that no more streams are held than slots, and the kernel
+    returns for each next batch; ``live`` keeps the streams that resident
+    slots point into, keyed by their slot words 0-2 (the array addresses).
     """
     num_sets, ways = arch.num_sets, arch.l2_associativity
     tags = np.zeros(num_sets * ways, dtype=np.int64)
     fill = np.zeros(num_sets, dtype=np.int32)
-    table = np.zeros((slots, _SLOT_WORDS), dtype=np.int64)
+    resident = np.zeros((slots, _SLOT_WORDS), dtype=np.int64)
     counts = np.zeros(2, dtype=np.int64)  # hits, touches
     lengths = trace.buffer_lengths
-    slots_ptr = table.ctypes.data
     fixed = (trace.base_offsets.ctypes.data, lengths.ctypes.data, len(lengths),
              arch.l2_line_bytes.bit_length() - 1, touched.ctypes.data, counts.ctypes.data,
              tags.ctypes.data, fill.ctypes.data, num_sets, ways)
+
+    rows = trace.queue_rows
     for wave, pids in enumerate(waves):
-        resident: list[tuple[int, tuple[np.ndarray, ...]]] = []
-        queue = iter(pids)
-        while True:
-            loaded = len(resident)
-            while len(resident) < slots and (pid := next(queue, None)) is not None:
-                stream = trace.stream(pid, wave)
-                if len(stream):
-                    arrays = (np.ascontiguousarray(stream.bufs, dtype=np.int32),
-                              np.ascontiguousarray(stream.offs, dtype=np.int64),
-                              np.ascontiguousarray(stream.lens, dtype=np.int64))
-                    table[len(resident), :4] = (*(a.ctypes.data for a in arrays), len(stream))
-                    resident.append((pid, arrays))
-            if not resident:
-                break
-            left = kernel.xcd_drain(slots_ptr, len(resident), loaded, *fixed)
+        left, live, start = 0, {}, 0
+        while start < len(pids):
+            batch = pids[start:len(pids) if rows is not None else start + slots - left]
+            start += len(batch)
+            if rows is not None:
+                queue = rows[wave][batch]
+            else:
+                streams = [trace.stream(pid, wave) for pid in batch]
+                queue = np.array([s.queue_row() for s in streams], dtype=np.int64)
+                live.update(zip(map(tuple, queue[:, :3].tolist()), streams))
+                del streams  # the drained ones free as soon as the kernel returns
+            left = kernel.xcd_drain(resident.ctypes.data, slots, left, queue.ctypes.data,
+                                    len(queue), start < len(pids), *fixed)
             if left < 0:
-                raise _bad_record(trace, resident[-left - 1][0], wave)
-            resident = [resident[k] for k in table[:left, _ORIGIN].tolist()]
+                raise _bad_record(trace, batch[-left - 1], wave)
+            live = {key: live[key] for key in map(tuple, resident[:left, :3].tolist())}
     return int(counts[0]), int(counts[1])
 
 
@@ -316,9 +315,13 @@ def simulate(
     trace: AccessTrace,
     pattern: SwizzlePattern,
     arch: ArchSpec,
+    *,
+    table: np.ndarray | None = None,
 ) -> BottleneckReport:
-    """Run the trace under a swizzle pattern; the pattern is validated first."""
-    table = validated_remap_table(pattern, trace.grid, arch)
+    """Run the trace under a swizzle pattern; the pattern is validated first,
+    unless the caller passes its ``validated_remap_table`` as ``table``."""
+    if table is None:
+        table = validated_remap_table(pattern, trace.grid, arch)
     num_xcds = arch.num_xcds
     slots = concurrent_slots_per_xcd(arch)
     end = max((b.base_offset + b.length_bytes for b in trace.buffers), default=0)

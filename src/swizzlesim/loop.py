@@ -13,6 +13,10 @@ summary and every candidate's simulation read the kept streams instead of
 calling the kernel's stream function again. A trace too large for the
 budget stays lazy, with identical results.
 
+Each candidate is validated once, and each distinct remap table simulated
+once: a new expression with an earlier table reuses that report under its
+own pattern name, exactly the report a simulation would return.
+
 Proposers are pluggable: a deterministic parametric search, or a
 completion-service call that reads the rendered hardware context and
 returns a structured proposal (with replayable fixtures for offline runs).
@@ -20,8 +24,9 @@ returns a structured proposal (with replayable fixtures for offline runs).
 
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
@@ -39,6 +44,7 @@ from .patterns import (
     builtin_pattern,
     pattern_from_expr,
     pattern_to_dict,
+    validated_remap_table,
 )
 from .promptio import ProposalParseError, build_prompt, parse_proposal
 from .records import from_dict, to_dict
@@ -207,10 +213,22 @@ def optimize(
 
     entries: list[HistoryEntry] = []
     reports_by_expr: dict[str, tuple[ValidationResult, BottleneckReport | None]] = {}
+    reports_by_table: dict[bytes, BottleneckReport] = {}  # by SHA-256 of the table
+
+    def evaluate(pattern: SwizzlePattern) -> tuple[ValidationResult, BottleneckReport | None]:
+        try:
+            table = validated_remap_table(pattern, grid, arch)
+        except NonBijectiveError as exc:
+            return exc.result, None
+        except (dsl.EvalError, PatternError):
+            return ValidationResult.failure(), None
+        key = hashlib.sha256(table.tobytes()).digest()
+        if key not in reports_by_table:
+            reports_by_table[key] = simulate(trace, pattern, arch, table=table)
+        return ValidationResult.success(), replace(reports_by_table[key], pattern=pattern.name)
 
     identity = builtin_pattern("identity", grid, arch)
-    baseline_validation = ValidationResult.success()
-    baseline_report = simulate(trace, identity, arch)
+    baseline_validation, baseline_report = evaluate(identity)
     baseline = HistoryEntry(
         iteration=0,
         pattern=pattern_to_dict(identity),
@@ -262,15 +280,7 @@ def optimize(
             validation, report = reports_by_expr[expr_text]
             diff = f"duplicate of an earlier attempt; expression unchanged: {expr_text}"
         else:
-            # simulate validates the pattern on the same table it runs
-            try:
-                report = simulate(trace, pattern, arch)
-                validation = ValidationResult.success()
-            except NonBijectiveError as exc:
-                report, validation = None, exc.result
-            except (dsl.EvalError, PatternError):
-                report, validation = None, ValidationResult.failure()
-            reports_by_expr[expr_text] = (validation, report)
+            validation, report = reports_by_expr[expr_text] = evaluate(pattern)
             diff = f"expression: {best_expr} -> {expr_text}"
 
         entry = HistoryEntry(

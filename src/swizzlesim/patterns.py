@@ -26,6 +26,8 @@ Closed forms used by the built-ins, with ``X = num_xcds``, ``T = total``:
 
 from __future__ import annotations
 
+import functools
+
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -327,20 +329,25 @@ def check_bijectivity(
     return _check_images(remap_table(pattern, grid, arch), grid.total_blocks)
 
 
+@functools.lru_cache(maxsize=1)
+def _pid_ints(total: int) -> tuple[int, ...]:
+    """One shared int per pid, so that a kept history holds no fresh ints."""
+    return tuple(range(total))
+
+
 def _check_images(images: np.ndarray, total: int) -> ValidationResult:
     in_range = (images >= 0) & (images < total)
-    out_of_range = tuple(int(p) for p in np.nonzero(~in_range)[0])
+    pid_int = _pid_ints(total).__getitem__
+    out_of_range = tuple(map(pid_int, np.nonzero(~in_range)[0].tolist()))
 
-    collisions: list[tuple[int, int, int]] = []
     valid_images = images[in_range]
     valid_pids = np.nonzero(in_range)[0]
     order = np.argsort(valid_images, kind="stable")
     sorted_imgs = valid_images[order]
     dup_at = np.nonzero(sorted_imgs[1:] == sorted_imgs[:-1])[0]
-    for idx in dup_at:
-        a = int(valid_pids[order[idx]])
-        b = int(valid_pids[order[idx + 1]])
-        collisions.append((a, b, int(sorted_imgs[idx])))
+    # (pid, next pid, shared image) per adjacent pair of equal images
+    collisions = tuple(zip(*(map(pid_int, column.tolist()) for column in (
+        valid_pids[order[dup_at]], valid_pids[order[dup_at + 1]], sorted_imgs[dup_at]))))
 
     covered = np.zeros(total, dtype=bool)
     covered[valid_images] = True
@@ -349,7 +356,7 @@ def _check_images(images: np.ndarray, total: int) -> ValidationResult:
     return ValidationResult(
         bijective=bijective,
         out_of_range=out_of_range,
-        collisions=tuple(collisions),
+        collisions=collisions,
         coverage_ok=coverage_ok,
     )
 

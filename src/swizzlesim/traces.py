@@ -9,8 +9,8 @@ Workgroup streams come from a stream function per trace, lazily, because
 desk-scale kernels can reach tens of millions of records: simulating a lazy
 trace holds only the streams of currently-resident workgroups. Where one
 trace is read many times (the optimization loop), ``materialize`` reads each
-stream once and keeps it; a trace whose kept streams would pass
-``RECORD_TABLE_BYTES`` stays lazy.
+stream once and keeps it, with the native kernel's queue row of each; a
+trace whose kept streams would pass ``RECORD_TABLE_BYTES`` stays lazy.
 
 Multi-phase kernels are modeled as waves: each wave is one dispatch over
 the same launch grid, and all workgroups of a wave finish before the next
@@ -47,18 +47,23 @@ class AccessRecord:
 
 
 class Stream:
-    """Columnar record list for one workgroup in one wave."""
+    """Columnar record list for one workgroup in one wave; the columns are
+    C-contiguous, so the native kernel can read them by address."""
 
     __slots__ = ("bufs", "offs", "lens", "writes")
 
     def __init__(self, bufs, offs, lens, writes):
-        self.bufs = np.asarray(bufs, dtype=np.int32)
-        self.offs = np.asarray(offs, dtype=np.int64)
-        self.lens = np.asarray(lens, dtype=np.int64)
-        self.writes = np.asarray(writes, dtype=bool)
+        self.bufs = np.ascontiguousarray(bufs, dtype=np.int32)
+        self.offs = np.ascontiguousarray(offs, dtype=np.int64)
+        self.lens = np.ascontiguousarray(lens, dtype=np.int64)
+        self.writes = np.ascontiguousarray(writes, dtype=bool)
 
     def __len__(self) -> int:
         return len(self.offs)
+
+    def queue_row(self) -> tuple[int, int, int, int]:
+        """The kernel's queue row, valid while this stream's columns live."""
+        return self.bufs.ctypes.data, self.offs.ctypes.data, self.lens.ctypes.data, len(self)
 
     @classmethod
     def empty(cls) -> "Stream":
@@ -119,8 +124,10 @@ class AccessTrace:
         buffers: Sequence[Buffer],
         stream_fn: StreamFn,
         wave_pids: Sequence[np.ndarray] | None = None,
+        queue_rows: np.ndarray | None = None,
     ):
         self.kernel = kernel
+        self.queue_rows = queue_rows  # see ``materialize``
         self.grid = grid
         self.buffers = tuple(buffers)
         self._stream_fn = stream_fn
@@ -175,13 +182,17 @@ def materialize(trace: AccessTrace) -> AccessTrace:
 
     The returned trace's stream function hands out each member's own
     ``Stream``, its columns made read-only, and falls through to the original
-    stream function for a pid that is no member of the wave. Reading stops as
-    soon as the kept streams pass ``RECORD_TABLE_BYTES``, and ``trace``
-    itself is returned.
+    stream function for a pid that is no member of the wave. Its
+    ``queue_rows``, one (waves, total, 4) array, hold each member's
+    ``Stream.queue_row`` (zeros for a non-member), so a simulation builds
+    each queue with one index. Reading stops as soon as the kept streams,
+    their lookup lists and the queue rows pass ``RECORD_TABLE_BYTES``, and
+    ``trace`` itself is returned.
     """
     total = trace.grid.total_blocks
-    size = 8 * trace.num_waves * total  # the lookup lists
+    size = 40 * trace.num_waves * total  # the lookup lists and the queue rows
     memo: list[list[Stream | None]] = [[None] * total for _ in trace.wave_pids]
+    rows = np.zeros((trace.num_waves, total, 4), dtype=np.int64)
     for wave, pids in enumerate(trace.wave_pids):
         for pid in pids.tolist():
             s = trace.stream(pid, wave)
@@ -192,13 +203,14 @@ def materialize(trace: AccessTrace) -> AccessTrace:
             for column in columns:
                 column.flags.writeable = False
             memo[wave][pid] = s
+            rows[wave, pid] = s.queue_row()
     lazy = trace._stream_fn
 
     def stream(wave: int, pid: int) -> Stream:
         s = memo[wave][pid]
         return lazy(wave, pid) if s is None else s
 
-    return AccessTrace(trace.kernel, trace.grid, trace.buffers, stream, trace.wave_pids)
+    return AccessTrace(trace.kernel, trace.grid, trace.buffers, stream, trace.wave_pids, rows)
 
 
 def records_outside(stream: Stream, lengths: np.ndarray) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -266,6 +267,59 @@ def test_optimize_reads_each_stream_once(tmp_path, monkeypatch):
         optimize(spec, MI300X_LIKE, SearchProposer(), max_iters=6, history_sink=sink)
     assert min(calls.values()) > 1
     assert (tmp_path / "lazy.jsonl").read_bytes() == (tmp_path / "table.jsonl").read_bytes()
+
+
+# The SHA-256 of history.jsonl from a 10-iteration search on softmax rows=1024:
+# 7 valid members, 6 of whose tables are distinct or repeat the baseline's,
+# and 3 rejected members. Taken before the loop reused reports by table.
+GOLDEN_HISTORY_DIGEST = "9d558fa2f30c1b274a00c33a40094567f0e66bee79a428a5dbfb1869f258906b"
+
+
+def test_golden_history_digest(tmp_path):
+    path = tmp_path / "history.jsonl"
+    with JsonlHistorySink(path) as sink:
+        optimize(spec_with_size("softmax", 1024), MI300X_LIKE, SearchProposer(), max_iters=10,
+                 history_sink=sink)
+    entries = load_history(path)
+    assert [e.report is None for e in entries].count(True) == 3
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_HISTORY_DIGEST
+
+
+class NamedProposer:
+    def __init__(self, named):
+        self.named = list(named)
+
+    def propose(self, ctx):
+        if not self.named:
+            raise NoMoreCandidates("done")
+        return Proposal(pattern=pattern_from_expr(*self.named.pop(0)))
+
+
+def test_each_distinct_table_is_simulated_once(monkeypatch):
+    simulated = []
+    real = loop.simulate
+
+    def counting(trace, pattern, arch, **kwargs):
+        simulated.append(pattern.name)
+        return real(trace, pattern, arch, **kwargs)
+
+    monkeypatch.setattr(loop, "simulate", counting)
+    entries = []
+    # SMALL_GEMM has 80 blocks; the last member rotates the second half, so
+    # its table differs from the identity's only from pid 40 on
+    half_rotated = "(1 - pid // 40) * pid + (pid // 40) * (40 + (pid + 1) % 40)"
+    proposer = NamedProposer([("first", CONTIGUOUS_EXPR), ("second", f"({CONTIGUOUS_EXPR}) + 0"),
+                              ("same_as_identity", "pid * 1"), ("invalid", "pid % 7"),
+                              ("half_rotated", half_rotated)])
+    optimize(SMALL_GEMM, MI300X_LIKE, proposer, max_iters=5, history_sink=entries)
+    assert simulated == ["identity", "first", "half_rotated"]
+    assert [e.report.pattern if e.report else None for e in entries] == [
+        "identity", "first", "second", "same_as_identity", None, "half_rotated"]
+    assert [e.diff_summary.startswith("expression: ") for e in entries[1:]] == [True] * 5
+    trace = generate_trace(SMALL_GEMM)
+    for e in entries[2:4]:
+        assert e.report == real(trace, pattern_from_expr(e.pattern["name"], e.pattern["expr"]),
+                                MI300X_LIKE)
 
 
 # --- llm proposer ----------------------------------------------------------------

@@ -22,7 +22,7 @@ from swizzlesim.patterns import (
     builtin_pattern,
     pattern_from_expr,
 )
-from swizzlesim.traces import AccessTrace, Stream, make_buffers
+from swizzlesim.traces import AccessTrace, Stream, make_buffers, materialize
 
 from conftest import ReferenceLru, arch_with_xcds
 
@@ -167,6 +167,7 @@ def test_native_pass_matches_python_pass(native, run):
     with _python_pass():
         want = simulate(trace, pattern, arch)
     assert got == want
+    assert simulate(materialize(trace), pattern, arch) == want  # one queue per wave
 
     line = arch.l2_line_bytes
     expanded = [
@@ -179,39 +180,105 @@ def test_native_pass_matches_python_pass(native, run):
     assert got.unique_lines_touched == len(set(expanded))
 
 
+class _Xcd:
+    """One XCD's LRU rows, bitmap and counts, driven through ``xcd_drain``."""
+
+    def __init__(self, num_sets, ways, capacity, buffer_bytes, line=128):
+        self.kernel = cachesim._load_kernel()
+        self.tags = np.zeros(num_sets * ways, dtype=np.int64)
+        self.fill = np.zeros(num_sets, dtype=np.int32)
+        self.resident = np.zeros((capacity, cachesim._SLOT_WORDS), dtype=np.int64)
+        self.bases = np.zeros(1, dtype=np.int64)
+        self.lengths = np.array([buffer_bytes], dtype=np.int64)
+        self.touched = np.zeros(-(-buffer_bytes // line), dtype=bool)
+        self.counts = np.zeros(2, dtype=np.int64)  # hits, touches
+        self.shape = (capacity, line.bit_length() - 1, num_sets, ways)
+
+    def drain(self, loaded, streams, more):
+        capacity, shift, num_sets, ways = self.shape
+        queue = np.array([s.queue_row() for s in streams], dtype=np.int64).reshape(-1, 4)
+        return self.kernel.xcd_drain(
+            self.resident.ctypes.data, capacity, loaded, queue.ctypes.data, len(queue), more,
+            self.bases.ctypes.data, self.lengths.ctypes.data, 1, shift,
+            self.touched.ctypes.data, self.counts.ctypes.data, self.tags.ctypes.data,
+            self.fill.ctypes.data, num_sets, ways)
+
+
+def _one_line_records(*lines):
+    return Stream(np.zeros(len(lines), dtype=np.int32), np.array(lines, dtype=np.int64) * 128,
+                  np.ones(len(lines), dtype=np.int64), np.zeros(len(lines), dtype=bool))
+
+
 def test_xcd_drain_moves_survivors_to_the_front_in_order(native):
-    # five workgroups of 3, 1, 2, 1 and 3 one-line records, all on lines 0, 1, 2
-    kernel = cachesim._load_kernel()
-    tags = np.zeros((4, 2), dtype=np.int64)  # 4 sets of 2 ways
-    fill = np.zeros(4, dtype=np.int32)
+    # 3 slots; workgroups a-e of 3, 1, 2, 1 and 3 one-line records on distinct
+    # lines, and an empty one the queue skips. One set of 16 ways keeps every
+    # line, so its tag row is the touch order reversed.
+    a, b, c, d, e = (_one_line_records(0, 1, 2), _one_line_records(3),
+                     _one_line_records(4, 5), _one_line_records(6), _one_line_records(7, 8, 9))
+    xcd = _Xcd(num_sets=1, ways=16, capacity=3, buffer_bytes=1280)
+    # turn 1 touches a, b, c; b drains and d refills after the survivors a, c;
+    # turn 2 touches a, c, d; c and d drain, e refills after a, and the call
+    # returns with a slot free and the queue empty
+    assert xcd.drain(0, [a, b, Stream.empty(), c, d, e], True) == 2
+    assert xcd.resident[:2, 1].tolist() == [a.offs.ctypes.data, e.offs.ctypes.data]
+    assert xcd.drain(2, [], False) == 0
+    touch_order = [0, 3, 4, 1, 5, 6, 2, 7, 8, 9]
+    assert xcd.tags.tolist() == touch_order[::-1] + [0] * 6
+    assert xcd.counts.tolist() == [0, 10]
+    assert xcd.touched.all()
+
+    # the whole queue in one call runs the same touches
+    whole = _Xcd(num_sets=1, ways=16, capacity=3, buffer_bytes=1280)
+    assert whole.drain(0, [a, b, Stream.empty(), c, d, e], False) == 0
+    assert whole.tags.tolist() == xcd.tags.tolist()
+
+
+@st.composite
+def queues(draw):
+    """One XCD's wave: a cache shape, a slot count, a queue of one-buffer
+    streams of one- and three-line records (some empty) and cut points that
+    split the queue into batches."""
+    ways = draw(st.integers(1, 4))
+    num_sets = draw(st.integers(1, 6))
+    capacity = draw(st.integers(1, 5))
+    buffer_bytes = 128 * draw(st.integers(1, 12))
+    streams = []
+    for _ in range(draw(st.integers(0, 12))):
+        recs = []
+        for _ in range(draw(st.integers(0, 5))):
+            off = draw(st.integers(0, buffer_bytes - 1))
+            recs.append((off, draw(st.integers(1, min(buffer_bytes - off, 3 * 128)))))
+        streams.append(Stream([0] * len(recs), [r[0] for r in recs], [r[1] for r in recs],
+                              [False] * len(recs)))
+    cuts = sorted(draw(st.sets(st.integers(1, max(len(streams) - 1, 1)))))
+    return num_sets, ways, capacity, buffer_bytes, streams, cuts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=queues())
+def test_batched_queue_matches_whole_queue_and_python_pass(native, case):
+    num_sets, ways, capacity, buffer_bytes, streams, cuts = case
+    whole = _Xcd(num_sets, ways, capacity, buffer_bytes)
+    assert whole.drain(0, streams, False) == 0
+
+    batched = _Xcd(num_sets, ways, capacity, buffer_bytes)
+    bounds = [0, *(cut for cut in cuts if cut < len(streams)), len(streams)]
+    left = 0
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        left = batched.drain(left, streams[lo:hi], k < len(bounds) - 2)
+        assert left >= 0
+    assert left == 0
+    assert batched.counts.tolist() == whole.counts.tolist()
+    assert batched.touched.tolist() == whole.touched.tolist()
+
+    lru = SetAssocLru(num_sets, ways)
     bases = np.zeros(1, dtype=np.int64)
-    lengths = np.array([1024], dtype=np.int64)
-    touched = np.zeros(8, dtype=bool)
-    counts = np.zeros(2, dtype=np.int64)
-    offs = [np.arange(n, dtype=np.int64) * 128 for n in (3, 1, 2, 1, 3)]
-    bufs = [np.zeros(len(o), dtype=np.int32) for o in offs]
-    lens = [np.ones(len(o), dtype=np.int64) for o in offs]
-    table = np.zeros((5, cachesim._SLOT_WORDS), dtype=np.int64)
-    for k, arrays in enumerate(zip(bufs, offs, lens)):
-        table[k, :4] = (*(a.ctypes.data for a in arrays), len(arrays[0]))
-
-    def drain(n, loaded):
-        return kernel.xcd_drain(table.ctypes.data, n, loaded, bases.ctypes.data,
-                                lengths.ctypes.data, 1, 7, touched.ctypes.data,
-                                counts.ctypes.data, tags.ctypes.data, fill.ctypes.data, 4, 2)
-
-    assert drain(5, 0) == 3
-    assert table[:3, cachesim._ORIGIN].tolist() == [0, 2, 4]
-    assert table[:3, 1].tolist() == [offs[k].ctypes.data for k in (0, 2, 4)]
-    assert drain(3, 3) == 2
-    assert table[:2, cachesim._ORIGIN].tolist() == [0, 2]
-    assert table[:2, 1].tolist() == [offs[k].ctypes.data for k in (0, 4)]
-    assert drain(2, 2) == 0
-    assert counts.tolist() == [7, 10]  # 3 cold misses of 10 touches
-    assert touched.tolist() == [True] * 3 + [False] * 5
-    # lines 0, 1 and 2 each fill the first way of their own set
-    assert fill.tolist() == [1, 1, 1, 0]
-    assert tags[:3, 0].tolist() == [0, 1, 2]
+    lines = (cachesim._expand_lines(s, bases, 128) for s in streams)
+    hits = touches = 0
+    for chunk in cachesim._interleave(lines, capacity):
+        hits += lru.access_many(chunk)[0]
+        touches += len(chunk)
+    assert whole.counts.tolist() == [hits, touches]
 
 
 def test_kernel_builds_with_strict_warnings(native, tmp_path):
@@ -245,9 +312,11 @@ def test_out_of_bounds_record_names_its_workgroup_and_wave(native, bad, kind):
     pattern = builtin_pattern("identity", trace.grid, arch)
     with pytest.raises(SimulationError) as native_exc:
         simulate(trace, pattern, arch)
+    with pytest.raises(SimulationError) as kept_exc:
+        simulate(materialize(trace), pattern, arch)
     with _python_pass(), pytest.raises(SimulationError) as python_exc:
         simulate(trace, pattern, arch)
-    assert str(native_exc.value) == str(python_exc.value)
+    assert str(native_exc.value) == str(kept_exc.value) == str(python_exc.value)
     assert f"workgroup {bad} in wave 1" in str(native_exc.value)
 
 
