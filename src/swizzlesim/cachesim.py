@@ -277,7 +277,7 @@ def _run_native(
     trace a wave is one queue, indexed from ``trace.queue_rows``, and one
     call. A lazy trace's streams are read as many at a time as there are
     free slots, so that no more streams are held than slots, and the kernel
-    returns for each next batch; ``live`` keeps the streams that resident
+    returns for each next batch; ``live`` keeps the arrays that resident
     slots point into, keyed by their slot words 0-2 (the array addresses).
     """
     num_sets, ways = arch.num_sets, arch.l2_associativity
@@ -301,7 +301,8 @@ def _run_native(
             else:
                 streams = [trace.stream(pid, wave) for pid in batch]
                 queue = np.array([s.queue_row() for s in streams], dtype=np.int64)
-                live.update(zip(map(tuple, queue[:, :3].tolist()), streams))
+                live.update(zip(map(tuple, queue[:, :3].tolist()),
+                                ((s.bufs, s.offs, s.lens) for s in streams)))
                 del streams  # the drained ones free as soon as the kernel returns
             left = kernel.xcd_drain(resident.ctypes.data, slots, left, queue.ctypes.data,
                                     len(queue), start < len(pids), *fixed)

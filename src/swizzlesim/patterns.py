@@ -337,17 +337,17 @@ def _pid_ints(total: int) -> tuple[int, ...]:
 
 def _check_images(images: np.ndarray, total: int) -> ValidationResult:
     in_range = (images >= 0) & (images < total)
-    pid_int = _pid_ints(total).__getitem__
-    out_of_range = tuple(map(pid_int, np.nonzero(~in_range)[0].tolist()))
-
     valid_images = images[in_range]
     valid_pids = np.nonzero(in_range)[0]
     order = np.argsort(valid_images, kind="stable")
     sorted_imgs = valid_images[order]
     dup_at = np.nonzero(sorted_imgs[1:] == sorted_imgs[:-1])[0]
-    # (pid, next pid, shared image) per adjacent pair of equal images
-    collisions = tuple(zip(*(map(pid_int, column.tolist()) for column in (
-        valid_pids[order[dup_at]], valid_pids[order[dup_at + 1]], sorted_imgs[dup_at]))))
+    # out-of-range pids; (pid, next pid, shared image) per adjacent pair of equal images
+    out_of_range, first, second, image = (
+        tuple(map(_pid_ints(total).__getitem__, column.tolist())) if len(column) else ()
+        for column in (np.nonzero(~in_range)[0], valid_pids[order[dup_at]],
+                       valid_pids[order[dup_at + 1]], sorted_imgs[dup_at]))
+    collisions = tuple(zip(first, second, image))
 
     covered = np.zeros(total, dtype=bool)
     covered[valid_images] = True

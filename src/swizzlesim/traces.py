@@ -47,8 +47,7 @@ class AccessRecord:
 
 
 class Stream:
-    """Columnar record list for one workgroup in one wave; the columns are
-    C-contiguous, so the native kernel can read them by address."""
+    """Columnar record list for one workgroup in one wave, in C-contiguous columns."""
 
     __slots__ = ("bufs", "offs", "lens", "writes")
 
@@ -182,12 +181,11 @@ def materialize(trace: AccessTrace) -> AccessTrace:
 
     The returned trace's stream function hands out each member's own
     ``Stream``, its columns made read-only, and falls through to the original
-    stream function for a pid that is no member of the wave. Its
-    ``queue_rows``, one (waves, total, 4) array, hold each member's
-    ``Stream.queue_row`` (zeros for a non-member), so a simulation builds
-    each queue with one index. Reading stops as soon as the kept streams,
-    their lookup lists and the queue rows pass ``RECORD_TABLE_BYTES``, and
-    ``trace`` itself is returned.
+    stream function for a pid that is no member of the wave. Its (waves,
+    total, 4) ``queue_rows`` hold each member's ``Stream.queue_row``, so a
+    simulation builds each queue with one index. Reading stops as soon as
+    the kept streams, their lookup lists and the queue rows pass
+    ``RECORD_TABLE_BYTES``, and ``trace`` itself is returned.
     """
     total = trace.grid.total_blocks
     size = 40 * trace.num_waves * total  # the lookup lists and the queue rows
