@@ -24,7 +24,9 @@ slots from the queue, checking each row's records against the buffer bounds,
 expands records into line touches on the fly, marks the touched-line bitmap
 and updates the LRU rows, one touch per slot per turn, and refills a drained
 slot after the survivors. A materialized trace keeps every member's row, so
-a wave is one foreign call; a lazy trace is fed a stream per free slot.
+a wave is one foreign call. A lazy trace fills the free slots with one batch
+of exactly the workgroups that fit, each row pointing into it, and keeps a
+batch only while one of its workgroups is resident.
 ``_run_native`` owns each XCD's tag rows and fill counts for the whole pass.
 
 The first cache built in a process compiles the kernel with ``gcc`` into
@@ -240,7 +242,7 @@ def _bad_record(trace: AccessTrace, pid: int, wave: int) -> SimulationError:
 
 
 def _run_python(
-    trace: AccessTrace, waves: list[list[int]], arch: ArchSpec, slots: int,
+    trace: AccessTrace, waves: list[np.ndarray], arch: ArchSpec, slots: int,
     touched: np.ndarray,
 ) -> tuple[int, int]:
     """(hits, touches) of one XCD: ``_interleave`` over expanded lines, per wave,
@@ -267,7 +269,7 @@ _SLOT_WORDS = 7  # one slot_t of _lru.c: bufs, offs, lens, records, rec, line, l
 
 
 def _run_native(
-    kernel, trace: AccessTrace, waves: list[list[int]], arch: ArchSpec, slots: int,
+    kernel, trace: AccessTrace, waves: list[np.ndarray], arch: ArchSpec, slots: int,
     touched: np.ndarray,
 ) -> tuple[int, int]:
     """(hits, touches) of one XCD, all waves, in the kernel's ``xcd_drain``.
@@ -275,10 +277,10 @@ def _run_native(
     The XCD's tag rows (``ways`` line ids per set, most recently used first)
     and fill counts live here and persist across waves. On a materialized
     trace a wave is one queue, indexed from ``trace.queue_rows``, and one
-    call. A lazy trace's streams are read as many at a time as there are
-    free slots, so that no more streams are held than slots, and the kernel
-    returns for each next batch; ``live`` keeps the arrays that resident
-    slots point into, keyed by their slot words 0-2 (the array addresses).
+    call. On a lazy trace the free slots are filled by one batch of exactly
+    the pids that fit, and the kernel returns for each next batch; ``live``
+    keeps each batch, with its offs column's address range, while a resident
+    slot's offs address (slot word 1) lies in it.
     """
     num_sets, ways = arch.num_sets, arch.l2_associativity
     tags = np.zeros(num_sets * ways, dtype=np.int64)
@@ -292,23 +294,24 @@ def _run_native(
 
     rows = trace.queue_rows
     for wave, pids in enumerate(waves):
-        left, live, start = 0, {}, 0
+        left, live, start = 0, [], 0
         while start < len(pids):
             batch = pids[start:len(pids) if rows is not None else start + slots - left]
             start += len(batch)
             if rows is not None:
                 queue = rows[wave][batch]
             else:
-                streams = [trace.stream(pid, wave) for pid in batch]
-                queue = np.array([s.queue_row() for s in streams], dtype=np.int64)
-                live.update(zip(map(tuple, queue[:, :3].tolist()),
-                                ((s.bufs, s.offs, s.lens) for s in streams)))
-                del streams  # the drained ones free as soon as the kernel returns
+                records = trace.batch(wave, batch)
+                queue = records.queue_rows()
+                lo = records.offs.ctypes.data
+                live.append((records, lo, lo + records.offs.nbytes))
+                del records
             left = kernel.xcd_drain(resident.ctypes.data, slots, left, queue.ctypes.data,
                                     len(queue), start < len(pids), *fixed)
             if left < 0:
                 raise _bad_record(trace, batch[-left - 1], wave)
-            live = {key: live[key] for key in map(tuple, resident[:left, :3].tolist())}
+            held = resident[:left, 1]
+            live = [entry for entry in live if ((held >= entry[1]) & (held < entry[2])).any()]
     return int(counts[0]), int(counts[1])
 
 
@@ -338,7 +341,7 @@ def simulate(
     run = _run_python if kernel is None else functools.partial(_run_native, kernel)
     per_xcd: list[XcdStats] = []
     for xcd in range(num_xcds):
-        waves = [table[launch[launch % num_xcds == xcd]].tolist() for launch in wave_launch]
+        waves = [table[launch[launch % num_xcds == xcd]] for launch in wave_launch]
         hits, accesses = run(trace, waves, arch, slots, touched)
         rate = hits / accesses if accesses else 0.0
         per_xcd.append(XcdStats(accesses=accesses, hits=hits, misses=accesses - hits,

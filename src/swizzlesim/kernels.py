@@ -26,6 +26,12 @@ the memory behavior of straightforward tiled kernels:
   (neighbor rows) and one-column halos (neighbor columns); the same tile
   stream as fdtd2d, in one wave.
 
+A generator returns a trace whose batch function builds the streams of an
+array of workgroups at once (see ``traces``). Each stream is a few segments,
+each a run of records of one buffer at a fixed stride whose start, length
+and count depend on the workgroup's tile, and ``_segments`` expands them for
+every pid of a batch with a handful of numpy calls.
+
 Each kind is one entry of the registry ``_KINDS`` at the bottom of this
 module: its generator, default dims, launch-grid axes, the dims that
 ``spec_with_size`` sets and the builtin that ``swizzlesim simulate`` uses
@@ -42,7 +48,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .patterns import GridSpec
-from .traces import AccessTrace, Stream, make_buffers, seg_elements, seg_rows, seg_single
+from .traces import AccessTrace, Batch, make_buffers, sequences
 
 
 class KernelSpecError(ValueError):
@@ -75,10 +81,6 @@ class KernelSpec:
 
     def block(self, name: str) -> int:
         return self.block_dims[name]
-
-
-def _cdiv(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 def default_spec(kind: str) -> KernelSpec:
@@ -115,15 +117,40 @@ def generate_trace(spec: KernelSpec) -> AccessTrace:
 
 
 # ---------------------------------------------------------------------------
-# Generators: (spec, launch grid) -> trace
+# Generators: (spec, launch grid) -> trace, whose batch function maps
+# (wave, logical pids) to their streams
 # ---------------------------------------------------------------------------
 
 
-def _tile_bounds(pid: int, grid: GridSpec, bm: int, bn: int, m: int, n: int):
-    tm, tn = divmod(pid, grid.num_blocks_n)
+def _segments(shape: tuple[int, ...], *segments) -> Batch:
+    """The batch whose streams are laid out by ``segments``.
+
+    A segment is (buf, start, stride, length, count, write): ``count`` records
+    of ``length`` bytes of buffer ``buf`` at ``start + j * stride`` for j = 0,
+    1, .... buf, stride and write are scalars; start, length and count are
+    scalars or arrays that broadcast to ``shape``: (pids,), or (pids, groups)
+    for a kernel that repeats its segments over groups (gemm's K blocks,
+    transpose's rows). A pid's records run by group, then by segment.
+    """
+    table = np.empty((6, *shape, len(segments)), dtype=np.int64)
+    for f, field in enumerate(zip(*segments)):
+        if f in (1, 3, 4):  # start, length and count
+            for s, value in enumerate(field):
+                table[f, ..., s] = value
+        else:
+            table[f] = field
+    per_pid = table[4].sum(axis=tuple(range(1, len(shape) + 1)))
+    buf, start, stride, length, count, write = table.reshape(6, -1)
+    return Batch(buf.astype(np.int32).repeat(count), sequences(start, count, stride),
+                 length.repeat(count), write.astype(bool).repeat(count),
+                 np.concatenate(([0], per_pid.cumsum())))
+
+
+def _tile_bounds(pids: np.ndarray, grid: GridSpec, bm: int, bn: int, m: int, n: int):
+    tm, tn = np.divmod(pids, grid.num_blocks_n)
     r0 = tm * bm
     c0 = tn * bn
-    return r0, min(r0 + bm, m), c0, min(c0 + bn, n)
+    return r0, np.minimum(r0 + bm, m), c0, np.minimum(c0 + bn, n)
 
 
 def _gen_gemm(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
@@ -131,18 +158,20 @@ def _gen_gemm(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
     bm, bn, bk = spec.block("m"), spec.block("n"), spec.block("k")
     es = spec.dtype_bytes
     buffers = make_buffers([("a", m * k * es), ("b", k * n * es), ("c", m * n * es)])
+    k0 = np.arange(0, k, bk)  # one group per K block
+    depth = np.minimum(k0 + bk, k) - k0
 
-    def stream(wave: int, pid: int) -> Stream:
-        r0, r1, c0, c1 = _tile_bounds(pid, grid, bm, bn, m, n)
-        segs = []
-        for kb in range(_cdiv(k, bk)):
-            k0, k1 = kb * bk, min((kb + 1) * bk, k)
-            segs.append(seg_rows(0, (r0 * k + k0) * es, (k1 - k0) * es, k * es, r1 - r0))
-            segs.append(seg_rows(1, (k0 * n + c0) * es, (c1 - c0) * es, n * es, k1 - k0))
-        segs.append(seg_rows(2, (r0 * n + c0) * es, (c1 - c0) * es, n * es, r1 - r0, write=True))
-        return Stream.concat(segs)
+    def batch(wave: int, pids: np.ndarray) -> Batch:
+        r0, r1, c0, c1 = (v[:, None] for v in _tile_bounds(pids, grid, bm, bn, m, n))
+        return _segments(
+            (len(pids), len(k0)),
+            (0, (r0 * k + k0) * es, k * es, depth * es, r1 - r0, False),
+            (1, (k0 * n + c0) * es, n * es, (c1 - c0) * es, depth, False),
+            # the C tile's write, after the last K block
+            (2, (r0 * n + c0) * es, n * es, (c1 - c0) * es, (r1 - r0) * (k0 == k0[-1]), True),
+        )
 
-    return AccessTrace("gemm", grid, buffers, stream)
+    return AccessTrace("gemm", grid, buffers, batch)
 
 
 def _streaming(inputs: tuple[str, ...], outputs: tuple[str, ...]):
@@ -152,15 +181,14 @@ def _streaming(inputs: tuple[str, ...], outputs: tuple[str, ...]):
     def generate(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
         n, bn, es = spec.dim("n"), spec.block("n"), spec.dtype_bytes
         buffers = make_buffers([(name, n * es) for name in inputs + outputs])
-        count = len(buffers)
 
-        def stream(wave: int, pid: int) -> Stream:
-            e0, e1 = pid * bn, min((pid + 1) * bn, n)
-            bufs = np.arange(count)
-            return Stream(bufs, np.full(count, e0 * es), np.full(count, (e1 - e0) * es),
-                          bufs >= len(inputs))
+        def batch(wave: int, pids: np.ndarray) -> Batch:
+            e0 = pids * bn
+            length = (np.minimum(e0 + bn, n) - e0) * es
+            return _segments(pids.shape, *((buf, e0 * es, 0, length, 1, buf >= len(inputs))
+                               for buf in range(len(buffers))))
 
-        return AccessTrace(spec.kind, grid, buffers, stream)
+        return AccessTrace(spec.kind, grid, buffers, batch)
 
     return generate
 
@@ -171,23 +199,19 @@ def _gen_softmax(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
     buffers = make_buffers([("x", rows * cols * es), ("out", rows * cols * es)])
     nchunks = grid.num_blocks_n
 
-    def stream(wave: int, pid: int) -> Stream:
-        r, c = divmod(pid, nchunks)
-        c0, c1 = c * chunk, min((c + 1) * chunk, cols)
+    def batch(wave: int, pids: np.ndarray) -> Batch:
+        r, c = np.divmod(pids, nchunks)
         if wave == 0:
             # reduction pass: every chunk workgroup scans its whole row
-            return seg_single(0, r * cols * es, cols * es)
-        length = (c1 - c0) * es
-        return Stream.concat(
-            [
-                seg_single(0, (r * cols + c0) * es, length),
-                seg_single(1, (r * cols + c0) * es, length, write=True),
-            ]
-        )
+            return _segments(pids.shape, (0, r * cols * es, 0, cols * es, 1, False))
+        c0 = c * chunk
+        start, length = (r * cols + c0) * es, (np.minimum(c0 + chunk, cols) - c0) * es
+        return _segments(pids.shape, (0, start, 0, length, 1, False),
+                         (1, start, 0, length, 1, True))
 
     total = grid.total_blocks
     waves = [np.arange(total), np.arange(total)]
-    return AccessTrace("softmax", grid, buffers, stream, wave_pids=waves)
+    return AccessTrace("softmax", grid, buffers, batch, wave_pids=waves)
 
 
 def _gen_layernorm(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
@@ -198,21 +222,20 @@ def _gen_layernorm(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
     )
     nchunks = grid.num_blocks_n
 
-    def stream(wave: int, pid: int) -> Stream:
-        r, c = divmod(pid, nchunks)
-        c0, c1 = c * chunk, min((c + 1) * chunk, cols)
-        length = (c1 - c0) * es
-        return Stream.concat(
-            [
-                seg_single(0, r * cols * es, cols * es),  # mean/variance scan
-                seg_single(0, (r * cols + c0) * es, length),
-                seg_single(1, c0 * es, length),
-                seg_single(2, c0 * es, length),
-                seg_single(3, (r * cols + c0) * es, length, write=True),
-            ]
+    def batch(wave: int, pids: np.ndarray) -> Batch:
+        r, c = np.divmod(pids, nchunks)
+        c0 = c * chunk
+        length = (np.minimum(c0 + chunk, cols) - c0) * es
+        return _segments(
+            pids.shape,
+            (0, r * cols * es, 0, cols * es, 1, False),  # mean/variance scan
+            (0, (r * cols + c0) * es, 0, length, 1, False),
+            (1, c0 * es, 0, length, 1, False),
+            (2, c0 * es, 0, length, 1, False),
+            (3, (r * cols + c0) * es, 0, length, 1, True),
         )
 
-    return AccessTrace("layernorm", grid, buffers, stream)
+    return AccessTrace("layernorm", grid, buffers, batch)
 
 
 def _gen_spmv(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
@@ -239,27 +262,26 @@ def _gen_spmv(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
         ]
     )
 
-    def stream(wave: int, pid: int) -> Stream:
-        g0, g1 = pid * br, min((pid + 1) * br, rows)
-        p0, p1 = int(row_ptr[g0]), int(row_ptr[g1])
-        # per-row gather of the x band [r-hw, r+hw]
-        gathers = Stream(
-            np.full(g1 - g0, 3, dtype=np.int32),
-            lo[g0:g1] * es,
-            nnz_per_row[g0:g1] * es,
-            np.zeros(g1 - g0, dtype=bool),
+    def batch(wave: int, pids: np.ndarray) -> Batch:
+        g0 = pids * br
+        g1 = np.minimum(g0 + br, rows)
+        p0, p1 = row_ptr[g0], row_ptr[g1]
+        out = _segments(
+            pids.shape,
+            (0, g0 * idx_bytes, 0, (g1 - g0 + 1) * idx_bytes, 1, False),
+            (1, p0 * idx_bytes, 0, (p1 - p0) * idx_bytes, 1, False),
+            (2, p0 * es, 0, (p1 - p0) * es, 1, False),
+            (3, g0, 1, 0, g1 - g0, False),  # one x gather per row; offs hold the row until below
+            (4, g0 * es, 0, (g1 - g0) * es, 1, True),
         )
-        return Stream.concat(
-            [
-                seg_single(0, g0 * idx_bytes, (g1 - g0 + 1) * idx_bytes),
-                seg_single(1, p0 * idx_bytes, (p1 - p0) * idx_bytes),
-                seg_single(2, p0 * es, (p1 - p0) * es),
-                gathers,
-                seg_single(4, g0 * es, (g1 - g0) * es, write=True),
-            ]
-        )
+        # row r gathers the x band [r-hw, r+hw]
+        gather = out.bufs == 3
+        row = out.offs[gather]
+        out.offs[gather] = lo[row] * es
+        out.lens[gather] = nnz_per_row[row] * es
+        return out
 
-    return AccessTrace("spmv_naive", grid, buffers, stream)
+    return AccessTrace("spmv_naive", grid, buffers, batch)
 
 
 def _gen_transpose(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
@@ -267,45 +289,32 @@ def _gen_transpose(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
     bm, bn, es = spec.block("m"), spec.block("n"), spec.dtype_bytes
     buffers = make_buffers([("in", m * n * es), ("out", n * m * es)])
 
-    def stream(wave: int, pid: int) -> Stream:
-        r0, r1, c0, c1 = _tile_bounds(pid, grid, bm, bn, m, n)
-        nr, nc = r1 - r0, c1 - c0
-        # Row i: one coalesced read of the input row followed by the
-        # column-scatter of its transposed elements.
-        width = 1 + nc
-        rows = np.arange(r0, r1, dtype=np.int64)
-        cols = np.arange(c0, c1, dtype=np.int64)
-        offs = np.empty((nr, width), dtype=np.int64)
-        offs[:, 0] = (rows * n + c0) * es
-        offs[:, 1:] = (cols[None, :] * m + rows[:, None]) * es
-        bufs = np.empty((nr, width), dtype=np.int32)
-        bufs[:, 0] = 0
-        bufs[:, 1:] = 1
-        lens = np.full((nr, width), es, dtype=np.int64)
-        lens[:, 0] = nc * es
-        writes = np.ones((nr, width), dtype=bool)
-        writes[:, 0] = False
-        return Stream(bufs.ravel(), offs.ravel(), lens.ravel(), writes.ravel())
+    def batch(wave: int, pids: np.ndarray) -> Batch:
+        r0, r1, c0, c1 = (v[:, None] for v in _tile_bounds(pids, grid, bm, bn, m, n))
+        # One group per tile row: one coalesced read of the input row followed
+        # by the column-scatter of its transposed elements.
+        row = r0 + np.arange(bm)
+        on = row < r1
+        return _segments(row.shape, (0, (row * n + c0) * es, 0, (c1 - c0) * es, on, False),
+                         (1, (c0 * m + row) * es, m * es, es, (c1 - c0) * on, True))
 
-    return AccessTrace("transpose", grid, buffers, stream)
+    return AccessTrace("transpose", grid, buffers, batch)
 
 
-def _tile_stream(src, dst, r0, r1, c0, c1, m, n, es) -> Stream:
-    """A 5-point update of one tile: the ``src`` tile, its one-line row halos
+def _tile_batch(src, dst, r0, r1, c0, c1, m, n, es) -> Batch:
+    """A 5-point update of each tile: the ``src`` tile, its one-line row halos
     and per-element column halos, then the ``dst`` tile's write."""
-    row_bytes = (c1 - c0) * es
-    segs = [seg_rows(src, (r0 * n + c0) * es, row_bytes, n * es, r1 - r0)]
-    if r0 > 0:
-        segs.append(seg_single(src, ((r0 - 1) * n + c0) * es, row_bytes))
-    if r1 < m:
-        segs.append(seg_single(src, (r1 * n + c0) * es, row_bytes))
-    rows = np.arange(r0, r1, dtype=np.int64)
-    if c0 > 0:
-        segs.append(seg_elements(src, (rows * n + c0 - 1) * es, es))
-    if c1 < n:
-        segs.append(seg_elements(src, (rows * n + c1) * es, es))
-    segs.append(seg_rows(dst, (r0 * n + c0) * es, row_bytes, n * es, r1 - r0, write=True))
-    return Stream.concat(segs)
+    row_bytes, nrows = (c1 - c0) * es, r1 - r0
+    corner = (r0 * n + c0) * es  # the tile's first byte
+    return _segments(
+        r0.shape,
+        (src, corner, n * es, row_bytes, nrows, False),
+        (src, corner - n * es, 0, row_bytes, r0 > 0, False),
+        (src, corner + nrows * (n * es), 0, row_bytes, r1 < m, False),
+        (src, corner - es, n * es, es, nrows * (c0 > 0), False),
+        (src, corner + row_bytes, n * es, es, nrows * (c1 < n), False),
+        (dst, corner, n * es, row_bytes, nrows, True),
+    )
 
 
 def _gen_stencil2d(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
@@ -313,10 +322,10 @@ def _gen_stencil2d(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
     bm, bn, es = spec.block("m"), spec.block("n"), spec.dtype_bytes
     buffers = make_buffers([("in", m * n * es), ("out", m * n * es)])
 
-    def stream(wave: int, pid: int) -> Stream:
-        return _tile_stream(0, 1, *_tile_bounds(pid, grid, bm, bn, m, n), m, n, es)
+    def batch(wave: int, pids: np.ndarray) -> Batch:
+        return _tile_batch(0, 1, *_tile_bounds(pids, grid, bm, bn, m, n), m, n, es)
 
-    return AccessTrace("stencil2d", grid, buffers, stream)
+    return AccessTrace("stencil2d", grid, buffers, batch)
 
 
 def _gen_fdtd2d(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
@@ -324,12 +333,12 @@ def _gen_fdtd2d(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
     by, bx, es = spec.block("y"), spec.block("x"), spec.dtype_bytes
     buffers = make_buffers([("e", ny * nx * es), ("h", ny * nx * es)])
 
-    def stream(wave: int, pid: int) -> Stream:
+    def batch(wave: int, pids: np.ndarray) -> Batch:
         src, dst = (1, 0) if wave % 2 == 0 else (0, 1)
-        return _tile_stream(src, dst, *_tile_bounds(pid, grid, by, bx, ny, nx), ny, nx, es)
+        return _tile_batch(src, dst, *_tile_bounds(pids, grid, by, bx, ny, nx), ny, nx, es)
 
     waves = [np.arange(grid.total_blocks) for _ in range(spec.dim("steps"))]
-    return AccessTrace("fdtd2d", grid, buffers, stream, wave_pids=waves)
+    return AccessTrace("fdtd2d", grid, buffers, batch, wave_pids=waves)
 
 
 def _gen_smith_waterman(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
@@ -338,28 +347,25 @@ def _gen_smith_waterman(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
     buffers = make_buffers([("seq_a", m * es), ("seq_b", n * es), ("dp", m * n * es)])
     nbn = grid.num_blocks_n
 
-    def stream(wave: int, pid: int) -> Stream:
-        r0, r1, c0, c1 = _tile_bounds(pid, grid, bm, bn, m, n)
-        segs = [
-            seg_single(0, r0 * es, (r1 - r0) * es),
-            seg_single(1, c0 * es, (c1 - c0) * es),
-        ]
-        if r0 > 0:
-            segs.append(seg_single(2, ((r0 - 1) * n + c0) * es, (c1 - c0) * es))
-        if c0 > 0:
-            rows = np.arange(r0, r1, dtype=np.int64)
-            segs.append(seg_elements(2, (rows * n + c0 - 1) * es, es))
-        if r0 > 0 and c0 > 0:
-            segs.append(seg_single(2, ((r0 - 1) * n + c0 - 1) * es, es))
-        segs.append(seg_rows(2, (r0 * n + c0) * es, (c1 - c0) * es, n * es, r1 - r0, write=True))
-        return Stream.concat(segs)
+    def batch(wave: int, pids: np.ndarray) -> Batch:
+        r0, r1, c0, c1 = _tile_bounds(pids, grid, bm, bn, m, n)
+        top, left = r0 > 0, c0 > 0
+        return _segments(
+            pids.shape,
+            (0, r0 * es, 0, (r1 - r0) * es, 1, False),
+            (1, c0 * es, 0, (c1 - c0) * es, 1, False),
+            (2, ((r0 - 1) * n + c0) * es, 0, (c1 - c0) * es, top, False),
+            (2, (r0 * n + c0 - 1) * es, n * es, es, (r1 - r0) * left, False),
+            (2, ((r0 - 1) * n + c0 - 1) * es, 0, es, top & left, False),
+            (2, (r0 * n + c0) * es, n * es, (c1 - c0) * es, r1 - r0, True),
+        )
 
     diag = np.arange(grid.total_blocks) // nbn + np.arange(grid.total_blocks) % nbn
     waves = [
         np.nonzero(diag == d)[0].astype(np.int64)
         for d in range(grid.num_blocks_m + nbn - 1)
     ]
-    return AccessTrace("smith_waterman", grid, buffers, stream, wave_pids=waves)
+    return AccessTrace("smith_waterman", grid, buffers, batch, wave_pids=waves)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ only valid candidates, and appends everything (including failures and
 duplicates) to a persistent history. Ranking considers validated entries
 only, so a broken remapping can never be returned as best.
 
-The kernel's trace is generated once per run and each of its streams read
+The kernel's trace is generated once per run and each of its waves read
 once and kept (``traces.materialize``, under its byte budget): the locality
-summary and every candidate's simulation read the kept streams instead of
-calling the kernel's stream function again. A trace too large for the
+summary and every candidate's simulation read the kept batches instead of
+calling the kernel's batch function again. A trace too large for the
 budget stays lazy, with identical results.
 
 Each candidate is validated once, and each distinct remap table simulated

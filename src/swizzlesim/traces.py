@@ -5,12 +5,17 @@ and writes against a set of buffers laid out in one global address space.
 Traces stay at byte-range granularity; the cache simulator quantizes to
 lines, so generators never need to know the line size.
 
-Workgroup streams come from a stream function per trace, lazily, because
-desk-scale kernels can reach tens of millions of records: simulating a lazy
-trace holds only the streams of currently-resident workgroups. Where one
-trace is read many times (the optimization loop), ``materialize`` reads each
-stream once and keeps it, with the native kernel's queue row of each; a
-trace whose kept streams would pass ``RECORD_TABLE_BYTES`` stays lazy.
+Workgroup streams come from a batch function per trace, lazily, because
+desk-scale kernels can reach tens of millions of records. It maps one wave
+and an array of logical pids to a ``Batch``: their streams back to back in
+four record columns, with per-pid offsets ``indptr`` (CSR form), so a
+generator pays its Python cost per batch rather than per workgroup;
+``AccessTrace.stream`` is a one-pid batch. Simulating a lazy trace holds
+only the batches of currently-resident workgroups. Where one trace is read
+many times (the optimization loop), ``materialize`` reads each wave's
+members once and keeps them as one batch per wave, with the native kernel's
+queue row of each member; a trace whose kept batches would pass
+``RECORD_TABLE_BYTES`` stays lazy.
 
 Multi-phase kernels are modeled as waves: each wave is one dispatch over
 the same launch grid, and all workgroups of a wave finish before the next
@@ -47,7 +52,8 @@ class AccessRecord:
 
 
 class Stream:
-    """Columnar record list for one workgroup in one wave, in C-contiguous columns."""
+    """Columnar record list in C-contiguous columns: one workgroup's records in
+    one wave, or, as a ``Batch``, several workgroups' back to back."""
 
     __slots__ = ("bufs", "offs", "lens", "writes")
 
@@ -60,25 +66,13 @@ class Stream:
     def __len__(self) -> int:
         return len(self.offs)
 
-    def queue_row(self) -> tuple[int, int, int, int]:
-        """The kernel's queue row, valid while this stream's columns live."""
-        return self.bufs.ctypes.data, self.offs.ctypes.data, self.lens.ctypes.data, len(self)
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return self.bufs, self.offs, self.lens, self.writes
 
     @classmethod
     def empty(cls) -> "Stream":
         return cls([], [], [], [])
-
-    @classmethod
-    def concat(cls, segments: Sequence["Stream"]) -> "Stream":
-        segments = [s for s in segments if len(s)]
-        if not segments:
-            return cls.empty()
-        return cls(
-            np.concatenate([s.bufs for s in segments]),
-            np.concatenate([s.offs for s in segments]),
-            np.concatenate([s.lens for s in segments]),
-            np.concatenate([s.writes for s in segments]),
-        )
 
     def to_records(self) -> list[AccessRecord]:
         return [
@@ -87,30 +81,41 @@ class Stream:
         ]
 
 
-def seg_single(buf: int, offset: int, length: int, write: bool = False) -> Stream:
-    return Stream([buf], [offset], [length], [write])
+class Batch(Stream):
+    """The streams of several workgroups in CSR form: workgroup ``i``'s records
+    are rows ``indptr[i]`` to ``indptr[i + 1] - 1`` of the four columns."""
+
+    __slots__ = ("indptr",)
+
+    def __init__(self, bufs, offs, lens, writes, indptr):
+        super().__init__(bufs, offs, lens, writes)
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+
+    def part(self, lo: int, hi: int) -> "Batch":
+        """Workgroups ``lo`` to ``hi - 1``, as views of this batch's columns."""
+        a, b = self.indptr[lo], self.indptr[hi]
+        return Batch(self.bufs[a:b], self.offs[a:b], self.lens[a:b], self.writes[a:b],
+                     self.indptr[lo:hi + 1] - a)
+
+    def queue_rows(self) -> np.ndarray:
+        """Each workgroup's row of the native kernel's queue: the addresses of its
+        bufs, offs and lens and its record count, valid while the columns live."""
+        first = self.indptr[:-1]
+        return np.stack([c.ctypes.data + c.itemsize * first for c in (self.bufs, self.offs, self.lens)]
+                        + [self.indptr[1:] - first], axis=1)
+
+    @classmethod
+    def concat(cls, batches: Sequence["Batch"]) -> "Batch":
+        if len(batches) == 1:
+            return batches[0]
+        ends = np.cumsum([0] + [len(b) for b in batches])
+        columns = zip(*(b.columns for b in batches)) if batches else [([],)] * 4
+        return cls(*map(np.concatenate, columns),
+                   np.concatenate([[0]] + [b.indptr[1:] + end for b, end in zip(batches, ends)]))
 
 
-def seg_rows(
-    buf: int, start: int, row_bytes: int, row_stride: int, nrows: int, write: bool = False
-) -> Stream:
-    """One record per row of a strided 2-D sub-block."""
-    offsets = start + np.arange(nrows, dtype=np.int64) * row_stride
-    return seg_elements(buf, offsets, row_bytes, write)
-
-
-def seg_elements(buf: int, offsets: np.ndarray, elem_bytes: int, write: bool = False) -> Stream:
-    offsets = np.asarray(offsets, dtype=np.int64)
-    n = len(offsets)
-    return Stream(
-        np.full(n, buf, dtype=np.int32),
-        offsets,
-        np.full(n, elem_bytes, dtype=np.int64),
-        np.full(n, write, dtype=bool),
-    )
-
-
-StreamFn = Callable[[int, int], Stream]  # (wave_index, logical_pid) -> Stream
+BatchFn = Callable[[int, np.ndarray], Batch]  # (wave_index, logical pids) -> their streams
+BATCH_PIDS = 64  # members per batch when a lazy trace is read wave by wave
 
 
 class AccessTrace:
@@ -121,15 +126,17 @@ class AccessTrace:
         kernel: str,
         grid: GridSpec,
         buffers: Sequence[Buffer],
-        stream_fn: StreamFn,
+        batch_fn: BatchFn,
         wave_pids: Sequence[np.ndarray] | None = None,
+        kept: Sequence[Batch] | None = None,
         queue_rows: np.ndarray | None = None,
     ):
         self.kernel = kernel
-        self.queue_rows = queue_rows  # see ``materialize``
+        self.kept = kept  # see ``materialize``
+        self.queue_rows = queue_rows
         self.grid = grid
         self.buffers = tuple(buffers)
-        self._stream_fn = stream_fn
+        self._batch_fn = batch_fn
         if wave_pids is None:
             wave_pids = [np.arange(grid.total_blocks, dtype=np.int64)]
         self.wave_pids = tuple(np.asarray(w, dtype=np.int64) for w in wave_pids)
@@ -145,11 +152,28 @@ class AccessTrace:
     def num_waves(self) -> int:
         return len(self.wave_pids)
 
+    def batch(self, wave: int, pids) -> Batch:
+        """The streams of workgroups ``pids`` in one wave, in the order of ``pids``."""
+        return self._batch_fn(wave, np.asarray(pids, dtype=np.int64))
+
     def stream(self, logical_pid: int, wave: int = 0) -> Stream:
         total = self.grid.total_blocks
         if not 0 <= logical_pid < total:
             raise ValueError(f"logical pid {logical_pid} outside grid of {total} blocks")
-        return self._stream_fn(wave, logical_pid)
+        if not 0 <= wave < self.num_waves:
+            raise ValueError(f"wave {wave} outside the trace's {self.num_waves} waves")
+        return self.batch(wave, [logical_pid])
+
+    def member_batches(self):
+        """(wave, pids, their batch) over each wave's members in order: the kept
+        batch of a materialized trace, else ``BATCH_PIDS`` members at a time."""
+        for wave, members in enumerate(self.wave_pids):
+            if self.kept is not None:
+                yield wave, members, self.kept[wave]
+                continue
+            for lo in range(0, len(members), BATCH_PIDS):
+                pids = members[lo:lo + BATCH_PIDS]
+                yield wave, pids, self.batch(wave, pids)
 
     def records_for(self, logical_pid: int, wave: int = 0) -> list[AccessRecord]:
         return self.stream(logical_pid, wave).to_records()
@@ -171,44 +195,48 @@ def make_buffers(sizes: Sequence[tuple[str, int]]) -> list[Buffer]:
     return buffers
 
 
-# materialize() keeps the lazy trace when its memo would pass this many bytes
+# materialize() keeps the lazy trace when its batches would pass this many bytes
 RECORD_TABLE_BYTES = 32 << 20
-_STREAM_BYTES = 520  # one member's Stream object and its four array headers
 
 
 def materialize(trace: AccessTrace) -> AccessTrace:
-    """``trace`` with every member (wave, pid) stream read once and kept.
+    """``trace`` with every wave's member streams read once and kept, as one
+    batch per wave in member order.
 
-    The returned trace's stream function hands out each member's own
-    ``Stream``, its columns made read-only, and falls through to the original
-    stream function for a pid that is no member of the wave. Its (waves,
-    total, 4) ``queue_rows`` hold each member's ``Stream.queue_row``, so a
-    simulation builds each queue with one index. Reading stops as soon as
-    the kept streams, their lookup lists and the queue rows pass
-    ``RECORD_TABLE_BYTES``, and ``trace`` itself is returned.
+    The returned trace's ``kept`` holds those batches, their columns made
+    read-only. Its batch function serves one member's stream as a view of
+    them; it hands any other request, a non-member or several pids, to the
+    original batch function, which gives the same records. Its
+    (waves, total, 4) ``queue_rows`` hold each member's ``Batch.queue_rows``
+    row, so a simulation builds each queue with one index. The members are
+    read ``BATCH_PIDS`` at a time; as soon as the batches' columns, the member
+    positions and the queue rows pass ``RECORD_TABLE_BYTES``, reading stops and
+    ``trace`` itself is returned.
     """
-    total = trace.grid.total_blocks
-    size = 40 * trace.num_waves * total  # the lookup lists and the queue rows
-    memo: list[list[Stream | None]] = [[None] * total for _ in trace.wave_pids]
-    rows = np.zeros((trace.num_waves, total, 4), dtype=np.int64)
-    for wave, pids in enumerate(trace.wave_pids):
-        for pid in pids.tolist():
-            s = trace.stream(pid, wave)
-            columns = (s.bufs, s.offs, s.lens, s.writes)
-            size += _STREAM_BYTES + sum(column.nbytes for column in columns)
-            if size > RECORD_TABLE_BYTES:
-                return trace
-            for column in columns:
-                column.flags.writeable = False
-            memo[wave][pid] = s
-            rows[wave, pid] = s.queue_row()
-    lazy = trace._stream_fn
+    waves, total = trace.num_waves, trace.grid.total_blocks
+    size = 40 * waves * total  # the member positions and the queue rows
+    parts: list[list[Batch]] = [[] for _ in range(waves)]
+    for wave, _, batch in trace.member_batches():
+        size += sum(column.nbytes for column in (*batch.columns, batch.indptr))
+        if size > RECORD_TABLE_BYTES:
+            return trace
+        parts[wave].append(batch)
+    kept = tuple(Batch.concat(part) for part in parts)
+    position = np.full((waves, total), -1, dtype=np.int64)
+    rows = np.zeros((waves, total, 4), dtype=np.int64)
+    for wave, (members, batch) in enumerate(zip(trace.wave_pids, kept)):
+        for column in batch.columns:
+            column.flags.writeable = False
+        position[wave, members] = np.arange(len(members))
+        rows[wave, members] = batch.queue_rows()
+    lazy = trace._batch_fn
 
-    def stream(wave: int, pid: int) -> Stream:
-        s = memo[wave][pid]
-        return lazy(wave, pid) if s is None else s
+    def batch_fn(wave: int, pids: np.ndarray) -> Batch:
+        at = position[wave, pids[0]] if len(pids) == 1 else -1
+        return lazy(wave, pids) if at < 0 else kept[wave].part(at, at + 1)
 
-    return AccessTrace(trace.kernel, trace.grid, trace.buffers, stream, trace.wave_pids, rows)
+    return AccessTrace(trace.kernel, trace.grid, trace.buffers, batch_fn, trace.wave_pids,
+                       kept, rows)
 
 
 def records_outside(stream: Stream, lengths: np.ndarray) -> bool:
@@ -269,8 +297,8 @@ def locality_summary(trace: AccessTrace) -> LocalitySummary:
     waves = trace.num_waves
     total = trace.grid.total_blocks
     parts = [
-        _dedupe_chunk(streams, owner, trace.base_offsets, total * waves)
-        for streams, owner in _record_chunks(trace)
+        _dedupe_chunk(batch, owner, trace.base_offsets, total * waves)
+        for batch, owner in _record_chunks(trace)
     ]
     keys = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
     del parts
@@ -335,40 +363,24 @@ def locality_summary(trace: AccessTrace) -> LocalitySummary:
 
 
 def _record_chunks(trace: AccessTrace):
-    """(streams, owner keys) of consecutive non-empty member streams, about
-    ``_CHUNK_GRANULES`` granules per chunk; a stream's owner key is
-    ``pid * num_waves + wave``."""
-    waves = trace.num_waves
-    streams: list[Stream] = []
-    owner: list[int] = []
-    granules = 0
-    for wave, members in enumerate(trace.wave_pids):
-        for pid in members.tolist():
-            s = trace.stream(pid, wave)
-            n = len(s)
-            if n == 0:
-                continue
-            streams.append(s)
-            owner.append(pid * waves + wave)
-            # a record of L bytes spans at most L // GRANULE_BYTES + 2 granules
-            granules += 2 * n + int(s.lens.sum()) // GRANULE_BYTES
-            if granules >= _CHUNK_GRANULES:
-                yield streams, owner
-                streams, owner, granules = [], [], 0
-    if streams:
-        yield streams, owner
+    """(batch, owner keys) of consecutive member streams of one wave, about
+    ``_CHUNK_GRANULES`` granules per chunk, sliced out of the trace's member
+    batches; a stream's owner key is ``pid * num_waves + wave``."""
+    for wave, pids, batch in trace.member_batches():
+        # a record of L bytes spans at most L // GRANULE_BYTES + 2 granules
+        granules = np.concatenate(([0], np.cumsum(2 + batch.lens // GRANULE_BYTES)))
+        cuts = np.flatnonzero(np.diff(granules[batch.indptr[:-1]] // _CHUNK_GRANULES)) + 1
+        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(pids)]):
+            yield batch.part(lo, hi), pids[lo:hi] * trace.num_waves + wave
 
 
-def _dedupe_chunk(streams: list[Stream], owner: list[int], bases: np.ndarray,
-                  owners: int) -> np.ndarray:
+def _dedupe_chunk(batch: Batch, owner: np.ndarray, bases: np.ndarray, owners: int) -> np.ndarray:
     """Sorted distinct keys ``granule * owners + owner`` of one chunk."""
-    s = Stream.concat(streams)
-    goff = s.offs + bases[s.bufs]
+    goff = batch.offs + bases[batch.bufs]
     firsts = goff // GRANULE_BYTES
-    lasts = (goff + s.lens - 1) // GRANULE_BYTES
-    per_record = np.repeat(np.asarray(owner, dtype=np.int64), [len(t) for t in streams])
+    lasts = (goff + batch.lens - 1) // GRANULE_BYTES
     keys = expand_ranges(firsts, lasts) * owners
-    keys += np.repeat(per_record, lasts - firsts + 1)
+    keys += np.repeat(np.repeat(owner, np.diff(batch.indptr)), lasts - firsts + 1)
     keys.sort()
     return keys[_run_starts(keys)]
 
@@ -388,9 +400,25 @@ def expand_ranges(firsts: np.ndarray, lasts: np.ndarray) -> np.ndarray:
     values rather than checking each range.
     """
     counts = lasts - firsts + 1
-    total = int(counts.sum())
-    if total == len(firsts):  # one value per range, or no ranges
+    if int(counts.sum()) == len(firsts):  # one value per range, or no ranges
         return firsts
-    ends = np.cumsum(counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-    return np.repeat(firsts, counts) + offsets
+    return sequences(firsts, counts)
+
+
+def sequences(starts: np.ndarray, counts: np.ndarray, steps: np.ndarray | None = None) -> np.ndarray:
+    """Concatenate the sequences ``starts[i] + j * steps[i]`` for ``j < counts[i]``
+    (``steps`` defaults to 1); a count may be zero.
+
+    One running sum over the steps, in which each sequence's first value
+    jumps from the previous sequence's last.
+    """
+    if (counts == 1).all():
+        return starts.copy()
+    some = counts > 0
+    starts, counts = starts[some], counts[some]
+    steps = np.ones_like(counts) if steps is None else steps[some]
+    out = steps.repeat(counts)
+    first = counts.cumsum() - counts
+    out[first] = starts
+    out[first[1:]] -= starts[:-1] + (counts[:-1] - 1) * steps[:-1]
+    return out.cumsum(out=out)

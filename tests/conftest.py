@@ -11,6 +11,7 @@ from swizzlesim.traces import (
     GRANULE_BYTES,
     MIN_SHARED_BYTES,
     AccessTrace,
+    Batch,
     LocalitySummary,
     SharingGroup,
     expand_ranges,
@@ -104,6 +105,19 @@ class FullyAssociativeLru:
         if len(self.order) > self.capacity:
             self.order.pop(0)
         return False
+
+
+def batched(stream_fn):
+    """The batch function over a per-pid ``(wave, pid) -> Stream`` function:
+    the pids' streams concatenated in the order of ``pids``, for tests that
+    write their synthetic traces one stream at a time."""
+
+    def batch_fn(wave, pids):
+        streams = [stream_fn(wave, int(pid)) for pid in pids]
+        columns = zip(*(s.columns for s in streams)) if streams else [([],)] * 4
+        return Batch(*map(np.concatenate, columns), np.cumsum([0] + [len(s) for s in streams]))
+
+    return batch_fn
 
 
 def validate_trace_bounds(trace: AccessTrace) -> None:

@@ -49,7 +49,7 @@ from swizzlesim.promptio import (
 )
 from swizzlesim.traces import locality_summary
 
-from conftest import ReferenceLru, arch_with_xcds, random_expr
+from conftest import ReferenceLru, arch_with_xcds, batched, random_expr
 
 MODULE_T0 = time.perf_counter()
 RUNTIME_BUDGET_SECONDS = 540  # criterion: full suite < 10 min on 8 cores
@@ -320,7 +320,7 @@ def test_c06_lru_matches_brute_force():
             k = len(offs)
             return Stream(np.zeros(k, np.int32), offs, np.full(k, 4), np.zeros(k, bool))
 
-        trace = AccessTrace("rand", GridSpec.from_block_counts(1), buffers, stream_fn)
+        trace = AccessTrace("rand", GridSpec.from_block_counts(1), buffers, batched(stream_fn))
         rep = simulate(trace, builtin_pattern("identity", trace.grid, arch), arch)
         assert rep.hits == sum(want_seq)
         assert rep.misses == len(lines) - sum(want_seq)

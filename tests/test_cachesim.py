@@ -27,9 +27,9 @@ from swizzlesim.patterns import (
     builtin_pattern,
     pattern_from_expr,
 )
-from swizzlesim.traces import AccessTrace, Stream, make_buffers, materialize, seg_single
+from swizzlesim.traces import AccessTrace, Stream, make_buffers, materialize
 
-from conftest import FullyAssociativeLru, ReferenceLru, arch_with_xcds
+from conftest import FullyAssociativeLru, ReferenceLru, arch_with_xcds, batched
 
 
 def single_xcd(l2_bytes=4096, line=128, ways=2, slots=1):
@@ -45,13 +45,12 @@ def trace_of_streams(streams, buffers_bytes=1 << 20, waves=None):
 
     def stream_fn(wave, pid):
         recs = streams[wave].get(pid, [])
-        if not recs:
-            return Stream.empty()
-        return Stream.concat([seg_single(0, o, l, w) for o, l, w in recs])
+        return Stream([0] * len(recs), [r[0] for r in recs], [r[1] for r in recs],
+                      [r[2] for r in recs])
 
     wave_pids = [np.asarray(sorted(w)) for w in streams]
     return AccessTrace("synthetic", GridSpec.from_block_counts(total), buffers,
-                       stream_fn, wave_pids=wave_pids)
+                       batched(stream_fn), wave_pids=wave_pids)
 
 
 # --- elementary semantics ----------------------------------------------------
@@ -151,7 +150,7 @@ def test_record_overrunning_into_alignment_gap_rejected():
     # buffer a spans 1024 B, but b starts 64 KiB later: a+4096 is in no buffer
     buffers = make_buffers([("a", 1024), ("b", 1024)])
     trace = AccessTrace("gap", GridSpec.from_block_counts(1), buffers,
-                        lambda wave, pid: seg_single(0, 4096, 4))
+                        batched(lambda wave, pid: Stream([0], [4096], [4], [False])))
     with pytest.raises(SimulationError, match="outside"):
         simulate(trace, builtin_pattern("identity", trace.grid, single_xcd()), single_xcd())
 

@@ -239,16 +239,18 @@ def test_one_remap_evaluation_per_history_entry(monkeypatch):
 def test_optimize_reads_each_stream_once(tmp_path, monkeypatch):
     spec = KernelSpec("softmax", {"rows": 16, "cols": 4096}, {"cols": 1024})  # 2 waves
     calls = Counter()
+    batches = []
 
     def counted_trace(spec):
         trace = generate_trace(spec)
-        stream_fn = trace._stream_fn
+        batch_fn = trace._batch_fn
 
-        def counting(wave, pid):
-            calls[wave, pid] += 1
-            return stream_fn(wave, pid)
+        def counting(wave, pids):
+            batches.append(wave)
+            calls.update((wave, pid) for pid in pids.tolist())
+            return batch_fn(wave, pids)
 
-        trace._stream_fn = counting
+        trace._batch_fn = counting
         return trace
 
     monkeypatch.setattr(loop, "generate_trace", counted_trace)
@@ -258,8 +260,9 @@ def test_optimize_reads_each_stream_once(tmp_path, monkeypatch):
     assert calls == Counter(
         {(wave, pid): 1 for wave, members in enumerate(lazy.wave_pids) for pid in members.tolist()}
     )
+    assert batches == [0, 1]  # one batch per wave of 64 members
 
-    # with no budget no stream is kept and every stream is read lazily
+    # with no budget no batch is kept and every stream is read lazily
     monkeypatch.setattr(traces, "RECORD_TABLE_BYTES", 0)
     assert traces.materialize(lazy) is lazy
     calls.clear()

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from swizzlesim import cachesim
 from swizzlesim.arch import MI300X_LIKE
 from swizzlesim.cachesim import SetAssocLru, SimulationError, report_to_json, simulate
-from swizzlesim.kernels import KERNEL_KINDS, generate_trace, spec_with_size
+from swizzlesim.kernels import KERNEL_KINDS, KernelSpec, generate_trace, spec_with_size
 from swizzlesim.patterns import (
     BUILTIN_PATTERN_NAMES,
     GridSpec,
@@ -24,7 +25,7 @@ from swizzlesim.patterns import (
 )
 from swizzlesim.traces import AccessTrace, Stream, make_buffers, materialize
 
-from conftest import ReferenceLru, arch_with_xcds
+from conftest import ReferenceLru, arch_with_xcds, batched
 
 # 1 XCD, 16 KiB of 2-way L2 (64 sets): 7 of the 10 kernels at size 256 evict
 SMALL = arch_with_xcds(1, cus_per_xcd=4, l2_bytes=16 << 10, ways=2)
@@ -71,15 +72,18 @@ def _trace_of(streams, buffer_sizes, total, read_only=False):
     """Trace whose (wave, pid) streams are lists of (buffer, offset, length)."""
     def stream_fn(wave, pid):
         recs = streams[wave].get(pid, [])
-        stream = Stream([r[0] for r in recs], [r[1] for r in recs], [r[2] for r in recs],
-                        [False] * len(recs))
-        for array in (stream.bufs, stream.offs, stream.lens):
+        return Stream([r[0] for r in recs], [r[1] for r in recs], [r[2] for r in recs],
+                      [False] * len(recs))
+
+    def batch_fn(wave, pids):
+        batch = batched(stream_fn)(wave, pids)
+        for array in (batch.bufs, batch.offs, batch.lens):
             array.flags.writeable = not read_only
-        return stream
+        return batch
 
     buffers = make_buffers([(f"b{i}", size) for i, size in enumerate(buffer_sizes)])
     wave_pids = [np.asarray(sorted(wave), dtype=np.int64) for wave in streams]
-    return AccessTrace("synthetic", GridSpec.from_block_counts(total), buffers, stream_fn,
+    return AccessTrace("synthetic", GridSpec.from_block_counts(total), buffers, batch_fn,
                        wave_pids=wave_pids)
 
 
@@ -196,7 +200,8 @@ class _Xcd:
 
     def drain(self, loaded, streams, more):
         capacity, shift, num_sets, ways = self.shape
-        queue = np.array([s.queue_row() for s in streams], dtype=np.int64).reshape(-1, 4)
+        queue = np.array([(s.bufs.ctypes.data, s.offs.ctypes.data, s.lens.ctypes.data, len(s))
+                          for s in streams], dtype=np.int64).reshape(-1, 4)
         return self.kernel.xcd_drain(
             self.resident.ctypes.data, capacity, loaded, queue.ctypes.data, len(queue), more,
             self.bases.ctypes.data, self.lengths.ctypes.data, 1, shift,
@@ -279,6 +284,43 @@ def test_batched_queue_matches_whole_queue_and_python_pass(native, case):
         hits += lru.access_many(chunk)[0]
         touches += len(chunk)
     assert whole.counts.tolist() == [hits, touches]
+
+
+def test_lazy_feed_asks_for_free_slots_and_frees_each_batch(native, monkeypatch):
+    # 3 fdtd waves of 14 workgroups of unequal length on 2 XCDs of 3 slots:
+    # slots drain one or two at a time, so batches are refilled mid-wave
+    lazy = generate_trace(KernelSpec("fdtd2d", {"ny": 200, "nx": 100, "steps": 3},
+                                     {"y": 32, "x": 64}))
+    arch = arch_with_xcds(2, cus_per_xcd=3, l2_bytes=4096, ways=2)
+    pattern = builtin_pattern("identity", lazy.grid, arch)
+    want = simulate(materialize(lazy), pattern, arch)
+    kernel = cachesim._load_kernel()
+    last = {"left": 0, "more": 0}  # the last xcd_drain call's return and `more` flag
+    handed_out = []  # a finalizer per batch's offs column
+    sizes = []
+
+    class Watched:
+        def xcd_drain(self, *args):
+            last["left"], last["more"] = kernel.xcd_drain(*args), args[5]
+            return last["left"]
+
+    def watched(wave, pids):
+        alive = sum(f.alive for f in handed_out)
+        if not last["more"]:  # a new (XCD, wave) queue: every earlier batch is freed
+            assert alive == 0
+        assert alive <= last["left"]  # a batch lives only while one of its pids is resident
+        assert len(pids) <= 3 - last["left"]  # no more pids than free slots
+        sizes.append(len(pids))
+        batch = batch_fn(wave, pids)
+        handed_out.append(weakref.finalize(batch.offs, lambda: None))
+        return batch
+
+    batch_fn = lazy._batch_fn
+    lazy._batch_fn = watched
+    monkeypatch.setattr(cachesim, "_load_kernel", lambda: Watched())
+    assert simulate(lazy, pattern, arch) == want
+    assert not any(f.alive for f in handed_out)
+    assert sum(sizes) == 3 * 14 and len(sizes) > 6 and min(sizes) < 3
 
 
 def test_kernel_builds_with_strict_warnings(native, tmp_path):

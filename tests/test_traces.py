@@ -27,7 +27,12 @@ from swizzlesim.traces import (
     materialize,
 )
 
-from conftest import check_write_coverage, reference_locality_summary, validate_trace_bounds
+from conftest import (
+    batched,
+    check_write_coverage,
+    reference_locality_summary,
+    validate_trace_bounds,
+)
 
 
 def small(kind, **dims):
@@ -406,7 +411,7 @@ def sharing_traces(draw):
                       [r[2] for r in records], [r[3] for r in records])
 
     buffers = make_buffers([(f"b{i}", size) for i, size in enumerate(sizes)])
-    return AccessTrace("random", GridSpec.from_block_counts(total), buffers, stream_fn,
+    return AccessTrace("random", GridSpec.from_block_counts(total), buffers, batched(stream_fn),
                        wave_pids=[np.array(m, dtype=np.int64) for m in wave_pids])
 
 
@@ -435,6 +440,70 @@ def test_materialized_records_match_lazy(kind, dims):
     for wave in range(lazy.num_waves):
         for pid in range(lazy.grid.total_blocks):
             assert table.records_for(pid, wave) == lazy.records_for(pid, wave)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(KERNEL_KINDS), data=st.data())
+def test_batch_is_the_one_pid_batches_back_to_back(kind, data):
+    # the pinned specs: non-square, sizes not tile multiples; every wave, and
+    # pid arrays that are unsorted, repeat pids or are empty
+    problem, block, _, _ = PINNED_STREAMS[kind]
+    lazy = generate_trace(KernelSpec(kind, problem, block))
+    total = lazy.grid.total_blocks
+    for trace in (lazy, materialize(lazy)):
+        for wave in range(trace.num_waves):
+            pids = data.draw(st.lists(st.integers(0, total - 1), max_size=3 * total))
+            batch = trace.batch(wave, pids)
+            singles = [trace.batch(wave, [pid]) for pid in pids]
+            for single in singles:
+                assert single.indptr.tolist() == [0, len(single)]
+            assert batch.indptr.tolist() == np.cumsum([0] + [len(s) for s in singles]).tolist()
+            for k, column in enumerate(batch.columns):
+                want = np.concatenate([s.columns[k] for s in singles] + [column[:0]])
+                assert column.dtype == want.dtype and column.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("wave", [1, 7, -1])
+def test_stream_rejects_a_wave_outside_the_trace(wave):
+    lazy = generate_trace(KernelSpec("stencil2d", {"m": 200, "n": 130}, {"m": 64, "n": 32}))
+    for trace in (lazy, materialize(lazy)):
+        with pytest.raises(ValueError, match=f"wave {wave} outside"):
+            trace.stream(0, wave)
+        assert len(trace.stream(0, 0)) == 193
+
+
+def _column_bytes(batch):
+    return sum(column.nbytes for column in (*batch.columns, batch.indptr))
+
+
+@pytest.mark.parametrize("passing", [0, 2, 6])
+def test_materialize_stops_one_batch_past_its_budget(monkeypatch, passing):
+    # 20 workgroups read 3 at a time: 7 batches; the budget is passed by
+    # batch `passing`, after which no batch is read
+    monkeypatch.setattr(traces, "BATCH_PIDS", 3)
+    lazy = generate_trace(KernelSpec("stencil2d", {"m": 200, "n": 130}, {"m": 64, "n": 32}))
+    sizes = [_column_bytes(batch) for _, _, batch in lazy.member_batches()]
+    assert len(sizes) == 7
+    calls = []
+    batch_fn = lazy._batch_fn
+
+    def counting(wave, pids):
+        calls.append(pids.tolist())
+        return batch_fn(wave, pids)
+
+    lazy._batch_fn = counting
+    rows = 40 * lazy.grid.total_blocks  # the member positions and queue rows
+    monkeypatch.setattr(traces, "RECORD_TABLE_BYTES", rows + sum(sizes[:passing + 1]) - 1)
+    assert materialize(lazy) is lazy
+    assert calls == [list(range(lo, min(lo + 3, 20))) for lo in range(0, 3 * passing + 1, 3)]
+
+    calls.clear()
+    monkeypatch.setattr(traces, "RECORD_TABLE_BYTES", rows + sum(sizes))
+    table = materialize(lazy)
+    assert len(calls) == 7
+    assert len(table.kept) == 1 and table.kept[0].indptr.tolist() == np.cumsum(
+        [0] + [len(lazy.stream(pid)) for pid in range(20)]).tolist()
+    assert all(table.records_for(pid) == lazy.records_for(pid) for pid in range(20))
 
 
 def test_spec_with_size_roundtrip():
