@@ -305,7 +305,7 @@ def _run_native(
                 queue = records.queue_rows()
                 lo = records.offs.ctypes.data
                 live.append((records, lo, lo + records.offs.nbytes))
-                del records
+                del records  # `live` alone holds it, so it frees once no slot points into it
             left = kernel.xcd_drain(resident.ctypes.data, slots, left, queue.ctypes.data,
                                     len(queue), start < len(pids), *fixed)
             if left < 0:

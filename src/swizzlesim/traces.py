@@ -70,10 +70,6 @@ class Stream:
     def columns(self) -> tuple[np.ndarray, ...]:
         return self.bufs, self.offs, self.lens, self.writes
 
-    @classmethod
-    def empty(cls) -> "Stream":
-        return cls([], [], [], [])
-
     def to_records(self) -> list[AccessRecord]:
         return [
             AccessRecord(int(b), int(o), int(l), "write" if w else "read")

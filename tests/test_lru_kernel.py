@@ -224,7 +224,7 @@ def test_xcd_drain_moves_survivors_to_the_front_in_order(native):
     # turn 1 touches a, b, c; b drains and d refills after the survivors a, c;
     # turn 2 touches a, c, d; c and d drain, e refills after a, and the call
     # returns with a slot free and the queue empty
-    assert xcd.drain(0, [a, b, Stream.empty(), c, d, e], True) == 2
+    assert xcd.drain(0, [a, b, _one_line_records(), c, d, e], True) == 2
     assert xcd.resident[:2, 1].tolist() == [a.offs.ctypes.data, e.offs.ctypes.data]
     assert xcd.drain(2, [], False) == 0
     touch_order = [0, 3, 4, 1, 5, 6, 2, 7, 8, 9]
@@ -234,7 +234,7 @@ def test_xcd_drain_moves_survivors_to_the_front_in_order(native):
 
     # the whole queue in one call runs the same touches
     whole = _Xcd(num_sets=1, ways=16, capacity=3, buffer_bytes=1280)
-    assert whole.drain(0, [a, b, Stream.empty(), c, d, e], False) == 0
+    assert whole.drain(0, [a, b, _one_line_records(), c, d, e], False) == 0
     assert whole.tags.tolist() == xcd.tags.tolist()
 
 

@@ -50,7 +50,7 @@ def test_negative_buffer_base_or_length_rejected(base, length):
     # a negative base would put line ids below the touched-line bitmap
     with pytest.raises(ValueError, match="negative"):
         AccessTrace("bad", GridSpec.from_block_counts(1), [Buffer(0, "a", length, base)],
-                    lambda wave, pid: Stream.empty())
+                    batched(lambda wave, pid: Stream([], [], [], [])))
 
 
 def test_launch_grid_examples():
