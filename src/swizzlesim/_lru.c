@@ -1,14 +1,15 @@
 /* The native kernel behind swizzlesim.cachesim. Its one entry point,
  * xcd_drain, runs one XCD's queue of workgroups for one wave: it loads them
- * into resident slots, expands their records into line touches and feeds
- * each touch to a set-associative LRU.
+ * into resident slots, walks their segments run by run (a segment is a
+ * start, a stride and a count of equal-length runs), expands each run into
+ * line touches and feeds each touch to a set-associative LRU.
  *
  * tags holds num_sets rows of `ways` line ids, most recently used first;
  * fill[s] is how many entries of row s are valid. A miss allocates the line
  * (write-allocate), evicting the row's last entry when the row is full.
  * Every line id is non-negative: AccessTrace rejects negative buffer bases
- * and xcd_drain rejects negative offsets, so `line % num_sets` is a valid
- * set and touched[line] a valid flag.
+ * and xcd_drain rejects any run outside its buffer, so `line % num_sets` is
+ * a valid set and touched[line] a valid flag.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -37,41 +38,84 @@ static inline int lru_touch(int64_t line, int64_t *tags, int32_t *fill,
     return hit;
 }
 
-/* One resident workgroup: its record arrays, copied with `records` from its
- * queue row, the record being expanded, and that record's current and last
- * line. The caller owns the slots, cachesim._SLOT_WORDS int64 words each,
- * and keeps a workgroup's arrays alive while a slot points into them. */
+/* One resident workgroup: its segment arrays and segment count, copied from
+ * its queue row, the segment being run, the runs left in it after the
+ * current one, and the current run's first byte address and current and
+ * last line. A segment is counts[i] runs of lens[i] bytes of buffer bufs[i]
+ * at offs[i] + j * strides[i]. The caller owns the slots,
+ * cachesim._SLOT_WORDS int64 words each, and keeps a workgroup's arrays
+ * alive while a slot points into them. */
 typedef struct {
     const int32_t *bufs;
     const int64_t *offs;
     const int64_t *lens;
-    int64_t records; /* at least 1 */
-    int64_t rec;
+    const int64_t *strides;
+    const int64_t *counts;
+    int64_t segments;
+    int64_t seg;   /* `segments` once the workgroup is drained */
+    int64_t runs;
+    int64_t start;
     int64_t line;
     int64_t last;
 } slot_t;
 
-_Static_assert(sizeof(slot_t) == 7 * sizeof(int64_t), "cachesim._SLOT_WORDS is 7");
+_Static_assert(sizeof(slot_t) == 11 * sizeof(int64_t), "cachesim._SLOT_WORDS is 11");
 _Static_assert(offsetof(slot_t, bufs) == 0 && offsetof(slot_t, offs) == 8
-               && offsetof(slot_t, lens) == 16 && offsetof(slot_t, records) == 24,
-               "a queue row is words 0-3 of a slot: bufs, offs, lens, records");
+               && offsetof(slot_t, lens) == 16 && offsetof(slot_t, strides) == 24
+               && offsetof(slot_t, counts) == 32 && offsetof(slot_t, segments) == 40,
+               "a queue row is words 0-5 of a slot: bufs, offs, lens, strides, counts, segments");
 
-static inline void load_record(slot_t *s, const int64_t *bases, int64_t line_shift)
+/* 1 if a run of segment r of a queue row is empty, names no buffer, starts
+ * before its buffer or ends past it. A segment of no runs is never bad. The
+ * first and last runs bound every run between them, and the last is checked
+ * without forming stride * (count - 1), which may overflow. */
+static int segment_outside(const slot_t *s, int64_t r, const int64_t *lengths,
+                           int64_t num_buffers)
 {
-    int64_t start = s->offs[s->rec] + bases[s->bufs[s->rec]];
-    s->line = start >> line_shift;
-    s->last = (start + s->lens[s->rec] - 1) >> line_shift;
+    int64_t steps = s->counts[r] - 1;
+    if (steps < 0)
+        return 0;
+    int32_t buf = s->bufs[r];
+    int64_t off = s->offs[r], len = s->lens[r], stride = s->strides[r];
+    if (buf < 0 || buf >= num_buffers || len < 1 || off < 0 || len > lengths[buf] - off)
+        return 1;
+    if (stride > 0) /* the last run ends by the buffer's end */
+        return steps > (lengths[buf] - off - len) / stride;
+    if (stride < 0) /* the last run starts at or past the buffer's start */
+        return steps > 0 && (stride == INT64_MIN || steps > off / -stride);
+    return 0;
+}
+
+/* Move slot s to its next run: `start` steps by the segment's stride until
+ * the segment's runs are done, then moves to the next segment of one or more
+ * runs. 0 when no run is left. */
+static inline int next_run(slot_t *s, const int64_t *bases, int64_t line_shift)
+{
+    if (s->runs > 0) {
+        s->runs--;
+        s->start += s->strides[s->seg];
+    } else {
+        do {
+            if (++s->seg == s->segments)
+                return 0;
+        } while (s->counts[s->seg] < 1);
+        s->runs = s->counts[s->seg] - 1;
+        s->start = s->offs[s->seg] + bases[s->bufs[s->seg]];
+    }
+    s->line = s->start >> line_shift;
+    s->last = (s->start + s->lens[s->seg] - 1) >> line_shift;
+    return 1;
 }
 
 /* Run one XCD's workgroups of one wave from a queue.
  *
- * queue holds `rows` rows of four int64 words, one per workgroup in launch
- * order: the addresses of its bufs (int32), offs and lens (int64) arrays and
- * its record count. slots[0, loaded) carry on from the previous call. Free
- * slots are loaded from the queue in order, skipping rows of no records; a
- * row is checked as it loads: a record is bad if it is empty, names no
- * buffer, starts before its buffer or ends past it. The first bad row k
- * returns -(k + 1) before any of its lines is touched.
+ * queue holds `rows` rows of six int64 words, one per workgroup in launch
+ * order: the addresses of its bufs (int32), offs, lens, strides and counts
+ * (int64) arrays and its segment count. slots[0, loaded) carry on from the
+ * previous call. Free slots are loaded from the queue in order, skipping
+ * rows of no runs; a row is checked segment by segment as it loads (see
+ * segment_outside). The first bad row k returns -(k + 1) before any of its
+ * lines is touched.
  *
  * Each turn touches the current line of every slot, in slot order, marks
  * touched[line] and counts hits into counts[0] and touches into counts[1].
@@ -91,20 +135,15 @@ int64_t xcd_drain(slot_t *slots, int64_t capacity, int64_t loaded,
     int64_t n = loaded;
     for (int64_t next = 0;;) {
         for (; n < capacity && next < rows; next++) {
-            if (queue[4 * next + 3] < 1)
-                continue;
             slot_t *s = &slots[n];
-            memcpy(s, queue + 4 * next, 4 * sizeof(int64_t));
-            for (int64_t r = 0; r < s->records; r++) {
-                int32_t buf = s->bufs[r];
-                int64_t off = s->offs[r], len = s->lens[r];
-                if (buf < 0 || buf >= num_buffers || len < 1 || off < 0
-                    || len > lengths[buf] - off)
+            memcpy(s, queue + 6 * next, 6 * sizeof(int64_t));
+            for (int64_t r = 0; r < s->segments; r++)
+                if (segment_outside(s, r, lengths, num_buffers))
                     return -(next + 1);
-            }
-            s->rec = 0;
-            load_record(s, bases, line_shift);
-            n++;
+            s->seg = -1;
+            s->runs = 0;
+            if (next_run(s, bases, line_shift))
+                n++;
         }
         if (n == 0 || (more && n < capacity))
             return n;
@@ -118,9 +157,7 @@ int64_t xcd_drain(slot_t *slots, int64_t capacity, int64_t loaded,
                 hits += lru_touch(s->line, tags, fill, num_sets, ways);
                 if (s->line < s->last)
                     s->line++;
-                else if (++s->rec < s->records)
-                    load_record(s, bases, line_shift);
-                else
+                else if (!next_run(s, bases, line_shift))
                     drained = 1;
             }
             turns++;
@@ -130,7 +167,7 @@ int64_t xcd_drain(slot_t *slots, int64_t capacity, int64_t loaded,
 
         int64_t left = 0;
         for (int64_t k = 0; k < n; k++)
-            if (slots[k].rec < slots[k].records)
+            if (slots[k].seg < slots[k].segments)
                 slots[left++] = slots[k];
         n = left;
     }

@@ -19,14 +19,17 @@ zero or less.
 Each XCD's pass runs in a small C kernel, ``_lru.c`` beside this module,
 whose one entry point is ``xcd_drain``. It takes a queue of one XCD's
 workgroups of one wave, in launch order, each row the addresses of a
-workgroup's raw record arrays and its record count. It loads the resident
-slots from the queue, checking each row's records against the buffer bounds,
-expands records into line touches on the fly, marks the touched-line bitmap
-and updates the LRU rows, one touch per slot per turn, and refills a drained
-slot after the survivors. A materialized trace keeps every member's row, so
-a wave is one foreign call. A lazy trace fills the free slots with one batch
-of exactly the workgroups that fit, each row pointing into it, and keeps a
-batch only while one of its workgroups is resident.
+workgroup's segment arrays (see ``traces.Batch``) and its segment count. It
+loads the resident slots from the queue, checking each row's segments
+against the buffer bounds (a segment's first and last run bound the rest),
+walks each segment run by run, stepping the run's start by the stride,
+expands runs into line touches on the fly, marks the touched-line bitmap
+and updates the LRU rows, one touch per slot per turn, and refills a
+drained slot after the survivors. Records are never built on this path. A
+materialized trace keeps every member's row, so a wave is one foreign call.
+A lazy trace fills the free slots with one batch of exactly the workgroups
+that fit, each row pointing into it, and keeps a batch only while one of
+its workgroups is resident.
 ``_run_native`` owns each XCD's tag rows and fill counts for the whole pass.
 
 The first cache built in a process compiles the kernel with ``gcc`` into
@@ -36,8 +39,9 @@ processes reuse that build. The compiler writes to a temporary file that is
 renamed into place, so a concurrent process never loads a half-written
 library. Nothing is compiled or loaded at import. When the kernel cannot be
 built or loaded, a warning names the reason and the whole pass runs in
-Python instead, with identical counts: ``_run_python`` expands each stream
-with ``_expand_lines``, schedules the slots with ``_interleave`` and feeds
+Python instead, with identical counts: ``_run_python`` expands each
+workgroup's segments into records (``AccessTrace.stream``) and those into
+lines with ``_expand_lines``, schedules the slots with ``_interleave`` and feeds
 its own ``SetAssocLru``, an ``OrderedDict`` per set. Those three are
 otherwise the oracles the tests hold the kernel to.
 """
@@ -265,7 +269,9 @@ def _run_python(
     return hits, accesses
 
 
-_SLOT_WORDS = 7  # one slot_t of _lru.c: bufs, offs, lens, records, rec, line, last
+# one slot_t of _lru.c: bufs, offs, lens, strides, counts, segments, seg, runs, start,
+# line, last
+_SLOT_WORDS = 11
 
 
 def _run_native(
@@ -301,11 +307,11 @@ def _run_native(
             if rows is not None:
                 queue = rows[wave][batch]
             else:
-                records = trace.batch(wave, batch)
-                queue = records.queue_rows()
-                lo = records.offs.ctypes.data
-                live.append((records, lo, lo + records.offs.nbytes))
-                del records  # `live` alone holds it, so it frees once no slot points into it
+                segments = trace.batch(wave, batch)
+                queue = segments.queue_rows()
+                lo = segments.offs.ctypes.data
+                live.append((segments, lo, lo + segments.offs.nbytes))
+                del segments  # `live` alone holds it, so it frees once no slot points into it
             left = kernel.xcd_drain(resident.ctypes.data, slots, left, queue.ctypes.data,
                                     len(queue), start < len(pids), *fixed)
             if left < 0:

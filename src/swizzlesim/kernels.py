@@ -26,11 +26,13 @@ the memory behavior of straightforward tiled kernels:
   (neighbor rows) and one-column halos (neighbor columns); the same tile
   stream as fdtd2d, in one wave.
 
-A generator returns a trace whose batch function builds the streams of an
-array of workgroups at once (see ``traces``). Each stream is a few segments,
-each a run of records of one buffer at a fixed stride whose start, length
-and count depend on the workgroup's tile, and ``_segments`` expands them for
-every pid of a batch with a handful of numpy calls.
+A generator returns a trace whose batch function builds the segments of an
+array of workgroups at once (see ``traces``). Each stream is a few
+segments, each a run of records of one buffer at a fixed stride whose
+start, length and count depend on the workgroup's tile; ``_segments`` lays
+them out for every pid of a batch with a handful of numpy calls and never
+expands them into records. spmv's x gather is no arithmetic sequence, so it
+is one single-run segment per row.
 
 Each kind is one entry of the registry ``_KINDS`` at the bottom of this
 module: its generator, default dims, launch-grid axes, the dims that
@@ -48,7 +50,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .patterns import GridSpec
-from .traces import AccessTrace, Batch, make_buffers, sequences
+from .traces import AccessTrace, Batch, make_buffers
 
 
 class KernelSpecError(ValueError):
@@ -123,14 +125,15 @@ def generate_trace(spec: KernelSpec) -> AccessTrace:
 
 
 def _segments(shape: tuple[int, ...], *segments) -> Batch:
-    """The batch whose streams are laid out by ``segments``.
+    """The batch of the segments laid out by ``segments``, the empty ones dropped.
 
     A segment is (buf, start, stride, length, count, write): ``count`` records
     of ``length`` bytes of buffer ``buf`` at ``start + j * stride`` for j = 0,
     1, .... buf, stride and write are scalars; start, length and count are
     scalars or arrays that broadcast to ``shape``: (pids,), or (pids, groups)
     for a kernel that repeats its segments over groups (gemm's K blocks,
-    transpose's rows). A pid's records run by group, then by segment.
+    transpose's and spmv's rows). A pid's segments run by group, then by
+    segment.
     """
     table = np.empty((6, *shape, len(segments)), dtype=np.int64)
     for f, field in enumerate(zip(*segments)):
@@ -139,10 +142,10 @@ def _segments(shape: tuple[int, ...], *segments) -> Batch:
                 table[f, ..., s] = value
         else:
             table[f] = field
-    per_pid = table[4].sum(axis=tuple(range(1, len(shape) + 1)))
-    buf, start, stride, length, count, write = table.reshape(6, -1)
-    return Batch(buf.astype(np.int32).repeat(count), sequences(start, count, stride),
-                 length.repeat(count), write.astype(bool).repeat(count),
+    runs = table[4] > 0
+    per_pid = runs.sum(axis=tuple(range(1, runs.ndim)))
+    buf, start, stride, length, count, write = (field[runs] for field in table)  # owned columns
+    return Batch(buf.astype(np.int32), start, length, write.astype(bool), stride, count,
                  np.concatenate(([0], per_pid.cumsum())))
 
 
@@ -263,23 +266,23 @@ def _gen_spmv(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
     )
 
     def batch(wave: int, pids: np.ndarray) -> Batch:
-        g0 = pids * br
+        g0 = pids[:, None] * br
         g1 = np.minimum(g0 + br, rows)
         p0, p1 = row_ptr[g0], row_ptr[g1]
-        out = _segments(
-            pids.shape,
-            (0, g0 * idx_bytes, 0, (g1 - g0 + 1) * idx_bytes, 1, False),
-            (1, p0 * idx_bytes, 0, (p1 - p0) * idx_bytes, 1, False),
-            (2, p0 * es, 0, (p1 - p0) * es, 1, False),
-            (3, g0, 1, 0, g1 - g0, False),  # one x gather per row; offs hold the row until below
-            (4, g0 * es, 0, (g1 - g0) * es, 1, True),
+        # One group per row of the block: the first reads the block's CSR
+        # arrays, each gathers its row's x band [r-hw, r+hw], and the last
+        # writes the block's y.
+        row = g0 + np.arange(br)
+        first, on, last = row == g0, row < g1, row == g1 - 1
+        band = np.minimum(row, rows - 1)
+        return _segments(
+            row.shape,
+            (0, g0 * idx_bytes, 0, (g1 - g0 + 1) * idx_bytes, first, False),
+            (1, p0 * idx_bytes, 0, (p1 - p0) * idx_bytes, first, False),
+            (2, p0 * es, 0, (p1 - p0) * es, first, False),
+            (3, lo[band] * es, 0, nnz_per_row[band] * es, on, False),
+            (4, g0 * es, 0, (g1 - g0) * es, last, True),
         )
-        # row r gathers the x band [r-hw, r+hw]
-        gather = out.bufs == 3
-        row = out.offs[gather]
-        out.offs[gather] = lo[row] * es
-        out.lens[gather] = nnz_per_row[row] * es
-        return out
 
     return AccessTrace("spmv_naive", grid, buffers, batch)
 

@@ -7,14 +7,19 @@ lines, so generators never need to know the line size.
 
 Workgroup streams come from a batch function per trace, lazily, because
 desk-scale kernels can reach tens of millions of records. It maps one wave
-and an array of logical pids to a ``Batch``: their streams back to back in
-four record columns, with per-pid offsets ``indptr`` (CSR form), so a
-generator pays its Python cost per batch rather than per workgroup;
-``AccessTrace.stream`` is a one-pid batch. Simulating a lazy trace holds
-only the batches of currently-resident workgroups. Where one trace is read
-many times (the optimization loop), ``materialize`` reads each wave's
-members once and keeps them as one batch per wave, with the native kernel's
-queue row of each member; a trace whose kept batches would pass
+and an array of logical pids to a ``Batch`` of their segments, with
+per-pid offsets ``indptr`` (CSR form). A segment is ``count`` runs of
+``len`` bytes of one buffer at ``off + j * stride``, each run one record,
+so a tile row's column scatter is one segment, not one record per element;
+a generator pays its Python cost per batch, not per workgroup or record.
+The native simulator walks the segments as they are; ``Batch.records``
+expands them into a ``Stream`` of records for everything that reads
+records (``AccessTrace.stream`` is a one-pid batch, expanded), and
+``locality_summary`` expands one bounded chunk at a time. Simulating a lazy
+trace holds only the batches of currently-resident workgroups. Where one
+trace is read many times (the optimization loop), ``materialize`` reads
+each wave's members once and keeps their batches as read, with the native
+kernel's queue row of each member; a trace whose kept batches would pass
 ``RECORD_TABLE_BYTES`` stays lazy.
 
 Multi-phase kernels are modeled as waves: each wave is one dispatch over
@@ -52,8 +57,9 @@ class AccessRecord:
 
 
 class Stream:
-    """Columnar record list in C-contiguous columns: one workgroup's records in
-    one wave, or, as a ``Batch``, several workgroups' back to back."""
+    """Records in C-contiguous columns, one workgroup's in one wave or, from
+    ``Batch.records``, several back to back: record ``i`` is ``lens[i]``
+    bytes of buffer ``bufs[i]`` at ``offs[i]``, a write if ``writes[i]``."""
 
     __slots__ = ("bufs", "offs", "lens", "writes")
 
@@ -77,41 +83,63 @@ class Stream:
         ]
 
 
-class Batch(Stream):
-    """The streams of several workgroups in CSR form: workgroup ``i``'s records
-    are rows ``indptr[i]`` to ``indptr[i + 1] - 1`` of the four columns."""
+class Batch:
+    """The streams of several workgroups as segments, in CSR form.
 
-    __slots__ = ("indptr",)
+    Row ``i`` is one segment: ``counts[i]`` runs of ``lens[i]`` bytes of
+    buffer ``bufs[i]`` at ``offs[i] + j * strides[i]`` for ``j < counts[i]``,
+    each run one record (a write if ``writes[i]``). Workgroup ``w``'s
+    segments are rows ``indptr[w]`` to ``indptr[w + 1] - 1``. Counts are
+    non-negative; a segment of no runs adds no record.
+    """
 
-    def __init__(self, bufs, offs, lens, writes, indptr):
-        super().__init__(bufs, offs, lens, writes)
+    __slots__ = ("bufs", "offs", "lens", "writes", "strides", "counts", "indptr")
+
+    def __init__(self, bufs, offs, lens, writes, strides, counts, indptr):
+        self.bufs = np.ascontiguousarray(bufs, dtype=np.int32)
+        self.offs = np.ascontiguousarray(offs, dtype=np.int64)
+        self.lens = np.ascontiguousarray(lens, dtype=np.int64)
+        self.writes = np.ascontiguousarray(writes, dtype=bool)
+        self.strides = np.ascontiguousarray(strides, dtype=np.int64)
+        self.counts = np.ascontiguousarray(counts, dtype=np.int64)
         self.indptr = np.asarray(indptr, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.offs)
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return self.bufs, self.offs, self.lens, self.writes, self.strides, self.counts
+
+    @property
+    def nbytes(self) -> int:
+        return sum(column.nbytes for column in (*self.columns, self.indptr))
 
     def part(self, lo: int, hi: int) -> "Batch":
         """Workgroups ``lo`` to ``hi - 1``, as views of this batch's columns."""
         a, b = self.indptr[lo], self.indptr[hi]
-        return Batch(self.bufs[a:b], self.offs[a:b], self.lens[a:b], self.writes[a:b],
-                     self.indptr[lo:hi + 1] - a)
+        return Batch(*(column[a:b] for column in self.columns), self.indptr[lo:hi + 1] - a)
+
+    def records(self) -> Stream:
+        """Every run as one record, in order: the workgroups' streams back to back."""
+        counts = self.counts
+        return Stream(self.bufs.repeat(counts), sequences(self.offs, counts, self.strides),
+                      self.lens.repeat(counts), self.writes.repeat(counts))
 
     def queue_rows(self) -> np.ndarray:
         """Each workgroup's row of the native kernel's queue: the addresses of its
-        bufs, offs and lens and its record count, valid while the columns live."""
-        first = self.indptr[:-1]
-        return np.stack([c.ctypes.data + c.itemsize * first for c in (self.bufs, self.offs, self.lens)]
-                        + [self.indptr[1:] - first], axis=1)
-
-    @classmethod
-    def concat(cls, batches: Sequence["Batch"]) -> "Batch":
-        if len(batches) == 1:
-            return batches[0]
-        ends = np.cumsum([0] + [len(b) for b in batches])
-        columns = zip(*(b.columns for b in batches)) if batches else [([],)] * 4
-        return cls(*map(np.concatenate, columns),
-                   np.concatenate([[0]] + [b.indptr[1:] + end for b, end in zip(batches, ends)]))
+        bufs, offs, lens, strides and counts and its segment count, valid while
+        the columns live."""
+        arrays = (self.bufs, self.offs, self.lens, self.strides, self.counts)
+        rows = np.empty((len(self.indptr) - 1, 6), dtype=np.int64)
+        rows[:, :5] = [column.ctypes.data for column in arrays]
+        rows[:, :5] += self.indptr[:-1, None] * [column.itemsize for column in arrays]
+        rows[:, 5] = np.diff(self.indptr)
+        return rows
 
 
-BatchFn = Callable[[int, np.ndarray], Batch]  # (wave_index, logical pids) -> their streams
-BATCH_PIDS = 64  # members per batch when a lazy trace is read wave by wave
+BatchFn = Callable[[int, np.ndarray], Batch]  # (wave_index, logical pids) -> their segments
+BATCH_PIDS = 256  # members per batch when a lazy trace is read wave by wave
 
 
 class AccessTrace:
@@ -124,7 +152,7 @@ class AccessTrace:
         buffers: Sequence[Buffer],
         batch_fn: BatchFn,
         wave_pids: Sequence[np.ndarray] | None = None,
-        kept: Sequence[Batch] | None = None,
+        kept: Sequence[tuple[int, np.ndarray, Batch]] | None = None,
         queue_rows: np.ndarray | None = None,
     ):
         self.kernel = kernel
@@ -149,24 +177,26 @@ class AccessTrace:
         return len(self.wave_pids)
 
     def batch(self, wave: int, pids) -> Batch:
-        """The streams of workgroups ``pids`` in one wave, in the order of ``pids``."""
+        """The segments of workgroups ``pids`` in one wave, in the order of ``pids``."""
         return self._batch_fn(wave, np.asarray(pids, dtype=np.int64))
 
     def stream(self, logical_pid: int, wave: int = 0) -> Stream:
+        """One workgroup's records in one wave, expanded from its segments."""
         total = self.grid.total_blocks
         if not 0 <= logical_pid < total:
             raise ValueError(f"logical pid {logical_pid} outside grid of {total} blocks")
         if not 0 <= wave < self.num_waves:
             raise ValueError(f"wave {wave} outside the trace's {self.num_waves} waves")
-        return self.batch(wave, [logical_pid])
+        return self.batch(wave, [logical_pid]).records()
 
     def member_batches(self):
-        """(wave, pids, their batch) over each wave's members in order: the kept
-        batch of a materialized trace, else ``BATCH_PIDS`` members at a time."""
+        """(wave, pids, their batch) over each wave's members in order, read
+        ``BATCH_PIDS`` members at a time, or the kept ones of a materialized
+        trace."""
+        if self.kept is not None:
+            yield from self.kept
+            return
         for wave, members in enumerate(self.wave_pids):
-            if self.kept is not None:
-                yield wave, members, self.kept[wave]
-                continue
             for lo in range(0, len(members), BATCH_PIDS):
                 pids = members[lo:lo + BATCH_PIDS]
                 yield wave, pids, self.batch(wave, pids)
@@ -191,48 +221,48 @@ def make_buffers(sizes: Sequence[tuple[str, int]]) -> list[Buffer]:
     return buffers
 
 
-# materialize() keeps the lazy trace when its batches would pass this many bytes
+# materialize() keeps the lazy trace when its segment batches, with the member
+# positions and queue rows, would pass this many bytes
 RECORD_TABLE_BYTES = 32 << 20
 
 
 def materialize(trace: AccessTrace) -> AccessTrace:
-    """``trace`` with every wave's member streams read once and kept, as one
-    batch per wave in member order.
+    """``trace`` with every wave's member segments read once and kept.
 
-    The returned trace's ``kept`` holds those batches, their columns made
-    read-only. Its batch function serves one member's stream as a view of
-    them; it hands any other request, a non-member or several pids, to the
-    original batch function, which gives the same records. Its
-    (waves, total, 4) ``queue_rows`` hold each member's ``Batch.queue_rows``
-    row, so a simulation builds each queue with one index. The members are
-    read ``BATCH_PIDS`` at a time; as soon as the batches' columns, the member
-    positions and the queue rows pass ``RECORD_TABLE_BYTES``, reading stops and
-    ``trace`` itself is returned.
+    The members are read ``BATCH_PIDS`` at a time, and the returned trace's
+    ``kept`` holds each (wave, pids, batch) as read, the columns made
+    read-only. Its (waves, total, 6) ``queue_rows`` hold each member's
+    ``Batch.queue_rows`` row, pointing into its kept batch, so a simulation
+    builds each queue with one index. Its batch function serves one member's
+    segments as a view of its kept batch, found by (part, index); it hands any
+    other request, a non-member or several pids, to the original batch
+    function, which gives the same segments. As soon as the batches'
+    columns, the member positions and the queue rows pass
+    ``RECORD_TABLE_BYTES``, reading stops and ``trace`` itself is returned.
     """
     waves, total = trace.num_waves, trace.grid.total_blocks
-    size = 40 * waves * total  # the member positions and the queue rows
-    parts: list[list[Batch]] = [[] for _ in range(waves)]
-    for wave, _, batch in trace.member_batches():
-        size += sum(column.nbytes for column in (*batch.columns, batch.indptr))
+    where = np.full((waves, total, 2), -1, dtype=np.int64)  # (part, index) of each member
+    rows = np.zeros((waves, total, 6), dtype=np.int64)
+    size = where.nbytes + rows.nbytes
+    kept = []
+    for wave, pids, batch in trace.member_batches():
+        size += batch.nbytes
         if size > RECORD_TABLE_BYTES:
             return trace
-        parts[wave].append(batch)
-    kept = tuple(Batch.concat(part) for part in parts)
-    position = np.full((waves, total), -1, dtype=np.int64)
-    rows = np.zeros((waves, total, 4), dtype=np.int64)
-    for wave, (members, batch) in enumerate(zip(trace.wave_pids, kept)):
         for column in batch.columns:
             column.flags.writeable = False
-        position[wave, members] = np.arange(len(members))
-        rows[wave, members] = batch.queue_rows()
+        where[wave, pids, 0] = len(kept)
+        where[wave, pids, 1] = np.arange(len(pids))
+        rows[wave, pids] = batch.queue_rows()
+        kept.append((wave, pids, batch))
     lazy = trace._batch_fn
 
     def batch_fn(wave: int, pids: np.ndarray) -> Batch:
-        at = position[wave, pids[0]] if len(pids) == 1 else -1
-        return lazy(wave, pids) if at < 0 else kept[wave].part(at, at + 1)
+        part, at = where[wave, pids[0]] if len(pids) == 1 else (-1, -1)
+        return lazy(wave, pids) if at < 0 else kept[part][2].part(at, at + 1)
 
     return AccessTrace(trace.kernel, trace.grid, trace.buffers, batch_fn, trace.wave_pids,
-                       kept, rows)
+                       tuple(kept), rows)
 
 
 def records_outside(stream: Stream, lengths: np.ndarray) -> bool:
@@ -283,8 +313,9 @@ def locality_summary(trace: AccessTrace) -> LocalitySummary:
     touched in more than one wave.
 
     Each (granule, pid, wave) is one int64 key, ordered by granule, then
-    pid, then wave. The streams are read in chunks of about
-    ``_CHUNK_GRANULES`` granules, each deduplicated by sort; a workgroup's
+    pid, then wave. The streams are read in chunks of at most
+    ``_CHUNK_GRANULES`` granules, bounded from the segments before a chunk
+    is expanded to records, each deduplicated by sort; a workgroup's
     stream lies in one chunk, so the chunks' keys are disjoint and one merge
     sort orders them all. Consecutive granules with one buffer and one pid
     set form a run, and only the runs of two or more pids reach Python, to
@@ -293,8 +324,8 @@ def locality_summary(trace: AccessTrace) -> LocalitySummary:
     waves = trace.num_waves
     total = trace.grid.total_blocks
     parts = [
-        _dedupe_chunk(batch, owner, trace.base_offsets, total * waves)
-        for batch, owner in _record_chunks(trace)
+        _dedupe_chunk(records, owner, trace.base_offsets, total * waves)
+        for records, owner in _record_chunks(trace)
     ]
     keys = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
     del parts
@@ -359,24 +390,50 @@ def locality_summary(trace: AccessTrace) -> LocalitySummary:
 
 
 def _record_chunks(trace: AccessTrace):
-    """(batch, owner keys) of consecutive member streams of one wave, about
-    ``_CHUNK_GRANULES`` granules per chunk, sliced out of the trace's member
-    batches; a stream's owner key is ``pid * num_waves + wave``."""
+    """(records, each record's owner key) of consecutive member streams of
+    one wave, at most ``_CHUNK_GRANULES`` granules per chunk (or one stream
+    that alone passes it). The chunks are cut from the wave's member batches
+    on segments, several batches' segments joining one chunk, and expanded
+    one chunk at a time; a stream's owner key is ``pid * num_waves + wave``.
+    A chunk keeps to one wave: joining softmax's two waves made the summary
+    about a quarter slower."""
+    pieces, room, chunk_wave = [], _CHUNK_GRANULES, 0
     for wave, pids, batch in trace.member_batches():
-        # a record of L bytes spans at most L // GRANULE_BYTES + 2 granules
-        granules = np.concatenate(([0], np.cumsum(2 + batch.lens // GRANULE_BYTES)))
-        cuts = np.flatnonzero(np.diff(granules[batch.indptr[:-1]] // _CHUNK_GRANULES)) + 1
-        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(pids)]):
-            yield batch.part(lo, hi), pids[lo:hi] * trace.num_waves + wave
+        # a run of L bytes spans at most L // GRANULE_BYTES + 2 granules
+        granules = np.cumsum(batch.counts * (2 + batch.lens // GRANULE_BYTES))
+        ends = np.concatenate(([0], granules))[batch.indptr]  # granules before each stream
+        owner = np.repeat(pids * trace.num_waves + wave, np.diff(batch.indptr))
+        columns = (*batch.columns, owner)
+        lo = 0
+        while lo < len(pids):
+            hi = int(np.searchsorted(ends, ends[lo] + room, side="right")) - 1
+            if pieces and (hi <= lo or wave != chunk_wave):  # the stream starts a chunk
+                yield _expand_chunk(pieces)
+                pieces, room = [], _CHUNK_GRANULES
+                continue
+            hi, chunk_wave = max(hi, lo + 1), wave
+            a, b = batch.indptr[lo], batch.indptr[hi]
+            pieces.append([column[a:b] for column in columns])
+            room -= ends[hi] - ends[lo]
+            lo = hi
+    if pieces:
+        yield _expand_chunk(pieces)
 
 
-def _dedupe_chunk(batch: Batch, owner: np.ndarray, bases: np.ndarray, owners: int) -> np.ndarray:
+def _expand_chunk(pieces) -> tuple[Stream, np.ndarray]:
+    """The records and owner keys of one chunk's segment columns."""
+    *columns, owner = map(np.concatenate, zip(*pieces))
+    segments = Batch(*columns, [0, len(owner)])
+    return segments.records(), owner.repeat(segments.counts)
+
+
+def _dedupe_chunk(records: Stream, owner: np.ndarray, bases: np.ndarray, owners: int) -> np.ndarray:
     """Sorted distinct keys ``granule * owners + owner`` of one chunk."""
-    goff = batch.offs + bases[batch.bufs]
+    goff = records.offs + bases[records.bufs]
     firsts = goff // GRANULE_BYTES
-    lasts = (goff + batch.lens - 1) // GRANULE_BYTES
+    lasts = (goff + records.lens - 1) // GRANULE_BYTES
     keys = expand_ranges(firsts, lasts) * owners
-    keys += np.repeat(np.repeat(owner, np.diff(batch.indptr)), lasts - firsts + 1)
+    keys += np.repeat(owner, lasts - firsts + 1)
     keys.sort()
     return keys[_run_starts(keys)]
 

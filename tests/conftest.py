@@ -109,13 +109,15 @@ class FullyAssociativeLru:
 
 def batched(stream_fn):
     """The batch function over a per-pid ``(wave, pid) -> Stream`` function:
-    the pids' streams concatenated in the order of ``pids``, for tests that
-    write their synthetic traces one stream at a time."""
+    the pids' records in the order of ``pids``, each a segment of one run,
+    for tests that write their synthetic traces one stream at a time."""
 
     def batch_fn(wave, pids):
         streams = [stream_fn(wave, int(pid)) for pid in pids]
         columns = zip(*(s.columns for s in streams)) if streams else [([],)] * 4
-        return Batch(*map(np.concatenate, columns), np.cumsum([0] + [len(s) for s in streams]))
+        bufs, offs, lens, writes = map(np.concatenate, columns)
+        return Batch(bufs, offs, lens, writes, np.zeros_like(offs), np.ones_like(offs),
+                     np.cumsum([0] + [len(s) for s in streams]))
 
     return batch_fn
 

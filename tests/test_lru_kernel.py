@@ -23,9 +23,9 @@ from swizzlesim.patterns import (
     builtin_pattern,
     pattern_from_expr,
 )
-from swizzlesim.traces import AccessTrace, Stream, make_buffers, materialize
+from swizzlesim.traces import AccessTrace, Batch, make_buffers, materialize, records_outside
 
-from conftest import ReferenceLru, arch_with_xcds, batched
+from conftest import ReferenceLru, arch_with_xcds
 
 # 1 XCD, 16 KiB of 2-way L2 (64 sets): 7 of the 10 kernels at size 256 evict
 SMALL = arch_with_xcds(1, cus_per_xcd=4, l2_bytes=16 << 10, ways=2)
@@ -68,18 +68,25 @@ def _python_pass():
         yield
 
 
-def _trace_of(streams, buffer_sizes, total, read_only=False):
-    """Trace whose (wave, pid) streams are lists of (buffer, offset, length)."""
-    def stream_fn(wave, pid):
-        recs = streams[wave].get(pid, [])
-        return Stream([r[0] for r in recs], [r[1] for r in recs], [r[2] for r in recs],
-                      [False] * len(recs))
+def _segment_batch(workgroups, read_only=False):
+    """Batch of workgroups, each a list of (buffer, offset, length, stride,
+    count) read segments."""
+    segments = [segment for workgroup in workgroups for segment in workgroup]
+    bufs, offs, lens, strides, counts = np.array(segments, dtype=np.int64).reshape(-1, 5).T
+    batch = Batch(bufs, offs, lens, np.zeros(len(segments), dtype=bool), strides, counts,
+                  np.cumsum([0] + [len(workgroup) for workgroup in workgroups]))
+    for array in batch.columns:
+        array.flags.writeable = not read_only
+    return batch
 
+
+def _trace_of(streams, buffer_sizes, total, read_only=False):
+    """Trace whose (wave, pid) streams are lists of (buffer, offset, length)
+    records or (buffer, offset, length, stride, count) segments."""
     def batch_fn(wave, pids):
-        batch = batched(stream_fn)(wave, pids)
-        for array in (batch.bufs, batch.offs, batch.lens):
-            array.flags.writeable = not read_only
-        return batch
+        return _segment_batch([[rec if len(rec) == 5 else (*rec, 0, 1)
+                                for rec in streams[wave].get(int(pid), [])] for pid in pids],
+                              read_only)
 
     buffers = make_buffers([(f"b{i}", size) for i, size in enumerate(buffer_sizes)])
     wave_pids = [np.asarray(sorted(wave), dtype=np.int64) for wave in streams]
@@ -123,14 +130,32 @@ def test_native_matches_reference_per_touch(native, case):
     assert (report.hits, report.misses) == (sum(want), len(want) - sum(want))
 
 
+def _draw_segment(draw, size, max_len, max_count=3):
+    """(offset, length, stride, count) of a segment whose runs all lie in a
+    buffer of ``size`` bytes: one run, several at a positive or negative
+    stride, or none."""
+    off = draw(st.integers(0, size - 1))
+    length = draw(st.integers(1, min(size - off, max_len)))
+    count = draw(st.integers(0, max_count))
+    steps = max(count - 1, 1)
+    stride = draw(st.integers(-(off // steps), (size - off - length) // steps))
+    return off, length, stride, count
+
+
+def _runs(segment):
+    """(offset, length) of each run of a (buffer, offset, length[, stride, count]) tuple."""
+    _, off, length, stride, count = segment if len(segment) == 5 else (*segment, 0, 1)
+    return [(off + j * stride, length) for j in range(count)]
+
+
 @st.composite
 def small_runs(draw):
     """A small trace, an arch of 1-3 XCDs with 1-5 slots each, and a bijection.
 
-    Streams mix one-line and multi-line records and include empty ones; in a
-    uniform wave every stream has the same number of one-line records, so
-    all resident slots drain in the same turn. Some traces hand out
-    read-only record arrays.
+    Streams mix one-line and multi-line records, segments of several runs
+    and of none, and empty streams; in a uniform wave every stream has the
+    same number of one-line records, so all resident slots drain in the same
+    turn. Some traces hand out read-only segment arrays.
     """
     line = draw(st.sampled_from([64, 128]))
     ways = draw(st.integers(1, 4))
@@ -140,11 +165,11 @@ def small_runs(draw):
     sizes = draw(st.lists(st.integers(1, 8 * line), min_size=1, max_size=3))
     total = draw(st.integers(1, 12))
 
-    def record(max_lines):
+    def segment(max_lines):
         buf = draw(st.integers(0, len(sizes) - 1))
-        off = draw(st.integers(0, sizes[buf] - 1))
-        length = draw(st.integers(1, min(sizes[buf] - off, max_lines * line)))
-        return buf, off, length
+        if draw(st.booleans()):  # one record
+            return (buf, *_draw_segment(draw, sizes[buf], max_lines * line, 1)[:2])
+        return (buf, *_draw_segment(draw, sizes[buf], max_lines * line))
 
     streams = []
     for _ in range(draw(st.integers(1, 3))):
@@ -154,7 +179,7 @@ def small_runs(draw):
             one_line = [(0, off, 1) for off in range(0, sizes[0], line)]
             wave = {pid: [draw(st.sampled_from(one_line)) for _ in range(n)] for pid in pids}
         else:
-            wave = {pid: [record(draw(st.sampled_from([1, 3])))
+            wave = {pid: [segment(draw(st.sampled_from([1, 3])))
                           for _ in range(draw(st.integers(0, 5)))] for pid in pids}
         streams.append(wave)
     a = draw(st.sampled_from([k for k in range(1, total + 1) if np.gcd(k, total) == 1]))
@@ -176,8 +201,9 @@ def test_native_pass_matches_python_pass(native, run):
     line = arch.l2_line_bytes
     expanded = [
         line_id
-        for wave in streams for recs in wave.values() for buf, off, length in recs
-        for start in [int(trace.base_offsets[buf]) + off]
+        for wave in streams for segments in wave.values() for segment in segments
+        for off, length in _runs(segment)
+        for start in [int(trace.base_offsets[segment[0]]) + off]
         for line_id in range(start // line, (start + length - 1) // line + 1)
     ]
     assert got.hits + got.misses == got.accesses == len(expanded)
@@ -185,7 +211,8 @@ def test_native_pass_matches_python_pass(native, run):
 
 
 class _Xcd:
-    """One XCD's LRU rows, bitmap and counts, driven through ``xcd_drain``."""
+    """One XCD of one buffer: its LRU rows, bitmap and counts, driven through
+    ``xcd_drain`` with the queue rows of a ``Batch``."""
 
     def __init__(self, num_sets, ways, capacity, buffer_bytes, line=128):
         self.kernel = cachesim._load_kernel()
@@ -198,10 +225,11 @@ class _Xcd:
         self.counts = np.zeros(2, dtype=np.int64)  # hits, touches
         self.shape = (capacity, line.bit_length() - 1, num_sets, ways)
 
-    def drain(self, loaded, streams, more):
+    def drain(self, loaded, batch, more):
+        """``xcd_drain`` over the batch's workgroups; the caller keeps the batch
+        alive while a slot may point into it."""
         capacity, shift, num_sets, ways = self.shape
-        queue = np.array([(s.bufs.ctypes.data, s.offs.ctypes.data, s.lens.ctypes.data, len(s))
-                          for s in streams], dtype=np.int64).reshape(-1, 4)
+        queue = batch.queue_rows()
         return self.kernel.xcd_drain(
             self.resident.ctypes.data, capacity, loaded, queue.ctypes.data, len(queue), more,
             self.bases.ctypes.data, self.lengths.ctypes.data, 1, shift,
@@ -209,24 +237,42 @@ class _Xcd:
             self.fill.ctypes.data, num_sets, ways)
 
 
-def _one_line_records(*lines):
-    return Stream(np.zeros(len(lines), dtype=np.int32), np.array(lines, dtype=np.int64) * 128,
-                  np.ones(len(lines), dtype=np.int64), np.zeros(len(lines), dtype=bool))
+def _python_counts(batch, num_sets, ways, capacity):
+    """[hits, touches] of the Python pass over a one-buffer batch's workgroups."""
+    lru = SetAssocLru(num_sets, ways)
+    bases = np.zeros(1, dtype=np.int64)
+    lines = (cachesim._expand_lines(batch.part(k, k + 1).records(), bases, 128)
+             for k in range(len(batch.indptr) - 1))
+    hits = touches = 0
+    for chunk in cachesim._interleave(lines, capacity):
+        hits += lru.access_many(chunk)[0]
+        touches += len(chunk)
+    return [hits, touches]
 
 
 def test_xcd_drain_moves_survivors_to_the_front_in_order(native):
-    # 3 slots; workgroups a-e of 3, 1, 2, 1 and 3 one-line records on distinct
-    # lines, and an empty one the queue skips. One set of 16 ways keeps every
-    # line, so its tag row is the touch order reversed.
-    a, b, c, d, e = (_one_line_records(0, 1, 2), _one_line_records(3),
-                     _one_line_records(4, 5), _one_line_records(6), _one_line_records(7, 8, 9))
+    # 3 slots; workgroups a-e touch 3, 1, 2, 1 and 3 distinct lines, as one
+    # 3-run segment (a), one run (b, d), two one-run segments (c) and a
+    # 3-run segment behind an empty one (e); the queue skips a workgroup of
+    # no segments and one whose only segment has no runs. One set of 16 ways
+    # keeps every line, so its tag row is the touch order reversed.
+    a = [(0, 0, 1, 128, 3)]
+    b = [(0, 3 * 128, 1, 0, 1)]
+    c = [(0, 4 * 128, 1, 0, 1), (0, 5 * 128 + 7, 100, 0, 1)]
+    d = [(0, 6 * 128, 128, 0, 1)]
+    e = [(0, 0, 1, 128, 0), (0, 7 * 128 + 5, 2, 128, 3)]
+    queue = _segment_batch([a, b, [], [(0, 0, 1, 0, 0)], c, d, e])
+    rows = queue.queue_rows()
     xcd = _Xcd(num_sets=1, ways=16, capacity=3, buffer_bytes=1280)
     # turn 1 touches a, b, c; b drains and d refills after the survivors a, c;
     # turn 2 touches a, c, d; c and d drain, e refills after a, and the call
     # returns with a slot free and the queue empty
-    assert xcd.drain(0, [a, b, _one_line_records(), c, d, e], True) == 2
-    assert xcd.resident[:2, 1].tolist() == [a.offs.ctypes.data, e.offs.ctypes.data]
-    assert xcd.drain(2, [], False) == 0
+    assert xcd.drain(0, queue, True) == 2
+    assert xcd.resident[:2, :6].tolist() == [rows[0].tolist(), rows[6].tolist()]
+    # (segment, runs left after the current one, its start, line, last line):
+    # a is at its last run, line 2; e at the first run of its second segment
+    assert xcd.resident[:2, 6:].tolist() == [[0, 0, 256, 2, 2], [1, 2, 7 * 128 + 5, 7, 7]]
+    assert xcd.drain(2, _segment_batch([]), False) == 0
     touch_order = [0, 3, 4, 1, 5, 6, 2, 7, 8, 9]
     assert xcd.tags.tolist() == touch_order[::-1] + [0] * 6
     assert xcd.counts.tolist() == [0, 10]
@@ -234,56 +280,75 @@ def test_xcd_drain_moves_survivors_to_the_front_in_order(native):
 
     # the whole queue in one call runs the same touches
     whole = _Xcd(num_sets=1, ways=16, capacity=3, buffer_bytes=1280)
-    assert whole.drain(0, [a, b, _one_line_records(), c, d, e], False) == 0
+    assert whole.drain(0, queue, False) == 0
     assert whole.tags.tolist() == xcd.tags.tolist()
 
 
 @st.composite
 def queues(draw):
-    """One XCD's wave: a cache shape, a slot count, a queue of one-buffer
-    streams of one- and three-line records (some empty) and cut points that
-    split the queue into batches."""
+    """One XCD's wave: a cache shape, a slot count, a batch of workgroups of
+    one-buffer segments of one- to three-line runs, one run, several or none
+    (some workgroups have no segment), and cut points that split the queue
+    into batches."""
     ways = draw(st.integers(1, 4))
     num_sets = draw(st.integers(1, 6))
     capacity = draw(st.integers(1, 5))
     buffer_bytes = 128 * draw(st.integers(1, 12))
-    streams = []
-    for _ in range(draw(st.integers(0, 12))):
-        recs = []
-        for _ in range(draw(st.integers(0, 5))):
-            off = draw(st.integers(0, buffer_bytes - 1))
-            recs.append((off, draw(st.integers(1, min(buffer_bytes - off, 3 * 128)))))
-        streams.append(Stream([0] * len(recs), [r[0] for r in recs], [r[1] for r in recs],
-                              [False] * len(recs)))
-    cuts = sorted(draw(st.sets(st.integers(1, max(len(streams) - 1, 1)))))
-    return num_sets, ways, capacity, buffer_bytes, streams, cuts
+    workgroups = [[(0, *_draw_segment(draw, buffer_bytes, 3 * 128, 4))
+                   for _ in range(draw(st.integers(0, 4)))]
+                  for _ in range(draw(st.integers(0, 12)))]
+    cuts = sorted(draw(st.sets(st.integers(1, max(len(workgroups) - 1, 1)))))
+    return num_sets, ways, capacity, buffer_bytes, _segment_batch(workgroups), cuts
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=queues())
 def test_batched_queue_matches_whole_queue_and_python_pass(native, case):
-    num_sets, ways, capacity, buffer_bytes, streams, cuts = case
+    num_sets, ways, capacity, buffer_bytes, batch, cuts = case
     whole = _Xcd(num_sets, ways, capacity, buffer_bytes)
-    assert whole.drain(0, streams, False) == 0
+    assert whole.drain(0, batch, False) == 0
 
-    batched = _Xcd(num_sets, ways, capacity, buffer_bytes)
-    bounds = [0, *(cut for cut in cuts if cut < len(streams)), len(streams)]
+    fed = _Xcd(num_sets, ways, capacity, buffer_bytes)
+    size = len(batch.indptr) - 1
+    bounds = [0, *(cut for cut in cuts if cut < size), size]
     left = 0
     for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        left = batched.drain(left, streams[lo:hi], k < len(bounds) - 2)
+        left = fed.drain(left, batch.part(lo, hi), k < len(bounds) - 2)
         assert left >= 0
     assert left == 0
-    assert batched.counts.tolist() == whole.counts.tolist()
-    assert batched.touched.tolist() == whole.touched.tolist()
+    assert fed.counts.tolist() == whole.counts.tolist()
+    assert fed.touched.tolist() == whole.touched.tolist()
+    assert whole.counts.tolist() == _python_counts(batch, num_sets, ways, capacity)
 
-    lru = SetAssocLru(num_sets, ways)
-    bases = np.zeros(1, dtype=np.int64)
-    lines = (cachesim._expand_lines(s, bases, 128) for s in streams)
-    hits = touches = 0
-    for chunk in cachesim._interleave(lines, capacity):
-        hits += lru.access_many(chunk)[0]
-        touches += len(chunk)
-    assert whole.counts.tolist() == [hits, touches]
+
+@st.composite
+def checked_queues(draw):
+    """A queue of workgroups of segments in or out of a one-buffer trace:
+    buffer ids -1, 0 and 1 (no buffer), offsets before, in and past the
+    buffer, lengths down to -1, strides of either sign and counts of 0-4."""
+    buffer_bytes = 128 * draw(st.integers(1, 8))
+    segment = st.tuples(st.sampled_from([0, 0, 0, -1, 1]),
+                        st.integers(-buffer_bytes // 2, 3 * buffer_bytes // 2),
+                        st.integers(-1, buffer_bytes), st.integers(-buffer_bytes, buffer_bytes),
+                        st.integers(0, 4))
+    workgroups = draw(st.lists(st.lists(segment, max_size=3), max_size=8))
+    return draw(st.integers(1, 3)), buffer_bytes, _segment_batch(workgroups)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=checked_queues())
+def test_kernel_rejects_a_row_exactly_when_its_records_are_outside(native, case):
+    capacity, buffer_bytes, batch = case
+    lengths = np.array([buffer_bytes], dtype=np.int64)
+    bad = [k for k in range(len(batch.indptr) - 1)
+           if records_outside(batch.part(k, k + 1).records(), lengths)]
+    xcd = _Xcd(2, 2, capacity, buffer_bytes)
+    got = xcd.drain(0, batch, False)
+    if bad:
+        assert got == -(bad[0] + 1)
+    else:
+        assert got == 0
+        assert xcd.counts.tolist() == _python_counts(batch, 2, 2, capacity)
 
 
 def test_lazy_feed_asks_for_free_slots_and_frees_each_batch(native, monkeypatch):
@@ -360,6 +425,26 @@ def test_out_of_bounds_record_names_its_workgroup_and_wave(native, bad, kind):
         simulate(trace, pattern, arch)
     assert str(native_exc.value) == str(kept_exc.value) == str(python_exc.value)
     assert f"workgroup {bad} in wave 1" in str(native_exc.value)
+
+
+@pytest.mark.parametrize("stride, count", [(1 << 62, 5), (-(1 << 62), 5), (-(1 << 63), 2)])
+def test_overflowing_segment_names_its_workgroup_and_wave(native, stride, count):
+    # stride * (count - 1) overflows int64: +-2**64 wraps to 0, so a check
+    # that formed the last run's offset would find it in the buffer and touch
+    # runs at +-2**62 and beyond; -2**63 has no negation
+    streams = [
+        {pid: [(0, 128 * pid, 128)] for pid in range(8)},
+        {pid: [(0, 0, 128), (0, 0, 1, stride, count) if pid == 5 else (0, 128, 1)]
+         for pid in range(8)},
+    ]
+    trace = _trace_of(streams, [1024], 8)
+    arch = arch_with_xcds(2, cus_per_xcd=2, l2_bytes=4096, ways=2)
+    pattern = builtin_pattern("identity", trace.grid, arch)
+    for subject in (trace, materialize(trace)):
+        with pytest.raises(SimulationError, match="workgroup 5 in wave 1"):
+            simulate(subject, pattern, arch)
+    with _python_pass(), pytest.raises(SimulationError, match="workgroup 5 in wave 1"):
+        simulate(trace, pattern, arch)
 
 
 def _failing_compiler(tmp_path):

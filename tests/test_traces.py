@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -435,7 +436,9 @@ def test_materialized_records_match_lazy(kind, dims):
     lazy = generate_trace(small(kind, **dims))
     table = materialize(lazy)
     assert table is not lazy
-    assert not table.stream(0, 0).offs.flags.writeable
+    # the kept batches are read-only; a stream is a fresh expansion of them
+    assert not any(column.flags.writeable for _, _, batch in table.kept for column in batch.columns)
+    assert not table.batch(0, [0]).offs.flags.writeable
     # non-members of a wave (smith_waterman) fall through to the lazy stream
     for wave in range(lazy.num_waves):
         for pid in range(lazy.grid.total_blocks):
@@ -454,6 +457,7 @@ def test_batch_is_the_one_pid_batches_back_to_back(kind, data):
         for wave in range(trace.num_waves):
             pids = data.draw(st.lists(st.integers(0, total - 1), max_size=3 * total))
             batch = trace.batch(wave, pids)
+            assert (batch.counts > 0).all()  # the generators drop segments of no runs
             singles = [trace.batch(wave, [pid]) for pid in pids]
             for single in singles:
                 assert single.indptr.tolist() == [0, len(single)]
@@ -472,17 +476,13 @@ def test_stream_rejects_a_wave_outside_the_trace(wave):
         assert len(trace.stream(0, 0)) == 193
 
 
-def _column_bytes(batch):
-    return sum(column.nbytes for column in (*batch.columns, batch.indptr))
-
-
 @pytest.mark.parametrize("passing", [0, 2, 6])
 def test_materialize_stops_one_batch_past_its_budget(monkeypatch, passing):
     # 20 workgroups read 3 at a time: 7 batches; the budget is passed by
     # batch `passing`, after which no batch is read
     monkeypatch.setattr(traces, "BATCH_PIDS", 3)
     lazy = generate_trace(KernelSpec("stencil2d", {"m": 200, "n": 130}, {"m": 64, "n": 32}))
-    sizes = [_column_bytes(batch) for _, _, batch in lazy.member_batches()]
+    sizes = [batch.nbytes for _, _, batch in lazy.member_batches()]
     assert len(sizes) == 7
     calls = []
     batch_fn = lazy._batch_fn
@@ -492,7 +492,7 @@ def test_materialize_stops_one_batch_past_its_budget(monkeypatch, passing):
         return batch_fn(wave, pids)
 
     lazy._batch_fn = counting
-    rows = 40 * lazy.grid.total_blocks  # the member positions and queue rows
+    rows = 64 * lazy.grid.total_blocks  # the member positions and queue rows
     monkeypatch.setattr(traces, "RECORD_TABLE_BYTES", rows + sum(sizes[:passing + 1]) - 1)
     assert materialize(lazy) is lazy
     assert calls == [list(range(lo, min(lo + 3, 20))) for lo in range(0, 3 * passing + 1, 3)]
@@ -501,9 +501,53 @@ def test_materialize_stops_one_batch_past_its_budget(monkeypatch, passing):
     monkeypatch.setattr(traces, "RECORD_TABLE_BYTES", rows + sum(sizes))
     table = materialize(lazy)
     assert len(calls) == 7
-    assert len(table.kept) == 1 and table.kept[0].indptr.tolist() == np.cumsum(
-        [0] + [len(lazy.stream(pid)) for pid in range(20)]).tolist()
+    # the batches are kept as read, and each member's queue row points into its own
+    assert [(wave, pids.tolist()) for wave, pids, _ in table.kept] == [(0, c) for c in calls]
+    for _, pids, batch in table.kept:
+        assert table.queue_rows[0, pids].tolist() == batch.queue_rows().tolist()
     assert all(table.records_for(pid) == lazy.records_for(pid) for pid in range(20))
+
+
+@pytest.mark.parametrize("kind, problem", [("transpose", {"m": 200, "n": 100}),
+                                           ("fdtd2d", {"ny": 200, "nx": 100, "steps": 3})])
+def test_record_chunks_stay_within_the_chunk_bound(monkeypatch, kind, problem):
+    # one kept batch per wave of 14 workgroups (a transpose tile streams up to
+    # 32 row reads and 32 x 64 column-scatter runs, about 4200 granules); every
+    # chunk keeps to one wave and, unless it is one workgroup's stream, holds
+    # at most _CHUNK_GRANULES granules, whatever its cut
+    block = {"m": 32, "n": 64} if kind == "transpose" else {"y": 32, "x": 64}
+    table = materialize(generate_trace(KernelSpec(kind, problem, block)))
+    waves = table.num_waves
+    assert [wave for wave, _, _ in table.kept] == list(range(waves))
+    want = locality_summary(table)
+    for chunk in (1, 3000, 10000, 1 << 19):
+        monkeypatch.setattr(traces, "_CHUNK_GRANULES", chunk)
+        owners = []
+        for records, owner in traces._record_chunks(table):
+            assert len(records) == len(owner)
+            bound = int((2 + records.lens // GRANULE_BYTES).sum())
+            assert bound <= chunk or len(np.unique(owner)) == 1
+            assert len(np.unique(owner % waves)) == 1
+            owners += np.unique(owner // waves).tolist()
+        assert owners == list(range(table.grid.total_blocks)) * waves
+        assert locality_summary(table) == want
+
+
+def test_materialized_default_transpose_memory():
+    # materialize holds little beyond what it keeps (no second copy of a
+    # wave), and the summary expands one bounded chunk at a time
+    trace = generate_trace(default_spec("transpose"))
+    tracemalloc.start()
+    try:
+        table = materialize(trace)
+        kept, peak = tracemalloc.get_traced_memory()
+        locality_summary(table)
+        summary_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table is not trace
+    assert peak <= 1.2 * kept
+    assert summary_peak < 64 << 20
 
 
 def test_spec_with_size_roundtrip():
