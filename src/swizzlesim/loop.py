@@ -320,6 +320,10 @@ class SearchProposer:
     validation, mirroring how broken remappings show up in practice.
     """
 
+    def __init__(self) -> None:
+        # each member's pattern and its formatted expression, built once
+        self._built: dict[tuple[str, int, int, int], tuple[SwizzlePattern, str]] = {}
+
     def propose(self, ctx: ProposeContext) -> Proposal:
         seen = {
             entry.pattern["expr"]
@@ -327,13 +331,16 @@ class SearchProposer:
             if entry.pattern is not None
         }
         for axis, chunk, stride in self._members(ctx.grid, ctx.arch):
-            expr_text = self._member_expr(axis, chunk, stride, ctx.arch)
-            pattern = pattern_from_expr(
-                f"search_{axis}_c{chunk}_s{stride}",
-                expr_text,
-                params={"axis": axis, "chunk": chunk, "stride": stride},
-            )
-            if pattern.expr_text not in seen:
+            key = (axis, chunk, stride, ctx.arch.num_xcds)
+            if key not in self._built:
+                pattern = pattern_from_expr(
+                    f"search_{axis}_c{chunk}_s{stride}",
+                    self._member_expr(axis, chunk, stride, ctx.arch),
+                    params={"axis": axis, "chunk": chunk, "stride": stride},
+                )
+                self._built[key] = pattern, pattern.expr_text
+            pattern, expr_text = self._built[key]
+            if expr_text not in seen:
                 return Proposal(
                     pattern=pattern,
                     critique=f"search family member: axis={axis} chunk={chunk} stride={stride}",

@@ -1,12 +1,13 @@
+import ctypes
 import hashlib
 import json
 from collections import Counter
 
 import pytest
 
-from swizzlesim import loop, patterns, traces
+from swizzlesim import cachesim, dsl, loop, patterns, traces
 from swizzlesim.arch import MI300X_LIKE
-from swizzlesim.cachesim import report_from_dict
+from swizzlesim.cachesim import ExecParams, report_from_dict, simulate_pair
 from swizzlesim.client import ReplayExhaustedError
 from swizzlesim.kernels import KernelSpec, generate_trace, spec_with_size
 from swizzlesim.loop import (
@@ -25,7 +26,7 @@ from swizzlesim.loop import (
     rank_history,
     write_progression_csv,
 )
-from swizzlesim.patterns import ValidationResult, pattern_from_expr
+from swizzlesim.patterns import ValidationResult, builtin_pattern, pattern_from_expr
 from swizzlesim.promptio import ProposalRecord, format_proposal
 
 from conftest import arch_with_xcds
@@ -234,6 +235,40 @@ def test_one_remap_evaluation_per_history_entry(monkeypatch):
              history_sink=entries)
     assert len(entries) == 7
     assert calls == [e.pattern["name"] for e in entries]
+
+
+def test_search_parses_each_member_once(monkeypatch):
+    parsed = []
+    real = dsl.parse_expr
+
+    def counting(text):
+        parsed.append(text)
+        return real(text)
+
+    monkeypatch.setattr(dsl, "parse_expr", counting)
+    entries = []
+    optimize(spec_with_size("softmax", 1024), MI300X_LIKE, SearchProposer(), max_iters=10,
+             history_sink=entries)
+    assert len(entries) == 11  # the baseline and 10 proposed members
+    assert len(parsed) <= len(entries)
+
+
+def test_library_writes_nothing_to_stdout(tmp_path, monkeypatch, capfd):
+    # a benchmark run's last stdout line is its result, so nothing below the
+    # CLI may print, not even a C-level write buffered until exit; the kernel
+    # is built afresh so that its build is covered too
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cachesim._load_kernel.cache_clear()
+    try:
+        trace = generate_trace(spec_with_size("stencil2d", 512))
+        pattern = builtin_pattern("stencil_group", trace.grid, MI300X_LIKE)
+        simulate_pair(trace, MI300X_LIKE, ExecParams(), pattern)
+        traces.locality_summary(trace)
+        optimize(spec_with_size("gemm", 256), MI300X_LIKE, SearchProposer(), max_iters=3)
+        ctypes.CDLL(None).fflush(None)
+    finally:
+        cachesim._load_kernel.cache_clear()
+    assert capfd.readouterr().out == ""
 
 
 def test_optimize_reads_each_stream_once(tmp_path, monkeypatch):

@@ -13,8 +13,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swizzlesim import cachesim
-from swizzlesim.arch import MI300X_LIKE
-from swizzlesim.cachesim import SetAssocLru, SimulationError, report_to_json, simulate
+from swizzlesim.arch import MI300X_LIKE, concurrent_slots_per_xcd
+from swizzlesim.cachesim import (
+    ExecParams,
+    SetAssocLru,
+    SimulationError,
+    report_to_json,
+    simulate,
+    simulate_pair,
+)
 from swizzlesim.kernels import KERNEL_KINDS, KernelSpec, generate_trace, spec_with_size
 from swizzlesim.patterns import (
     BUILTIN_PATTERN_NAMES,
@@ -22,6 +29,7 @@ from swizzlesim.patterns import (
     PatternError,
     builtin_pattern,
     pattern_from_expr,
+    validated_remap_table,
 )
 from swizzlesim.traces import AccessTrace, Batch, make_buffers, materialize, records_outside
 
@@ -351,18 +359,27 @@ def test_kernel_rejects_a_row_exactly_when_its_records_are_outside(native, case)
         assert xcd.counts.tolist() == _python_counts(batch, 2, 2, capacity)
 
 
-def test_lazy_feed_asks_for_free_slots_and_frees_each_batch(native, monkeypatch):
+def _queue_lengths(trace, pattern, arch) -> list[int]:
+    """Workgroups per non-empty (XCD, wave) queue, in the order simulate runs them."""
+    launch_of = np.argsort(validated_remap_table(pattern, trace.grid, arch))
+    lengths = (np.count_nonzero(launch_of[members] % arch.num_xcds == xcd)
+               for xcd in range(arch.num_xcds) for members in trace.wave_pids)
+    return [int(n) for n in lengths if n]
+
+
+def test_lazy_feed_asks_for_a_slot_file_and_frees_each_batch(native, monkeypatch):
     # 3 fdtd waves of 14 workgroups of unequal length on 2 XCDs of 3 slots:
-    # slots drain one or two at a time, so batches are refilled mid-wave
+    # slots drain one or two at a time, while each batch is a whole slot file
     lazy = generate_trace(KernelSpec("fdtd2d", {"ny": 200, "nx": 100, "steps": 3},
                                      {"y": 32, "x": 64}))
     arch = arch_with_xcds(2, cus_per_xcd=3, l2_bytes=4096, ways=2)
+    slots = concurrent_slots_per_xcd(arch)
     pattern = builtin_pattern("identity", lazy.grid, arch)
     want = simulate(materialize(lazy), pattern, arch)
     kernel = cachesim._load_kernel()
     last = {"left": 0, "more": 0}  # the last xcd_drain call's return and `more` flag
     handed_out = []  # a finalizer per batch's offs column
-    sizes = []
+    queues = []  # the batch sizes of each (XCD, wave) queue
 
     class Watched:
         def xcd_drain(self, *args):
@@ -373,9 +390,10 @@ def test_lazy_feed_asks_for_free_slots_and_frees_each_batch(native, monkeypatch)
         alive = sum(f.alive for f in handed_out)
         if not last["more"]:  # a new (XCD, wave) queue: every earlier batch is freed
             assert alive == 0
+            queues.append([])
         assert alive <= last["left"]  # a batch lives only while one of its pids is resident
-        assert len(pids) <= 3 - last["left"]  # no more pids than free slots
-        sizes.append(len(pids))
+        assert len(pids) <= slots
+        queues[-1].append(len(pids))
         batch = batch_fn(wave, pids)
         handed_out.append(weakref.finalize(batch.offs, lambda: None))
         return batch
@@ -385,7 +403,42 @@ def test_lazy_feed_asks_for_free_slots_and_frees_each_batch(native, monkeypatch)
     monkeypatch.setattr(cachesim, "_load_kernel", lambda: Watched())
     assert simulate(lazy, pattern, arch) == want
     assert not any(f.alive for f in handed_out)
-    assert sum(sizes) == 3 * 14 and len(sizes) > 6 and min(sizes) < 3
+    members = _queue_lengths(lazy, pattern, arch)
+    assert [sum(sizes) for sizes in queues] == members == [7] * 6
+    for sizes, count in zip(queues, members):
+        assert len(sizes) <= -(-count // slots) + 1
+
+
+@pytest.mark.parametrize("size", [1000, 3000])
+def test_lazy_pair_makes_one_batch_and_one_kernel_call_per_slot_file(native, monkeypatch, size):
+    # stencil tiles differ in length at the edges, so slots drain one or two
+    # at a time; at 1000 each XCD's 32 workgroups fit its 38 slots, at 3000
+    # each XCD's ~276 take eight slot files
+    arch = MI300X_LIKE
+    slots = concurrent_slots_per_xcd(arch)
+    lazy = generate_trace(spec_with_size("stencil2d", size))
+    pattern = builtin_pattern("stencil_group", lazy.grid, arch)
+    want = simulate_pair(materialize(lazy), arch, ExecParams(), pattern)
+    identity = builtin_pattern("identity", lazy.grid, arch)
+    bound = sum(-(-count // slots) for p in (identity, pattern)
+                for count in _queue_lengths(lazy, p, arch))
+    kernel = cachesim._load_kernel()
+    calls = {"batch": 0, "kernel": 0}
+
+    class Counted:
+        def xcd_drain(self, *args):
+            calls["kernel"] += 1
+            return kernel.xcd_drain(*args)
+
+    def counted(wave, pids):
+        calls["batch"] += 1
+        return batch_fn(wave, pids)
+
+    batch_fn = lazy._batch_fn
+    lazy._batch_fn = counted
+    monkeypatch.setattr(cachesim, "_load_kernel", lambda: Counted())
+    assert simulate_pair(lazy, arch, ExecParams(), pattern) == want
+    assert calls["batch"] <= bound and calls["kernel"] <= bound
 
 
 def test_kernel_builds_with_strict_warnings(native, tmp_path):
