@@ -27,9 +27,9 @@ expands runs into line touches on the fly, marks the touched-line bitmap
 and updates the LRU rows, one touch per slot per turn, and refills a
 drained slot after the survivors. Records are never built on this path. A
 materialized trace keeps every member's row, so a wave is one foreign call.
-A lazy trace is fed one batch of up to a slot file of workgroups at a time,
-each row pointing into it; the kernel refills slots from the batch as they
-drain and asks for the next one once the batch is spent and a slot is free.
+A lazy trace is fed one batch at a time, as many workgroups as the XCD has
+slots, each row pointing into it; the kernel refills slots from the batch as
+they drain and asks for the next one once it is spent and a slot is free.
 A batch is kept only while one of its workgroups is resident.
 ``_run_native`` owns each XCD's tag rows and fill counts for the whole pass.
 
@@ -284,11 +284,11 @@ def _run_native(
     The XCD's tag rows (``ways`` line ids per set, most recently used first)
     and fill counts live here and persist across waves. On a materialized
     trace a wave is one queue, indexed from ``trace.queue_rows``, and one
-    call. On a lazy trace each batch holds the wave's next ``slots`` pids (a
-    slot file), and the kernel returns for the next batch once this one is
-    spent and a slot is free; ``live`` keeps each batch, with its offs
-    column's address range, while a resident slot's offs address (slot word
-    1) lies in it.
+    call. On a lazy trace each batch holds the wave's next ``slots`` pids,
+    whatever number of slots is free, and the kernel returns for the next
+    batch once this one is spent and a slot is free; ``live`` keeps each
+    batch, with its offs column's address range, while a resident slot's offs
+    address (slot word 1) lies in it.
     """
     num_sets, ways = arch.num_sets, arch.l2_associativity
     tags = np.zeros(num_sets * ways, dtype=np.int64)
