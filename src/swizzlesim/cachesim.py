@@ -27,10 +27,12 @@ expands runs into line touches on the fly, marks the touched-line bitmap
 and updates the LRU rows, one touch per slot per turn, and refills a
 drained slot after the survivors. Records are never built on this path. A
 materialized trace keeps every member's row, so a wave is one foreign call.
-A lazy trace is fed one batch at a time, as many workgroups as the XCD has
-slots, each row pointing into it; the kernel refills slots from the batch as
-they drain and asks for the next one once it is spent and a slot is free.
-A batch is kept only while one of its workgroups is resident.
+A lazy trace is fed one batch at a time, each row pointing into it: first
+as many workgroups as the XCD has slots, then as many as ``BATCH_SEGMENTS``
+segments hold at the XCD's mean segments per workgroup so far, never fewer
+than its slots. The kernel refills slots from the batch as they drain and
+asks for the next one once it is spent and a slot is free. A batch is kept
+only while one of its workgroups is resident.
 ``_run_native`` owns each XCD's tag rows and fill counts for the whole pass.
 
 The first cache built in a process compiles the kernel with ``gcc`` into
@@ -63,7 +65,7 @@ import numpy as np
 from .arch import ArchSpec, concurrent_slots_per_xcd
 from .patterns import SwizzlePattern, builtin_pattern, validated_remap_table
 from .records import from_dict, to_dict
-from .traces import AccessTrace, Stream, expand_ranges, records_outside
+from .traces import BATCH_SEGMENTS, AccessTrace, Stream, expand_ranges, records_outside
 
 
 class SimulationError(ValueError):
@@ -284,11 +286,14 @@ def _run_native(
     The XCD's tag rows (``ways`` line ids per set, most recently used first)
     and fill counts live here and persist across waves. On a materialized
     trace a wave is one queue, indexed from ``trace.queue_rows``, and one
-    call. On a lazy trace each batch holds the wave's next ``slots`` pids,
-    whatever number of slots is free, and the kernel returns for the next
-    batch once this one is spent and a slot is free; ``live`` keeps each
-    batch, with its offs column's address range, while a resident slot's offs
-    address (slot word 1) lies in it.
+    call. On a lazy trace the pass's first batch holds the wave's first
+    ``slots`` pids, whatever number of slots is free, and each later batch
+    the wave's next ``BATCH_SEGMENTS`` segments' worth of pids, at the mean
+    segments per pid of the batches the pass has read, but at least
+    ``slots``. The kernel returns for the next batch once this one is spent
+    and a slot is free; ``live`` keeps each batch, with its offs column's
+    address range, while a resident slot's offs address (slot word 1) lies
+    in it.
     """
     num_sets, ways = arch.num_sets, arch.l2_associativity
     tags = np.zeros(num_sets * ways, dtype=np.int64)
@@ -301,15 +306,19 @@ def _run_native(
              tags.ctypes.data, fill.ctypes.data, num_sets, ways)
 
     rows = trace.queue_rows
+    pids_read = segments_read = 0
     for wave, pids in enumerate(waves):
         left, live, start = 0, [], 0
         while start < len(pids):
-            batch = pids[start:len(pids) if rows is not None else start + slots]
+            width = max(slots, BATCH_SEGMENTS * pids_read // max(segments_read, 1))
+            batch = pids[start:len(pids) if rows is not None else start + width]
             start += len(batch)
             if rows is not None:
                 queue = rows[wave][batch]
             else:
                 segments = trace.batch(wave, batch)
+                pids_read += len(batch)
+                segments_read += len(segments)
                 queue = segments.queue_rows()
                 lo = segments.offs.ctypes.data
                 live.append((segments, lo, lo + segments.offs.nbytes))

@@ -140,6 +140,11 @@ class Batch:
 
 BatchFn = Callable[[int, np.ndarray], Batch]  # (wave_index, logical pids) -> their segments
 BATCH_PIDS = 256  # members per batch when a lazy trace is read wave by wave
+# Segments per lazy batch after an XCD's first (cachesim._run_native): below the
+# default transpose's 4864 per slot file, so it keeps 38-pid batches and its
+# peak memory (256-pid ones cost it 11%); above the widest stencil_sweep
+# batch's 2836, so a stencil (XCD, wave) takes one or two batches.
+BATCH_SEGMENTS = 4096
 
 
 class AccessTrace:

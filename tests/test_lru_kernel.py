@@ -367,78 +367,146 @@ def _queue_lengths(trace, pattern, arch) -> list[int]:
     return [int(n) for n in lengths if n]
 
 
-def test_lazy_feed_asks_for_a_slot_file_and_frees_each_batch(native, monkeypatch):
-    # 3 fdtd waves of 14 workgroups of unequal length on 2 XCDs of 3 slots:
-    # slots drain one or two at a time, while each batch is a whole slot file
-    lazy = generate_trace(KernelSpec("fdtd2d", {"ny": 200, "nx": 100, "steps": 3},
-                                     {"y": 32, "x": 64}))
-    arch = arch_with_xcds(2, cus_per_xcd=3, l2_bytes=4096, ways=2)
-    slots = concurrent_slots_per_xcd(arch)
-    pattern = builtin_pattern("identity", lazy.grid, arch)
-    want = simulate(materialize(lazy), pattern, arch)
+@contextlib.contextmanager
+def _watch_feed(trace, slots):
+    """Check the lazy feed's contract on every batch ``simulate`` asks of
+    ``trace`` inside this context, which gives the batch sizes and kernel
+    calls of each (XCD, wave) queue, in the order simulate runs them.
+
+    A batch holds at most ``slots`` pids or, if more, ``BATCH_SEGMENTS``
+    segments' worth at the mean segments per pid of the batches the XCD's
+    pass has read so far, and lives only while one of its pids is resident."""
     kernel = cachesim._load_kernel()
     last = {"left": 0, "more": 0}  # the last xcd_drain call's return and `more` flag
+    seen = {"pids": 0, "segments": 0}  # read by the current XCD's pass
     handed_out = []  # a finalizer per batch's offs column
-    queues = []  # the batch sizes of each (XCD, wave) queue
+    queues = []  # [batch sizes, kernel calls] of each (XCD, wave) queue
+    run_native = cachesim._run_native
+
+    def one_pass(*args):
+        seen.update(pids=0, segments=0)
+        return run_native(*args)
 
     class Watched:
         def xcd_drain(self, *args):
             last["left"], last["more"] = kernel.xcd_drain(*args), args[5]
+            queues[-1][1] += 1
             return last["left"]
 
     def watched(wave, pids):
         alive = sum(f.alive for f in handed_out)
         if not last["more"]:  # a new (XCD, wave) queue: every earlier batch is freed
             assert alive == 0
-            queues.append([])
+            queues.append([[], 0])
         assert alive <= last["left"]  # a batch lives only while one of its pids is resident
-        assert len(pids) <= slots
-        queues[-1].append(len(pids))
+        budget = cachesim.BATCH_SEGMENTS * seen["pids"] // max(seen["segments"], 1)
+        assert len(pids) <= max(slots, budget)
+        queues[-1][0].append(len(pids))
         batch = batch_fn(wave, pids)
+        seen["pids"] += len(pids)
+        seen["segments"] += len(batch)
         handed_out.append(weakref.finalize(batch.offs, lambda: None))
         return batch
 
-    batch_fn = lazy._batch_fn
-    lazy._batch_fn = watched
-    monkeypatch.setattr(cachesim, "_load_kernel", lambda: Watched())
-    assert simulate(lazy, pattern, arch) == want
+    batch_fn = trace._batch_fn
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(trace, "_batch_fn", watched)
+        m.setattr(cachesim, "_run_native", one_pass)
+        m.setattr(cachesim, "_load_kernel", lambda: Watched())
+        yield queues
     assert not any(f.alive for f in handed_out)
+
+
+def _tapering_trace(total=480, bad=None):
+    """One wave of ``total`` one-buffer workgroups: the first half have 60
+    one-line segments each and the rest 4, so a lazy pass's segments per pid
+    fall as it reads and its batches widen mid-wave. Workgroup ``bad``, if
+    any, has its last segment run past the buffer."""
+    def batch_fn(wave, pids):
+        return _segment_batch([[(0, 128 * ((pid + k) % 64), 128, 0, 1)
+                                for k in range(60 if pid < total // 2 else 4)]
+                               + ([(0, 8192 - 64, 128, 0, 1)] if pid == bad else [])
+                               for pid in pids.tolist()])
+
+    return AccessTrace("synthetic", GridSpec.from_block_counts(total),
+                       make_buffers([("b0", 8192)]), batch_fn)
+
+
+FEED_TRACES = {
+    # 3 fdtd waves of 14 workgroups of unequal length: slots drain one or two
+    # at a time, and after each XCD's first batch a wave is one batch
+    "fdtd2d": lambda: generate_trace(KernelSpec("fdtd2d", {"ny": 200, "nx": 100, "steps": 3},
+                                                {"y": 32, "x": 64})),
+    "tapering": _tapering_trace,
+}
+
+
+@pytest.mark.parametrize("name", FEED_TRACES)
+def test_lazy_feed_sizes_batches_by_segments_and_frees_each_batch(native, name):
+    lazy = FEED_TRACES[name]()
+    arch = arch_with_xcds(2, cus_per_xcd=3, l2_bytes=4096, ways=2)
+    slots = concurrent_slots_per_xcd(arch)
+    pattern = builtin_pattern("identity", lazy.grid, arch)
+    want = simulate(materialize(lazy), pattern, arch)
+    with _watch_feed(lazy, slots) as queues:
+        assert simulate(lazy, pattern, arch) == want
     members = _queue_lengths(lazy, pattern, arch)
-    assert [sum(sizes) for sizes in queues] == members == [7] * 6
-    for sizes, count in zip(queues, members):
-        assert len(sizes) <= -(-count // slots) + 1
+    assert [sum(sizes) for sizes, _ in queues] == members
+    assert members == ([7] * 6 if name == "fdtd2d" else [240, 240])
+    # each XCD's pass starts with a slot file and then reads wider batches
+    assert all(sizes[0] == slots and max(sizes) > slots for sizes, _ in queues[::lazy.num_waves])
+    if name == "tapering":  # 60 segments per pid and then 4: the batches widen mid-wave
+        assert all(len(set(sizes[1:-1])) > 1 for sizes, _ in queues)
+
+
+@pytest.mark.parametrize("k", [0, 17, 58])
+def test_bad_segment_deep_in_a_wide_batch_names_its_workgroup(native, k):
+    # XCD 0's first batch is pids 0, 2, 4 (3 slots, 180 segments), so its
+    # second holds 4096 * 3 // 180 = 68 pids, from pid 6: the bad one is its k-th
+    bad = 6 + 2 * k
+    lazy = _tapering_trace(bad=bad)
+    arch = arch_with_xcds(2, cus_per_xcd=3, l2_bytes=4096, ways=2)
+    pattern = builtin_pattern("identity", lazy.grid, arch)
+    with _python_pass(), pytest.raises(SimulationError, match=f"workgroup {bad} in wave 0"):
+        simulate(lazy, pattern, arch)
+    with _watch_feed(lazy, concurrent_slots_per_xcd(arch)) as queues:
+        with pytest.raises(SimulationError, match=f"workgroup {bad} in wave 0"):
+            simulate(lazy, pattern, arch)
+    assert queues == [[[3, 68], 2]]
 
 
 @pytest.mark.parametrize("size", [1000, 3000])
-def test_lazy_pair_makes_one_batch_and_one_kernel_call_per_slot_file(native, monkeypatch, size):
+def test_lazy_pair_makes_at_most_two_batch_and_kernel_calls_per_queue(native, size):
     # stencil tiles differ in length at the edges, so slots drain one or two
     # at a time; at 1000 each XCD's 32 workgroups fit its 38 slots, at 3000
-    # each XCD's ~276 take eight slot files
+    # each XCD's ~276 take a slot file and then one batch of the rest
     arch = MI300X_LIKE
     slots = concurrent_slots_per_xcd(arch)
     lazy = generate_trace(spec_with_size("stencil2d", size))
     pattern = builtin_pattern("stencil_group", lazy.grid, arch)
     want = simulate_pair(materialize(lazy), arch, ExecParams(), pattern)
     identity = builtin_pattern("identity", lazy.grid, arch)
-    bound = sum(-(-count // slots) for p in (identity, pattern)
-                for count in _queue_lengths(lazy, p, arch))
-    kernel = cachesim._load_kernel()
-    calls = {"batch": 0, "kernel": 0}
+    members = [count for p in (identity, pattern) for count in _queue_lengths(lazy, p, arch)]
+    with _watch_feed(lazy, slots) as queues:
+        assert simulate_pair(lazy, arch, ExecParams(), pattern) == want
+    assert [sum(sizes) for sizes, _ in queues] == members
+    calls = 1 if size == 1000 else 2
+    assert [(len(sizes), kernel_calls) for sizes, kernel_calls in queues] == \
+        [(calls, calls)] * len(members)
 
-    class Counted:
-        def xcd_drain(self, *args):
-            calls["kernel"] += 1
-            return kernel.xcd_drain(*args)
 
-    def counted(wave, pids):
-        calls["batch"] += 1
-        return batch_fn(wave, pids)
-
-    batch_fn = lazy._batch_fn
-    lazy._batch_fn = counted
-    monkeypatch.setattr(cachesim, "_load_kernel", lambda: Counted())
-    assert simulate_pair(lazy, arch, ExecParams(), pattern) == want
-    assert calls["batch"] <= bound and calls["kernel"] <= bound
+def test_lazy_transpose_keeps_slot_file_batches(native):
+    # 64 x 64 fp32 tiles have 128 segments each, so 38 of them pass
+    # BATCH_SEGMENTS and every batch stays one slot file; 400 tiles put 50
+    # on each of the 8 XCDs
+    arch = MI300X_LIKE
+    slots = concurrent_slots_per_xcd(arch)
+    lazy = generate_trace(KernelSpec("transpose", {"m": 1280, "n": 1280}, {"m": 64, "n": 64}))
+    pattern = builtin_pattern("transpose_band", lazy.grid, arch)
+    want = simulate(materialize(lazy), pattern, arch)
+    with _watch_feed(lazy, slots) as queues:
+        assert simulate(lazy, pattern, arch) == want
+    assert [sizes for sizes, _ in queues] == [[slots, 50 - slots]] * arch.num_xcds
 
 
 def test_kernel_builds_with_strict_warnings(native, tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swizzlesim.patterns import (
     BUILTIN_PATTERN_NAMES,
@@ -107,6 +108,31 @@ def test_bitwise_rejects_non_power_of_four_grids():
     for total in (1, 4, 16, 64, 256):
         pat = builtin_pattern("bitwise_lowbit", grid(total), a)
         assert check_bijectivity(pat, grid(total), a).bijective
+
+
+@st.composite
+def grids_and_xcds(draw):
+    """A rank-1 grid of up to 48 * 48 blocks or a rank-2 grid of up to 48 x 48,
+    and an XCD count of 1 to 16."""
+    if draw(st.booleans()):
+        g = grid(draw(st.integers(1, 48 * 48)))
+    else:
+        g = grid(draw(st.integers(1, 48)), draw(st.integers(2, 48)))
+    return g, arch_with_xcds(draw(st.integers(1, 16)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=grids_and_xcds())
+def test_builtins_are_bijective_on_random_grids(case):
+    g, a = case
+    total = g.total_blocks
+    power_of_four = total & (total - 1) == 0 and (total.bit_length() - 1) % 2 == 0
+    for name in BUILTIN_PATTERN_NAMES:
+        if name == "bitwise_lowbit" and not power_of_four:
+            with pytest.raises(GridRejectedError):
+                builtin_pattern(name, g, a)
+            continue
+        assert check_bijectivity(builtin_pattern(name, g, a), g, a).bijective, (name, g, a)
 
 
 def test_bitwise_unchecked_construction_for_diagnosis():
