@@ -352,7 +352,11 @@ def simulate(
     launch_of = np.empty_like(table)
     launch_of[table] = np.arange(len(table), dtype=np.int64)
     # launch pids of each wave's workgroups, in launch order
-    wave_launch = [np.unique(launch_of[members]) for members in trace.wave_pids]
+    wave_launch = []
+    for members in trace.wave_pids:
+        launched = np.zeros(len(table), dtype=bool)
+        launched[launch_of[members]] = True
+        wave_launch.append(np.flatnonzero(launched))
 
     kernel = _load_kernel()
     run = _run_python if kernel is None else functools.partial(_run_native, kernel)

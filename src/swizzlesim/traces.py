@@ -14,8 +14,10 @@ so a tile row's column scatter is one segment, not one record per element;
 a generator pays its Python cost per batch, not per workgroup or record.
 The native simulator walks the segments as they are; ``Batch.records``
 expands them into a ``Stream`` of records for everything that reads
-records (``AccessTrace.stream`` is a one-pid batch, expanded), and
-``locality_summary`` expands one bounded chunk at a time. Simulating a lazy
+records (``AccessTrace.stream`` is a one-pid batch, expanded).
+``locality_summary`` reads segments too, one bounded chunk at a time, and
+turns them into granule intervals: it keys each piece of an interval that a
+workgroup touches in a wave, not each granule. Simulating a lazy
 trace holds only the batches of currently-resident workgroups. Where one
 trace is read many times (the optimization loop), ``materialize`` reads
 each wave's members once and keeps their batches as read, with the native
@@ -303,8 +305,9 @@ class LocalitySummary:
 
 GRANULE_BYTES = 256
 MIN_SHARED_BYTES = 4096
-# Upper bound on the granules one chunk of ``locality_summary`` expands at once;
-# it bounds the pass's transient memory, whatever the trace's size.
+# Upper bound on the granules that the segments of one chunk of
+# ``locality_summary`` span; it bounds the runs and granules the summary expands
+# at once, whatever the trace's size.
 _CHUNK_GRANULES = 1 << 19
 
 
@@ -317,75 +320,111 @@ def locality_summary(trace: AccessTrace) -> LocalitySummary:
     are dropped. A group is ``cross_wave`` when one of its granules is
     touched in more than one wave.
 
-    Each (granule, pid, wave) is one int64 key, ordered by granule, then
-    pid, then wave. The streams are read in chunks of at most
-    ``_CHUNK_GRANULES`` granules, bounded from the segments before a chunk
-    is expanded to records, each deduplicated by sort; a workgroup's
-    stream lies in one chunk, so the chunks' keys are disjoint and one merge
-    sort orders them all. Consecutive granules with one buffer and one pid
-    set form a run, and only the runs of two or more pids reach Python, to
-    form the group keys.
+    The streams are read as segments, in bounded chunks (``_record_chunks``),
+    and each (pid, wave) owner's granules become disjoint half-open granule
+    intervals (``_owner_intervals``). Intervals that no other owner's
+    interval overlaps are dropped. Cut at the distinct set of the remaining
+    intervals' ends and the buffer starts, the rest fall into pieces that
+    each owner covers whole or not at all, so each (piece, pid, wave) is one
+    int64 key, ordered by piece, then pid, then wave, and a piece weighs its
+    length in granules. The groups are formed in numpy, one sort per pid-set
+    size, and only the groups kept reach Python.
     """
     waves = trace.num_waves
     total = trace.grid.total_blocks
-    parts = [
-        _dedupe_chunk(records, owner, trace.base_offsets, total * waves)
-        for records, owner in _record_chunks(trace)
-    ]
-    keys = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-    del parts
-    keys.sort(kind="stable")  # a merge of the sorted chunks
-
-    pair = keys // waves  # granule * total + pid
-    wave = keys - pair * waves
-    del keys
-    first = _run_starts(pair // total)  # one per granule
-    cross = np.minimum.reduceat(wave, first) != np.maximum.reduceat(wave, first)
-    del wave
-    pair = pair[_run_starts(pair)]  # distinct (granule, pid)
-    granule = pair // total
-    pid = pair - granule * total
-    del pair
-    first = _run_starts(granule)  # the same granules; each one's pids are pid[first:][:size]
-    size = np.diff(first, append=len(pid))
+    owners = total * waves
     bounds = sorted((buf.base_offset // GRANULE_BYTES, buf.name) for buf in trace.buffers)
     names = [name for _, name in bounds]
-    buffer_of = np.searchsorted([start for start, _ in bounds], granule[first], side="right") - 1
-    del granule
+    buffer_starts = np.array([start for start, _ in bounds], dtype=np.int64)
+    parts = [_owner_intervals(segments, owner, trace.base_offsets)
+             for segments, owner in _record_chunks(trace)]
+    lo, hi, owner = map(np.concatenate, zip(*parts)) if parts else (np.zeros(0, np.int64),) * 3
+    del parts
+    order = np.argsort(lo)
+    lo = lo[order]
+    hi = hi[order]
+    owner = owner[order]
+    del order
+    # An interval that no other owner's interval overlaps adds no shared piece.
+    reach = np.maximum.accumulate(hi)
+    overlaps = np.zeros(len(lo), dtype=bool)
+    overlaps[1:] = lo[1:] < reach[:-1]
+    overlaps[:-1] |= hi[:-1] > lo[1:]
+    del reach
+    lo, hi, owner = lo[overlaps], hi[overlaps], owner[overlaps]
 
-    # A granule continues the previous granule's run when it has the same
-    # buffer, as many pids and, position by position, the same pids.
-    step = np.repeat(size, size)
-    same = np.logical_and.reduceat(pid == pid[np.maximum(np.arange(len(pid)) - step, 0)], first)
-    del step
-    same[1:] &= (size[1:] == size[:-1]) & (buffer_of[1:] == buffer_of[:-1])
-    same[:1] = False
-    run = np.flatnonzero(~same)
-    granules = np.diff(run, append=len(first))
-    run_cross = np.logical_or.reduceat(cross, run)
-    keep = size[run] >= 2
-    run = run[keep]
+    # Piece k is [cuts[k], cuts[k + 1]). Each distinct interval (equal ones
+    # lie together, sorted by lo) covers pieces rank(lo) to rank(hi) - 1,
+    # where rank counts the distinct edges below.
+    distinct = _run_starts(lo, hi)
+    owners_of = np.diff(distinct, append=len(lo))
+    lo, hi = lo[distinct], hi[distinct]
+    del distinct
+    cuts = np.concatenate((lo, hi, buffer_starts))
+    cuts.sort()
+    cuts = cuts[_run_starts(cuts)]
+    first = np.searchsorted(cuts, lo)
+    count = np.searchsorted(cuts, hi) - first
+    del lo, hi
+    first, count = first.repeat(owners_of), count.repeat(owners_of)
+    del owners_of
+    first *= owners
+    first += owner
+    del owner
+    keys = sequences(first, count, owners)
+    del first, count
+    keys.sort()
 
-    by_buffer_and_group: dict[tuple[str, tuple[int, ...]], list] = {}
-    for idx, lo, n, count, crosses in zip(
-        buffer_of[run].tolist(), first[run].tolist(), size[run].tolist(),
-        granules[keep].tolist(), run_cross[keep].tolist(),
-    ):
-        entry = by_buffer_and_group.setdefault((names[idx], tuple(pid[lo:lo + n].tolist())),
-                                               [0, False])
-        entry[0] += count
-        entry[1] = entry[1] or crosses
+    pair = keys // waves  # piece * total + pid
+    wave = keys - pair * waves
+    del keys
+    first = _run_starts(pair // total)  # one per piece
+    cross = np.minimum.reduceat(wave, first) != np.maximum.reduceat(wave, first)
+    del wave
+    pair = pair[_run_starts(pair)]  # distinct (piece, pid)
+    piece = pair // total
+    pid = pair - piece * total
+    del pair
+    first = _run_starts(piece)  # the same pieces; each one's pids are pid[first:][:size]
+    size = np.diff(first, append=len(pid))
+    shared = size >= 2
+    first, size, cross = first[shared], size[shared], cross[shared]
+    piece = piece[first]
+    granules = cuts[piece + 1] - cuts[piece]
+    buffer_of = np.searchsorted(buffer_starts, cuts[piece], side="right") - 1
+    del piece, cuts
 
+    # A group is one row (buffer, pids), over the pieces of n pids for each n.
+    # Rows are sorted on int64 keys that pack ``per_key`` values in base ``radix``.
+    radix = max(total, len(names))
+    per_key = 62 // radix.bit_length()
     groups = []
-    for (name, pids), (count, crosses) in by_buffer_and_group.items():
-        shared = count * GRANULE_BYTES
-        if shared >= MIN_SHARED_BYTES:
+    for n in np.flatnonzero(np.bincount(size)).tolist():
+        at = np.flatnonzero(size == n)
+        head = first[at]
+        packed = []
+        for i in range(n + 1):
+            if i % per_key == 0:
+                packed.append(np.zeros(len(at), dtype=np.int64))
+            packed[-1] *= radix
+            packed[-1] += buffer_of[at] if i == 0 else pid[head + i - 1]
+        order = np.lexsort(packed) if len(packed) > 1 else np.argsort(packed[0])
+        starts = _run_starts(*(key[order] for key in packed))
+        at = at[order]
+        shared_bytes = np.add.reduceat(granules[at], starts) * GRANULE_BYTES
+        crosses = np.logical_or.reduceat(cross[at], starts)
+        kept = shared_bytes >= MIN_SHARED_BYTES
+        at = at[starts[kept]]
+        for buffer, pids, nbytes, cross_wave in zip(
+            buffer_of[at].tolist(), pid[first[at, None] + np.arange(n)].tolist(),
+            shared_bytes[kept].tolist(), crosses[kept].tolist(),
+        ):
             groups.append(
                 SharingGroup(
-                    buffer_name=name,
-                    pids=pids,
-                    shared_bytes=shared,
-                    reuse_class="cross_wave" if crosses else "intra_wave",
+                    buffer_name=names[buffer],
+                    pids=tuple(pids),
+                    shared_bytes=nbytes,
+                    reuse_class="cross_wave" if cross_wave else "intra_wave",
                 )
             )
     groups.sort(key=lambda g: (-g.shared_bytes, g.buffer_name, g.pids))
@@ -395,16 +434,16 @@ def locality_summary(trace: AccessTrace) -> LocalitySummary:
 
 
 def _record_chunks(trace: AccessTrace):
-    """(records, each record's owner key) of consecutive member streams of
+    """(segments, each segment's owner key) of consecutive member streams of
     one wave, at most ``_CHUNK_GRANULES`` granules per chunk (or one stream
-    that alone passes it). The chunks are cut from the wave's member batches
-    on segments, several batches' segments joining one chunk, and expanded
-    one chunk at a time; a stream's owner key is ``pid * num_waves + wave``.
-    A chunk keeps to one wave: joining softmax's two waves made the summary
-    about a quarter slower."""
+    that alone passes it), bounded from the segments: a run of L bytes spans
+    at most L // GRANULE_BYTES + 2 granules. The chunks are cut from the
+    wave's member batches, several batches' segments joining one chunk; a
+    stream's owner key is ``pid * num_waves + wave``. A chunk keeps to one
+    wave: joining softmax's two waves made the summary about a quarter
+    slower."""
     pieces, room, chunk_wave = [], _CHUNK_GRANULES, 0
     for wave, pids, batch in trace.member_batches():
-        # a run of L bytes spans at most L // GRANULE_BYTES + 2 granules
         granules = np.cumsum(batch.counts * (2 + batch.lens // GRANULE_BYTES))
         ends = np.concatenate(([0], granules))[batch.indptr]  # granules before each stream
         owner = np.repeat(pids * trace.num_waves + wave, np.diff(batch.indptr))
@@ -413,7 +452,7 @@ def _record_chunks(trace: AccessTrace):
         while lo < len(pids):
             hi = int(np.searchsorted(ends, ends[lo] + room, side="right")) - 1
             if pieces and (hi <= lo or wave != chunk_wave):  # the stream starts a chunk
-                yield _expand_chunk(pieces)
+                yield _join_chunk(pieces)
                 pieces, room = [], _CHUNK_GRANULES
                 continue
             hi, chunk_wave = max(hi, lo + 1), wave
@@ -422,32 +461,76 @@ def _record_chunks(trace: AccessTrace):
             room -= ends[hi] - ends[lo]
             lo = hi
     if pieces:
-        yield _expand_chunk(pieces)
+        yield _join_chunk(pieces)
 
 
-def _expand_chunk(pieces) -> tuple[Stream, np.ndarray]:
-    """The records and owner keys of one chunk's segment columns."""
+def _join_chunk(pieces) -> tuple[Batch, np.ndarray]:
     *columns, owner = map(np.concatenate, zip(*pieces))
-    segments = Batch(*columns, [0, len(owner)])
-    return segments.records(), owner.repeat(segments.counts)
+    return Batch(*columns, [0, len(owner)]), owner
 
 
-def _dedupe_chunk(records: Stream, owner: np.ndarray, bases: np.ndarray, owners: int) -> np.ndarray:
-    """Sorted distinct keys ``granule * owners + owner`` of one chunk."""
-    goff = records.offs + bases[records.bufs]
-    firsts = goff // GRANULE_BYTES
-    lasts = (goff + records.lens - 1) // GRANULE_BYTES
-    keys = expand_ranges(firsts, lasts) * owners
-    keys += np.repeat(owner, lasts - firsts + 1)
-    keys.sort()
-    return keys[_run_starts(keys)]
+def _owner_intervals(segments: Batch, owner: np.ndarray, bases: np.ndarray):
+    """(lo, hi, owner): each owner's granules in one chunk as half-open
+    intervals [lo, hi), disjoint and none adjacent to another of its owner.
+
+    A segment whose runs each lie in one granule, a whole number of granules
+    apart, touches a granule sequence; such segments are deduplicated per
+    owner before they are expanded (the 64 column scatters of a transpose
+    tile are one sequence), and their granules are merged first. Every other
+    segment is expanded run by run, and merged with them.
+    """
+    lens, strides, counts = segments.lens, segments.strides, segments.counts
+    goff = segments.offs + bases[segments.bufs]
+    first = goff // GRANULE_BYTES
+    # past every run's last granule: owner * span + granule orders by owner, then granule
+    end = np.maximum(goff, goff + (counts - 1) * strides) + lens
+    span = int(end.max(initial=0)) // GRANULE_BYTES + 2
+    granular = (goff - first * GRANULE_BYTES + lens <= GRANULE_BYTES) & (
+        (strides % GRANULE_BYTES == 0) | (counts == 1))
+
+    at = np.flatnonzero(granular)
+    key = owner[at] * span + first[at]
+    order = np.argsort(key)
+    key, step, count = key[order], strides[at][order] // GRANULE_BYTES, counts[at][order]
+    distinct = _run_starts(key, step, count)
+    points = sequences(key[distinct], count[distinct], step[distinct])
+    points.sort()
+    lo, hi = _merged(points, points + 1)
+
+    at = np.flatnonzero(~granular)
+    if len(at):
+        count = counts[at]
+        starts = sequences(goff[at], count, strides[at])
+        base = (owner[at] * span).repeat(count)
+        lo = np.concatenate((lo, base + starts // GRANULE_BYTES))
+        hi = np.concatenate((hi, base + (starts + lens[at].repeat(count) - 1) // GRANULE_BYTES + 1))
+        lo.sort()
+        hi.sort()
+        lo, hi = _merged(lo, hi)
+    owner = lo // span
+    return lo - owner * span, hi - owner * span, owner.astype(np.int32)
 
 
-def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
-    """Index of the first element of each run of equal values."""
-    if len(sorted_values) == 0:
+def _merged(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted starts and ends of the union of half-open intervals, given
+    their sorted starts and sorted ends: the i-th start opens a part unless
+    the (i-1)-th end reaches it, and a part ends at the end before the next
+    part's opening start. Touching intervals join."""
+    opens = np.ones(len(lo), dtype=bool)
+    np.greater(lo[1:], hi[:-1], out=opens[1:])
+    closes = np.ones(len(lo), dtype=bool)
+    closes[:-1] = opens[1:]
+    return lo[opens], hi[closes]
+
+
+def _run_starts(*columns: np.ndarray) -> np.ndarray:
+    """Index of the first row of each run of equal rows, over sorted columns."""
+    if len(columns[0]) == 0:
         return np.zeros(0, dtype=np.int64)
-    return np.flatnonzero(np.concatenate(([True], sorted_values[1:] != sorted_values[:-1])))
+    differs = columns[0][1:] != columns[0][:-1]
+    for column in columns[1:]:
+        differs |= column[1:] != column[:-1]
+    return np.flatnonzero(np.concatenate(([True], differs)))
 
 
 def expand_ranges(firsts: np.ndarray, lasts: np.ndarray) -> np.ndarray:
@@ -463,20 +546,26 @@ def expand_ranges(firsts: np.ndarray, lasts: np.ndarray) -> np.ndarray:
     return sequences(firsts, counts)
 
 
-def sequences(starts: np.ndarray, counts: np.ndarray, steps: np.ndarray | None = None) -> np.ndarray:
+def sequences(starts: np.ndarray, counts: np.ndarray, steps: np.ndarray | int = 1) -> np.ndarray:
     """Concatenate the sequences ``starts[i] + j * steps[i]`` for ``j < counts[i]``
-    (``steps`` defaults to 1); a count may be zero.
+    (``steps`` an array, or one step for every sequence); a count may be zero.
 
     One running sum over the steps, in which each sequence's first value
     jumps from the previous sequence's last.
     """
     if (counts == 1).all():
         return starts.copy()
-    some = counts > 0
-    starts, counts = starts[some], counts[some]
-    steps = np.ones_like(counts) if steps is None else steps[some]
+    steps = np.broadcast_to(steps, counts.shape)
+    if not counts.all():
+        some = counts > 0
+        starts, counts, steps = starts[some], counts[some], steps[some]
     out = steps.repeat(counts)
-    first = counts.cumsum() - counts
-    out[first] = starts
-    out[first[1:]] -= starts[:-1] + (counts[:-1] - 1) * steps[:-1]
+    first = counts.cumsum()
+    first -= counts
+    jumps = counts - 1  # each sequence's last value, then the jump to the next one's first
+    jumps *= steps
+    jumps += starts
+    jumps[1:] = starts[1:] - jumps[:-1]
+    jumps[:1] = starts[:1]
+    out[first] = jumps
     return out.cumsum(out=out)

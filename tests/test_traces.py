@@ -18,9 +18,11 @@ from swizzlesim.kernels import (
 )
 from swizzlesim.patterns import GridSpec
 from swizzlesim.traces import (
+    BUFFER_ALIGN,
     GRANULE_BYTES,
     MIN_SHARED_BYTES,
     AccessTrace,
+    Batch,
     Buffer,
     Stream,
     locality_summary,
@@ -351,6 +353,23 @@ def test_golden_locality_digest():
     )
 
 
+# SHA-256 over repr(locality_summary(...)) of every kernel at its default_spec,
+# one line each, in KERNEL_KINDS order; pinned before the summary moved from
+# granule keys to granule intervals.
+DEFAULT_LOCALITY_DIGEST = "4716fb78ee6b4c89d671868d901c570d6bf520466d2509358c94dd65c42cd18b"
+
+
+def test_default_spec_locality_digest():
+    digest = hashlib.sha256()
+    for kind in KERNEL_KINDS:
+        summary = locality_summary(materialize(generate_trace(default_spec(kind))))
+        digest.update(repr(summary).encode() + b"\n")
+    assert digest.hexdigest() == DEFAULT_LOCALITY_DIGEST, (
+        "default-spec locality summaries changed; a deliberate change must update "
+        "DEFAULT_LOCALITY_DIGEST and say so in CHANGES.md"
+    )
+
+
 SHARED_RUN = MIN_SHARED_BYTES // GRANULE_BYTES  # granules in the smallest kept group
 
 
@@ -426,7 +445,142 @@ def test_locality_summary_matches_set_oracle(trace, chunk):
         assert locality_summary(materialize(trace)) == expected
 
 
-SMALL_KERNELS = [(kind, dims) for kind, dims, _ in COVERAGE_CASES] + [
+@st.composite
+def segment_traces(draw):
+    """Small random traces written as ``Batch`` segments: 1-3 waves over up to
+    6 pids (a pid may be a member of several waves) and 1-3 buffers. Strides
+    are zero, whole granules or not; runs lie inside one granule or span
+    several; some segments have no runs. A segment is new, a copy of an
+    earlier one (so that streams share granules), or its stream's previous
+    segment shifted to touch or overlap it, or with another count or another
+    whole-granule stride. Most examples add one block of granules just below,
+    at or just above ``MIN_SHARED_BYTES`` that several streams read, which may
+    run from the end of a full 64 KiB buffer into the next buffer."""
+    total = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(1, 48 * GRANULE_BYTES), min_size=1, max_size=3))
+    wave_pids = [sorted(draw(st.sets(st.integers(0, total - 1), min_size=1)))
+                 for _ in range(draw(st.integers(1, 3)))]
+    owners = [(wave, pid) for wave, members in enumerate(wave_pids) for pid in members]
+    streams = {owner: [] for owner in owners}
+
+    def fits(buf, off, length, stride, count):
+        return off >= 0 and off + max(count - 1, 0) * stride + length <= sizes[buf]
+
+    made = []
+    for _ in range(draw(st.integers(0, 14))):
+        owner = draw(st.sampled_from(owners))
+        how = draw(st.sampled_from(["new", "copy", "touch", "overlap", "count", "stride"]))
+        segment = None
+        if how == "copy" and made:
+            segment = draw(st.sampled_from(made))
+        elif how != "new" and streams[owner]:
+            buf, off, length, stride, count, write = streams[owner][-1]
+            if how == "touch":
+                off += length
+            elif how == "overlap":
+                off += draw(st.integers(0, length - 1))
+            elif how == "count":
+                count = draw(st.integers(0, 8))
+            else:
+                stride = draw(st.sampled_from([GRANULE_BYTES, 2 * GRANULE_BYTES])) + stride
+            if fits(buf, off, length, stride, count):
+                segment = (buf, off, length, stride, count, write)
+        if segment is None:
+            buf = draw(st.integers(0, len(sizes) - 1))
+            length = min(sizes[buf], draw(st.one_of(st.integers(1, 64),
+                                                    st.integers(1, 20 * GRANULE_BYTES))))
+            stride = draw(st.sampled_from([0, 4, 100, 300, GRANULE_BYTES, 3 * GRANULE_BYTES]))
+            count = draw(st.integers(0, 8))
+            room = sizes[buf] - length - max(count - 1, 0) * stride
+            if room < 0:
+                count, room = min(count, 1), sizes[buf] - length
+            off = draw(st.integers(0, room))
+            if draw(st.booleans()):
+                off -= off % GRANULE_BYTES
+            segment = (buf, off, length, stride, count, draw(st.booleans()))
+        streams[owner].append(segment)
+        made.append(segment)
+
+    if len(owners) > 1 and draw(st.integers(0, 3)):
+        # A block of `run` granules that several streams read, each in one or
+        # two touching parts, each part cut at a buffer end and written as a
+        # granule sequence (4 bytes per granule), as one run, or as runs of
+        # `step` bytes at a stride of `step`, from any offset in its first granule.
+        buf = draw(st.integers(0, len(sizes) - 1))
+        if buf + 1 < len(sizes) and draw(st.booleans()):
+            # across a buffer end: whole, the block would make a group
+            run = draw(st.integers(SHARED_RUN, 2 * SHARED_RUN))
+            sizes[buf] = BUFFER_ALIGN  # the next buffer starts where this one ends
+            sizes[buf + 1] = max(sizes[buf + 1], run * GRANULE_BYTES)
+            base = BUFFER_ALIGN // GRANULE_BYTES - draw(st.integers(1, run - 1))
+        else:
+            run = draw(st.integers(SHARED_RUN - 1, SHARED_RUN + 1))
+            base = draw(st.integers(0, 3))
+            sizes[buf] = max(sizes[buf], (base + run) * GRANULE_BYTES)
+        ends = np.cumsum([0] + [-(-size // BUFFER_ALIGN) * BUFFER_ALIGN // GRANULE_BYTES
+                                for size in sizes[buf:]])
+        for owner in draw(st.lists(st.sampled_from(owners), min_size=2, max_size=4, unique=True)):
+            split = draw(st.integers(0, run))
+            cuts = sorted({base, base + split, base + run, *(e for e in ends if base < e < base + run)})
+            for first, last in zip(cuts, cuts[1:]):
+                part = int(np.searchsorted(ends, first, side="right")) - 1
+                n = last - first
+                at = draw(st.sampled_from([0, 100, GRANULE_BYTES - 4]))
+                off = (first - ends[part]) * GRANULE_BYTES + at
+                shape = draw(st.sampled_from(["sequence", "run", "steps"]))
+                if shape == "sequence":
+                    # perhaps beside a shorter, sparser or zero-stride sequence
+                    # from the same start, before it or after it
+                    count = draw(st.integers(1, n))
+                    shadow = draw(st.sampled_from([None, (GRANULE_BYTES, count),
+                                                   (2 * GRANULE_BYTES, (n + 1) // 2), (0, n)]))
+                    written = [(buf + part, off, 4, GRANULE_BYTES, n, False)]
+                    if shadow:
+                        written.append((buf + part, off, 4, *shadow, False))
+                    streams[owner] += written[::draw(st.sampled_from([1, -1]))]
+                elif shape == "run":
+                    streams[owner].append((buf + part, off, n * GRANULE_BYTES - at, 0, 1, False))
+                else:
+                    step = draw(st.sampled_from([4, 100, 252]))
+                    count = (n * GRANULE_BYTES - at) // step
+                    streams[owner].append((buf + part, off, step, step, count, False))
+
+    def batch_fn(wave, pids):
+        rows = [streams.get((wave, int(pid)), []) for pid in pids]
+        columns = list(zip(*(segment for row in rows for segment in row))) or [()] * 6
+        bufs, offs, lens, strides, counts, writes = columns
+        return Batch(bufs, offs, lens, writes, strides, counts,
+                     np.cumsum([0] + [len(row) for row in rows]))
+
+    buffers = make_buffers([(f"b{i}", size) for i, size in enumerate(sizes)])
+    return AccessTrace("segments", GridSpec.from_block_counts(total), buffers, batch_fn,
+                       wave_pids=[np.array(m, dtype=np.int64) for m in wave_pids])
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace=segment_traces(), chunk=st.sampled_from([1, 7, 64, traces._CHUNK_GRANULES]))
+def test_locality_summary_on_segments_matches_set_oracle(trace, chunk):
+    expected = reference_locality_summary(trace)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(traces, "_CHUNK_GRANULES", chunk)
+        assert locality_summary(trace) == expected
+        assert locality_summary(materialize(trace)) == expected
+
+
+def test_softmax_search_summary_memory():
+    # perfbench's softmax_search trace (rows=1024); 13.1 MiB when every
+    # touched (granule, pid, wave) was one key
+    table = materialize(generate_trace(spec_with_size("softmax", 1024)))
+    tracemalloc.start()
+    try:
+        locality_summary(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+SMALL_KERNELS =[(kind, dims) for kind, dims, _ in COVERAGE_CASES] + [
     ("fdtd2d", dict(ny=256, nx=256))
 ]
 
@@ -513,8 +667,8 @@ def test_materialize_stops_one_batch_past_its_budget(monkeypatch, passing):
 def test_record_chunks_stay_within_the_chunk_bound(monkeypatch, kind, problem):
     # one kept batch per wave of 14 workgroups (a transpose tile streams up to
     # 32 row reads and 32 x 64 column-scatter runs, about 4200 granules); every
-    # chunk keeps to one wave and, unless it is one workgroup's stream, holds
-    # at most _CHUNK_GRANULES granules, whatever its cut
+    # chunk of segments keeps to one wave and, unless it is one workgroup's
+    # stream, spans at most _CHUNK_GRANULES granules, whatever its cut
     block = {"m": 32, "n": 64} if kind == "transpose" else {"y": 32, "x": 64}
     table = materialize(generate_trace(KernelSpec(kind, problem, block)))
     waves = table.num_waves
@@ -523,9 +677,9 @@ def test_record_chunks_stay_within_the_chunk_bound(monkeypatch, kind, problem):
     for chunk in (1, 3000, 10000, 1 << 19):
         monkeypatch.setattr(traces, "_CHUNK_GRANULES", chunk)
         owners = []
-        for records, owner in traces._record_chunks(table):
-            assert len(records) == len(owner)
-            bound = int((2 + records.lens // GRANULE_BYTES).sum())
+        for segments, owner in traces._record_chunks(table):
+            assert len(segments) == len(owner)
+            bound = int((segments.counts * (2 + segments.lens // GRANULE_BYTES)).sum())
             assert bound <= chunk or len(np.unique(owner)) == 1
             assert len(np.unique(owner % waves)) == 1
             owners += np.unique(owner // waves).tolist()
