@@ -4,38 +4,55 @@
  * start, a stride and a count of equal-length runs), expands each run into
  * line touches and feeds each touch to a set-associative LRU.
  *
- * tags holds num_sets rows of `ways` line ids, most recently used first;
- * fill[s] is how many entries of row s are valid. A miss allocates the line
- * (write-allocate), evicting the row's last entry when the row is full.
+ * tags holds num_sets rows of `ways` line ids, each a ring read in recency
+ * order from its entry heads[s], wrapping; an empty entry holds -1 and
+ * follows every valid one. touched holds a byte per line: bit 0 says the
+ * line was ever touched, bit 1 that it is resident in these rows, so a
+ * touch hits exactly when bit 1 is set. A miss steps the head back one
+ * entry and writes the line over what is there, the least recently used
+ * line or an empty entry (write-allocate): no scan, no shift. A hit scans
+ * from the head and shifts only the entries before the line.
  * Every line id is non-negative: AccessTrace rejects negative buffer bases
  * and xcd_drain rejects any run outside its buffer, so `line % num_sets` is
- * a valid set and touched[line] a valid flag.
+ * a valid set and touched[line] a valid byte.
  */
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
 /* Touch one line; 1 on a hit. */
-static inline int lru_touch(int64_t line, int64_t *tags, int32_t *fill,
+static inline int lru_touch(int64_t line, uint8_t *touched, int64_t *tags, int32_t *heads,
                             int64_t num_sets, int64_t ways)
 {
     int64_t set = line % num_sets;
     int64_t *row = tags + set * ways;
-    int32_t used = fill[set];
-    int64_t k = 0;
-    while (k < used && row[k] != line)
-        k++;
-    int hit = k < used;
-    if (!hit) {
-        if (used < ways)
-            fill[set] = used + 1; /* k is the first free entry */
-        else
-            k = ways - 1;         /* evict the least recently used */
+    int64_t head = heads[set];
+    if (!(touched[line] & 2)) {
+        head = (head ? head : ways) - 1;
+        if (row[head] >= 0) /* evict the least recently used */
+            touched[row[head]] = 1;
+        row[head] = line;
+        heads[set] = (int32_t)head;
+        touched[line] = 3;
+        return 0;
     }
-    for (; k > 0; k--)
-        row[k] = row[k - 1];
-    row[0] = line;
-    return hit;
+    int64_t p = head;
+    while (p < ways && row[p] != line)
+        p++;
+    if (p == ways) { /* wrap: the line is before the head, if anywhere */
+        for (p = 0; p < head && row[p] != line; p++)
+            ;
+        if (p == head) /* bit 1 is wrong: so are the counts, but nothing hangs */
+            return 1;
+        for (; p > 0; p--)
+            row[p] = row[p - 1];
+        row[0] = row[ways - 1];
+        p = ways - 1;
+    }
+    for (; p > head; p--)
+        row[p] = row[p - 1];
+    row[head] = line;
+    return 1;
 }
 
 /* One resident workgroup: its segment arrays and segment count, copied from
@@ -117,20 +134,20 @@ static inline int next_run(slot_t *s, const int64_t *bases, int64_t line_shift)
  * segment_outside). The first bad row k returns -(k + 1) before any of its
  * lines is touched.
  *
- * Each turn touches the current line of every slot, in slot order, marks
- * touched[line] and counts hits into counts[0] and touches into counts[1].
+ * Each turn touches the current line of every slot, in slot order, and
+ * counts hits into counts[0] and touches into counts[1].
  * After the turn in which one or more slots drain, the survivors move to
  * the front in order and the next rows load after them. With `more` zero
  * the call returns 0 when every slot and the queue are empty; otherwise it
  * returns the number of slots in use as soon as a slot is free and the queue
- * is empty, so that the caller can pass the wave's next rows. tags and fill
- * are the XCD's LRU rows (see the top of this file); they persist across calls.
+ * is empty, so that the caller can pass the wave's next rows. touched, tags
+ * and heads (see the top of this file) persist across calls.
  */
 int64_t xcd_drain(slot_t *slots, int64_t capacity, int64_t loaded,
                   const int64_t *queue, int64_t rows, int64_t more,
                   const int64_t *bases, const int64_t *lengths, int64_t num_buffers,
                   int64_t line_shift, uint8_t *touched, int64_t *counts,
-                  int64_t *tags, int32_t *fill, int64_t num_sets, int64_t ways)
+                  int64_t *tags, int32_t *heads, int64_t num_sets, int64_t ways)
 {
     int64_t n = loaded;
     for (int64_t next = 0;;) {
@@ -153,8 +170,7 @@ int64_t xcd_drain(slot_t *slots, int64_t capacity, int64_t loaded,
         while (!drained) {
             for (int64_t k = 0; k < n; k++) {
                 slot_t *s = &slots[k];
-                touched[s->line] = 1;
-                hits += lru_touch(s->line, tags, fill, num_sets, ways);
+                hits += lru_touch(s->line, touched, tags, heads, num_sets, ways);
                 if (s->line < s->last)
                     s->line++;
                 else if (!next_run(s, bases, line_shift))

@@ -23,17 +23,19 @@ workgroup's segment arrays (see ``traces.Batch``) and its segment count. It
 loads the resident slots from the queue, checking each row's segments
 against the buffer bounds (a segment's first and last run bound the rest),
 walks each segment run by run, stepping the run's start by the stride,
-expands runs into line touches on the fly, marks the touched-line bitmap
-and updates the LRU rows, one touch per slot per turn, and refills a
-drained slot after the survivors. Records are never built on this path. A
-materialized trace keeps every member's row, so a wave is one foreign call.
+expands runs into line touches on the fly and feeds them to the LRU, one
+touch per slot per turn, and refills a drained slot after the survivors.
+Records are never built on this path. A materialized trace keeps every
+member's row, so a wave is one foreign call.
 A lazy trace is fed one batch at a time, each row pointing into it: first
 as many workgroups as the XCD has slots, then as many as ``BATCH_SEGMENTS``
 segments hold at the XCD's mean segments per workgroup so far, never fewer
 than its slots. The kernel refills slots from the batch as they drain and
 asks for the next one once it is spent and a slot is free. A batch is kept
 only while one of its workgroups is resident.
-``_run_native`` owns each XCD's tag rows and fill counts for the whole pass.
+``_run_native`` owns each XCD's LRU rows, one ring of tags per set, for the
+whole pass. A line's byte in the touched-line map has bit 0 set once the
+line is touched, and bit 1 while the XCD's rows hold it (see ``_lru.c``).
 
 The first cache built in a process compiles the kernel with ``gcc`` into
 ``$XDG_CACHE_HOME/swizzlesim`` (default ``~/.cache/swizzlesim``), under a
@@ -148,7 +150,7 @@ def _load_kernel():
     else:
         c_ptr, c_i64 = ctypes.c_void_p, ctypes.c_int64
         # slots, capacity, loaded, queue, rows, more, bases, lengths, num_buffers,
-        # line_shift, touched, counts, tags, fill, num_sets, ways
+        # line_shift, touched, counts, tags, heads, num_sets, ways
         kernel.xcd_drain.argtypes = [c_ptr, c_i64, c_i64, c_ptr, c_i64, c_i64, c_ptr, c_ptr,
                                      c_i64, c_i64, c_ptr, c_ptr, c_ptr, c_ptr, c_i64, c_i64]
         kernel.xcd_drain.restype = c_i64
@@ -266,7 +268,7 @@ def _run_python(
     accesses = 0
     for wave, pids in enumerate(waves):
         for chunk in _interleave((lines_of(pid, wave) for pid in pids), slots):
-            touched[chunk] = True
+            touched[chunk] |= 1
             hits += cache.access_many(chunk)[0]
             accesses += len(chunk)
     return hits, accesses
@@ -277,33 +279,37 @@ def _run_python(
 _SLOT_WORDS = 11
 
 
+def _lru_rows(num_sets: int, ways: int) -> tuple[np.ndarray, np.ndarray]:
+    """An empty LRU for ``xcd_drain``: tag rows of -1, each a ring read in
+    recency order from its head (see ``_lru.c``), and the heads."""
+    return np.full(num_sets * ways, -1, dtype=np.int64), np.zeros(num_sets, dtype=np.int32)
+
+
 def _run_native(
     kernel, trace: AccessTrace, waves: list[np.ndarray], arch: ArchSpec, slots: int,
     touched: np.ndarray,
 ) -> tuple[int, int]:
     """(hits, touches) of one XCD, all waves, in the kernel's ``xcd_drain``.
 
-    The XCD's tag rows (``ways`` line ids per set, most recently used first)
-    and fill counts live here and persist across waves. On a materialized
-    trace a wave is one queue, indexed from ``trace.queue_rows``, and one
-    call. On a lazy trace the pass's first batch holds the wave's first
-    ``slots`` pids, whatever number of slots is free, and each later batch
-    the wave's next ``BATCH_SEGMENTS`` segments' worth of pids, at the mean
-    segments per pid of the batches the pass has read, but at least
-    ``slots``. The kernel returns for the next batch once this one is spent
-    and a slot is free; ``live`` keeps each batch, with its offs column's
-    address range, while a resident slot's offs address (slot word 1) lies
-    in it.
+    The XCD's LRU rows (``_lru_rows``) persist across waves; the pass ends
+    by clearing bit 1, "resident", in ``touched``. On a materialized trace a
+    wave is one queue, indexed from ``trace.queue_rows``, and one call. On a
+    lazy trace the pass's first batch holds the wave's first ``slots`` pids,
+    whatever number of slots is free, and each later batch the wave's next
+    ``BATCH_SEGMENTS`` segments' worth of pids, at the mean segments per pid
+    of the batches the pass has read, but at least ``slots``. The kernel
+    returns for the next batch once this one is spent and a slot is free;
+    ``live`` keeps each batch, with its offs column's address range, while a
+    resident slot's offs address (slot word 1) lies in it.
     """
     num_sets, ways = arch.num_sets, arch.l2_associativity
-    tags = np.zeros(num_sets * ways, dtype=np.int64)
-    fill = np.zeros(num_sets, dtype=np.int32)
+    tags, heads = _lru_rows(num_sets, ways)
     resident = np.zeros((slots, _SLOT_WORDS), dtype=np.int64)
     counts = np.zeros(2, dtype=np.int64)  # hits, touches
     lengths = trace.buffer_lengths
     fixed = (trace.base_offsets.ctypes.data, lengths.ctypes.data, len(lengths),
              arch.l2_line_bytes.bit_length() - 1, touched.ctypes.data, counts.ctypes.data,
-             tags.ctypes.data, fill.ctypes.data, num_sets, ways)
+             tags.ctypes.data, heads.ctypes.data, num_sets, ways)
 
     rows = trace.queue_rows
     pids_read = segments_read = 0
@@ -329,6 +335,7 @@ def _run_native(
                 raise _bad_record(trace, batch[-left - 1], wave)
             held = resident[:left, 1]
             live = [entry for entry in live if ((held >= entry[1]) & (held < entry[2])).any()]
+    touched &= 1  # the next XCD starts with nothing resident
     return int(counts[0]), int(counts[1])
 
 
@@ -346,8 +353,8 @@ def simulate(
     num_xcds = arch.num_xcds
     slots = concurrent_slots_per_xcd(arch)
     end = max((b.base_offset + b.length_bytes for b in trace.buffers), default=0)
-    # one flag per line the buffers span
-    touched = np.zeros(-(-end // arch.l2_line_bytes), dtype=bool)
+    # one byte per line the buffers span (see _run_native)
+    touched = np.zeros(-(-end // arch.l2_line_bytes), dtype=np.uint8)
 
     launch_of = np.empty_like(table)
     launch_of[table] = np.arange(len(table), dtype=np.int64)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swizzlesim import cachesim
 from swizzlesim.arch import MI300X_LIKE, concurrent_slots_per_xcd
@@ -104,24 +104,39 @@ def _trace_of(streams, buffer_sizes, total, read_only=False):
 
 @st.composite
 def caches_and_lines(draw):
-    """A cache shape and a line stream over a working set of up to twice its
-    capacity, so hits, evictions and rereads of evicted lines all occur.
-    Line ids are non-negative and below 90,000, so the touched-line bitmap
-    stays small."""
-    num_sets = draw(st.integers(1, 70))
-    ways = draw(st.integers(1, 9))
-    span = draw(st.integers(1, 2 * num_sets * ways))
+    """A cache shape of 1-64 ways, with set counts that are powers of two and
+    not, and a line stream over a working set of up to twice its capacity,
+    so hits, evictions and rereads of evicted lines all occur. A stream runs
+    to up to 24 times the capacity, so that where the working set overflows
+    the cache each set's ring head wraps many times. Line ids are
+    non-negative and below 40,000, so the touched-line map stays small."""
+    ways = draw(st.integers(1, 64))
+    num_sets = draw(st.integers(1, min(70, 256 // ways)))
+    capacity = num_sets * ways
     base = draw(st.integers(0, 1 << 12))
     stride = draw(st.integers(1, 64))
-    # hypothesis keeps lists short; a drawn seed gives streams long enough to
-    # overflow sets and reread what was evicted
+    # hypothesis favours small integers; a drawn seed gives working sets and
+    # stream lengths spread evenly over their ranges
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    ids = rng.integers(0, span + 1, size=draw(st.integers(0, 1000)))
+    span = rng.integers(1, 2 * capacity + 1)
+    ids = rng.integers(0, span + 1, size=rng.integers(0, 24 * capacity + 1))
     return num_sets, ways, [base + int(i) * stride for i in ids]
+
+
+def _stream(num_sets, ways, seed, stride=1):
+    """A caches_and_lines case whose working set is twice the capacity and
+    whose stream is 24 times it: each head wraps about a dozen times."""
+    ids = np.random.default_rng(seed).integers(0, 2 * num_sets * ways, size=24 * num_sets * ways)
+    return num_sets, ways, [int(i) * stride for i in ids]
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=caches_and_lines())
+@example(case=_stream(1, 1, 0))
+@example(case=_stream(7, 1, 1))
+@example(case=_stream(3, 64, 2))
+@example(case=_stream(4, 64, 3, stride=4))  # every line in set 0
+@example(case=_stream(6, 13, 4))
 def test_native_matches_reference_per_touch(native, case):
     num_sets, ways, lines = case
     ref = ReferenceLru(num_sets, ways)
@@ -136,6 +151,26 @@ def test_native_matches_reference_per_touch(native, case):
                       [128 * (max(lines, default=0) + 1)], 1)
     report = simulate(trace, builtin_pattern("identity", trace.grid, arch), arch)
     assert (report.hits, report.misses) == (sum(want), len(want) - sum(want))
+
+
+@pytest.mark.parametrize("num_sets, ways", [(1, 1), (3, 1), (5, 4), (6, 16), (2, 64)])
+def test_xcds_touching_the_same_lines_each_match_reference(native, num_sets, ways):
+    # 2 XCDs of one slot each: XCD x runs pids x, x + 2 and x + 4 in turn.
+    # Every pid reads one working set of twice the capacity in its own
+    # order, so XCD 1 touches the lines XCD 0 left resident in its own cache
+    capacity = num_sets * ways
+    rng = np.random.default_rng(capacity)
+    streams = {pid: rng.integers(0, 2 * capacity, size=8 * capacity).tolist()
+               for pid in range(6)}
+    trace = _trace_of([{pid: [(0, 128 * line, 1) for line in lines]
+                        for pid, lines in streams.items()}], [256 * capacity], 6)
+    arch = arch_with_xcds(2, cus_per_xcd=1, l2_bytes=128 * capacity, ways=ways)
+    report = simulate(trace, builtin_pattern("identity", trace.grid, arch), arch)
+    for xcd, stats in enumerate(report.per_xcd):
+        ref = ReferenceLru(num_sets, ways)
+        assert stats.hits == sum(ref.access(line)
+                                 for pid in range(xcd, 6, 2) for line in streams[pid])
+        assert stats.accesses == 24 * capacity
 
 
 def _draw_segment(draw, size, max_len, max_count=3):
@@ -219,17 +254,16 @@ def test_native_pass_matches_python_pass(native, run):
 
 
 class _Xcd:
-    """One XCD of one buffer: its LRU rows, bitmap and counts, driven through
-    ``xcd_drain`` with the queue rows of a ``Batch``."""
+    """One XCD of one buffer: its LRU rows, touched-line bytes and counts,
+    driven through ``xcd_drain`` with the queue rows of a ``Batch``."""
 
     def __init__(self, num_sets, ways, capacity, buffer_bytes, line=128):
         self.kernel = cachesim._load_kernel()
-        self.tags = np.zeros(num_sets * ways, dtype=np.int64)
-        self.fill = np.zeros(num_sets, dtype=np.int32)
+        self.tags, self.heads = cachesim._lru_rows(num_sets, ways)
         self.resident = np.zeros((capacity, cachesim._SLOT_WORDS), dtype=np.int64)
         self.bases = np.zeros(1, dtype=np.int64)
         self.lengths = np.array([buffer_bytes], dtype=np.int64)
-        self.touched = np.zeros(-(-buffer_bytes // line), dtype=bool)
+        self.touched = np.zeros(-(-buffer_bytes // line), dtype=np.uint8)
         self.counts = np.zeros(2, dtype=np.int64)  # hits, touches
         self.shape = (capacity, line.bit_length() - 1, num_sets, ways)
 
@@ -242,7 +276,13 @@ class _Xcd:
             self.resident.ctypes.data, capacity, loaded, queue.ctypes.data, len(queue), more,
             self.bases.ctypes.data, self.lengths.ctypes.data, 1, shift,
             self.touched.ctypes.data, self.counts.ctypes.data, self.tags.ctypes.data,
-            self.fill.ctypes.data, num_sets, ways)
+            self.heads.ctypes.data, num_sets, ways)
+
+    def rows(self):
+        """Each set's tags in recency order, read from its head."""
+        ways = self.shape[3]
+        return [np.roll(row, -head).tolist()
+                for row, head in zip(self.tags.reshape(-1, ways), self.heads)]
 
 
 def _python_counts(batch, num_sets, ways, capacity):
@@ -263,7 +303,8 @@ def test_xcd_drain_moves_survivors_to_the_front_in_order(native):
     # 3-run segment (a), one run (b, d), two one-run segments (c) and a
     # 3-run segment behind an empty one (e); the queue skips a workgroup of
     # no segments and one whose only segment has no runs. One set of 16 ways
-    # keeps every line, so its tag row is the touch order reversed.
+    # keeps every line, so its row, read from its head, is the touch order
+    # reversed and then six empty entries.
     a = [(0, 0, 1, 128, 3)]
     b = [(0, 3 * 128, 1, 0, 1)]
     c = [(0, 4 * 128, 1, 0, 1), (0, 5 * 128 + 7, 100, 0, 1)]
@@ -282,14 +323,14 @@ def test_xcd_drain_moves_survivors_to_the_front_in_order(native):
     assert xcd.resident[:2, 6:].tolist() == [[0, 0, 256, 2, 2], [1, 2, 7 * 128 + 5, 7, 7]]
     assert xcd.drain(2, _segment_batch([]), False) == 0
     touch_order = [0, 3, 4, 1, 5, 6, 2, 7, 8, 9]
-    assert xcd.tags.tolist() == touch_order[::-1] + [0] * 6
+    assert xcd.rows() == [touch_order[::-1] + [-1] * 6]
     assert xcd.counts.tolist() == [0, 10]
-    assert xcd.touched.all()
+    assert xcd.touched.tolist() == [3] * 10  # touched and resident
 
     # the whole queue in one call runs the same touches
     whole = _Xcd(num_sets=1, ways=16, capacity=3, buffer_bytes=1280)
     assert whole.drain(0, queue, False) == 0
-    assert whole.tags.tolist() == xcd.tags.tolist()
+    assert whole.rows() == xcd.rows()
 
 
 @st.composite
