@@ -45,10 +45,10 @@ renamed into place, so a concurrent process never loads a half-written
 library. Nothing is compiled or loaded at import. When the kernel cannot be
 built or loaded, a warning names the reason and the whole pass runs in
 Python instead, with identical counts: ``_run_python`` expands each
-workgroup's segments into records (``AccessTrace.stream``) and those into
-lines with ``_expand_lines``, schedules the slots with ``_interleave`` and feeds
-its own ``SetAssocLru``, an ``OrderedDict`` per set. Those three are
-otherwise the oracles the tests hold the kernel to.
+workgroup's segments into one-run segments (``AccessTrace.stream``) and
+those into lines with ``_expand_lines``, schedules the slots with
+``_interleave`` and feeds its own ``SetAssocLru``, an ``OrderedDict`` per
+set. Those three are otherwise the oracles the tests hold the kernel to.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ import numpy as np
 from .arch import ArchSpec, concurrent_slots_per_xcd
 from .patterns import SwizzlePattern, builtin_pattern, validated_remap_table
 from .records import from_dict, to_dict
-from .traces import BATCH_SEGMENTS, AccessTrace, Stream, expand_ranges, records_outside
+from .traces import BATCH_SEGMENTS, AccessTrace, Batch, records_outside, sequences
 
 
 class SimulationError(ValueError):
@@ -204,10 +204,11 @@ class SetAssocLru:
         return hits, misses
 
 
-def _expand_lines(stream: Stream, bases: np.ndarray, line_bytes: int) -> np.ndarray:
-    """Ordered line ids touched by a stream (k touches for a k-line record)."""
-    goff = stream.offs + bases[stream.bufs]
-    return expand_ranges(goff // line_bytes, (goff + stream.lens - 1) // line_bytes)
+def _expand_lines(records: Batch, bases: np.ndarray, line_bytes: int) -> np.ndarray:
+    """Ordered line ids touched by records (k touches for a k-line record)."""
+    goff = records.offs + bases[records.bufs]
+    first = goff // line_bytes
+    return sequences(first, (goff + records.lens - 1) // line_bytes - first + 1)
 
 
 def _interleave(streams: Iterator[np.ndarray], slots: int) -> Iterator[np.ndarray]:
@@ -259,10 +260,10 @@ def _run_python(
     cache = SetAssocLru(arch.num_sets, arch.l2_associativity)
 
     def lines_of(pid: int, wave: int) -> np.ndarray:
-        stream = trace.stream(pid, wave)
-        if records_outside(stream, trace.buffer_lengths):
+        records = trace.stream(pid, wave)
+        if records_outside(records, trace.buffer_lengths):
             raise _bad_record(trace, pid, wave)
-        return _expand_lines(stream, trace.base_offsets, arch.l2_line_bytes)
+        return _expand_lines(records, trace.base_offsets, arch.l2_line_bytes)
 
     hits = 0
     accesses = 0

@@ -63,7 +63,7 @@ class NegativeValueError(EvalError):
 
 
 class ValueOverflowError(EvalError):
-    """Intermediate left the supported domain (values must stay below 2**62)."""
+    """A literal, bound value or intermediate is not below 2**62, the supported domain."""
 
 
 # Desk-scale bound: keeps the scalar (bigint) and vectorized (int64)
@@ -221,25 +221,30 @@ def format_expr(expr: SwizzleExpr) -> str:
     return f"({format_expr(expr.left)} {expr.op} {format_expr(expr.right)})"
 
 
+def _in_domain(value: int, what: str) -> int:
+    if value < 0:
+        raise NegativeValueError(f"{what} is negative: {value}")
+    if value >= VALUE_LIMIT:
+        raise ValueOverflowError(f"{what} is not below 2**62: {value}")
+    return value
+
+
 def eval_expr(expr: SwizzleExpr, env: EvalEnv) -> int:
     """Evaluate over nonnegative integers.
 
     Floor division and modulo follow Python semantics, which coincide with
     the usual definitions on nonnegative operands. Division by zero,
-    unbound identifiers, and negative intermediates raise.
+    unbound identifiers, negative values and values at or above
+    ``VALUE_LIMIT`` (literals, bound values or intermediates) raise.
     """
     if isinstance(expr, Lit):
-        if expr.value < 0:
-            raise NegativeValueError(f"negative literal {expr.value}")
-        return expr.value
+        return _in_domain(expr.value, "literal")
     if isinstance(expr, Ident):
         try:
             value = env[expr.name]
         except KeyError:
             raise UnboundIdentifierError(f"identifier {expr.name!r} is not bound") from None
-        if value < 0:
-            raise NegativeValueError(f"{expr.name} is bound to negative value {value}")
-        return value
+        return _in_domain(value, expr.name)
     if isinstance(expr, MinMax):
         left = eval_expr(expr.left, env)
         right = eval_expr(expr.right, env)
@@ -279,7 +284,7 @@ def eval_expr_vec(expr: SwizzleExpr, env: Mapping[str, "np.ndarray | int"]) -> n
 
     Same semantics and error conditions as :func:`eval_expr`; used for whole
     grid enumeration, where a Python-level tree walk per pid would dominate.
-    Values are assumed to stay within int64 at desk scale.
+    Bound values must fit int64; every value below ``VALUE_LIMIT`` is exact.
     """
     out = _eval_vec(expr, env)
     if np.ndim(out) == 0:
@@ -289,9 +294,7 @@ def eval_expr_vec(expr: SwizzleExpr, env: Mapping[str, "np.ndarray | int"]) -> n
 
 def _eval_vec(expr: SwizzleExpr, env: Mapping[str, "np.ndarray | int"]):
     if isinstance(expr, Lit):
-        if expr.value < 0:
-            raise NegativeValueError(f"negative literal {expr.value}")
-        return np.int64(expr.value)
+        return np.int64(_in_domain(expr.value, "literal"))
     if isinstance(expr, Ident):
         try:
             value = env[expr.name]
@@ -300,6 +303,8 @@ def _eval_vec(expr: SwizzleExpr, env: Mapping[str, "np.ndarray | int"]):
         arr = np.asarray(value, dtype=np.int64)
         if np.any(arr < 0):
             raise NegativeValueError(f"{expr.name} is bound to a negative value")
+        if np.any(arr >= VALUE_LIMIT):
+            raise ValueOverflowError(f"{expr.name} is bound to a value not below 2**62")
         return arr
     left = _eval_vec(expr.left, env)
     right = _eval_vec(expr.right, env)

@@ -12,9 +12,9 @@ per-pid offsets ``indptr`` (CSR form). A segment is ``count`` runs of
 ``len`` bytes of one buffer at ``off + j * stride``, each run one record,
 so a tile row's column scatter is one segment, not one record per element;
 a generator pays its Python cost per batch, not per workgroup or record.
-The native simulator walks the segments as they are; ``Batch.records``
-expands them into a ``Stream`` of records for everything that reads
-records (``AccessTrace.stream`` is a one-pid batch, expanded).
+A record is a segment of one run: ``Batch.records`` expands a batch into
+them for what reads records (``AccessTrace.stream`` is a one-pid batch,
+expanded); the native simulator walks the segments as they are.
 ``locality_summary`` reads segments too, one bounded chunk at a time, and
 turns them into granule intervals: it keys each piece of an interval that a
 workgroup touches in a wave, not each granule. Simulating a lazy
@@ -58,33 +58,6 @@ class AccessRecord:
     mode: str  # "read" | "write"
 
 
-class Stream:
-    """Records in C-contiguous columns, one workgroup's in one wave or, from
-    ``Batch.records``, several back to back: record ``i`` is ``lens[i]``
-    bytes of buffer ``bufs[i]`` at ``offs[i]``, a write if ``writes[i]``."""
-
-    __slots__ = ("bufs", "offs", "lens", "writes")
-
-    def __init__(self, bufs, offs, lens, writes):
-        self.bufs = np.ascontiguousarray(bufs, dtype=np.int32)
-        self.offs = np.ascontiguousarray(offs, dtype=np.int64)
-        self.lens = np.ascontiguousarray(lens, dtype=np.int64)
-        self.writes = np.ascontiguousarray(writes, dtype=bool)
-
-    def __len__(self) -> int:
-        return len(self.offs)
-
-    @property
-    def columns(self) -> tuple[np.ndarray, ...]:
-        return self.bufs, self.offs, self.lens, self.writes
-
-    def to_records(self) -> list[AccessRecord]:
-        return [
-            AccessRecord(int(b), int(o), int(l), "write" if w else "read")
-            for b, o, l, w in zip(self.bufs, self.offs, self.lens, self.writes)
-        ]
-
-
 class Batch:
     """The streams of several workgroups as segments, in CSR form.
 
@@ -117,16 +90,13 @@ class Batch:
     def nbytes(self) -> int:
         return sum(column.nbytes for column in (*self.columns, self.indptr))
 
-    def part(self, lo: int, hi: int) -> "Batch":
-        """Workgroups ``lo`` to ``hi - 1``, as views of this batch's columns."""
-        a, b = self.indptr[lo], self.indptr[hi]
-        return Batch(*(column[a:b] for column in self.columns), self.indptr[lo:hi + 1] - a)
-
-    def records(self) -> Stream:
-        """Every run as one record, in order: the workgroups' streams back to back."""
+    def records(self) -> "Batch":
+        """Every run as a segment of one run, in order, under the same workgroups."""
         counts = self.counts
-        return Stream(self.bufs.repeat(counts), sequences(self.offs, counts, self.strides),
-                      self.lens.repeat(counts), self.writes.repeat(counts))
+        offs = sequences(self.offs, counts, self.strides)
+        return Batch(self.bufs.repeat(counts), offs, self.lens.repeat(counts),
+                     self.writes.repeat(counts), np.zeros_like(offs), np.ones_like(offs),
+                     np.concatenate(([0], counts.cumsum()))[self.indptr])
 
     def queue_rows(self) -> np.ndarray:
         """Each workgroup's row of the native kernel's queue: the addresses of its
@@ -187,8 +157,8 @@ class AccessTrace:
         """The segments of workgroups ``pids`` in one wave, in the order of ``pids``."""
         return self._batch_fn(wave, np.asarray(pids, dtype=np.int64))
 
-    def stream(self, logical_pid: int, wave: int = 0) -> Stream:
-        """One workgroup's records in one wave, expanded from its segments."""
+    def stream(self, logical_pid: int, wave: int = 0) -> Batch:
+        """One workgroup's records in one wave, as one-run segments."""
         total = self.grid.total_blocks
         if not 0 <= logical_pid < total:
             raise ValueError(f"logical pid {logical_pid} outside grid of {total} blocks")
@@ -209,7 +179,11 @@ class AccessTrace:
                 yield wave, pids, self.batch(wave, pids)
 
     def records_for(self, logical_pid: int, wave: int = 0) -> list[AccessRecord]:
-        return self.stream(logical_pid, wave).to_records()
+        s = self.stream(logical_pid, wave)
+        return [
+            AccessRecord(int(b), int(o), int(l), "write" if w else "read")
+            for b, o, l, w in zip(s.bufs, s.offs, s.lens, s.writes)
+        ]
 
     def buffer_by_name(self, name: str) -> Buffer:
         for buf in self.buffers:
@@ -228,8 +202,8 @@ def make_buffers(sizes: Sequence[tuple[str, int]]) -> list[Buffer]:
     return buffers
 
 
-# materialize() keeps the lazy trace when its segment batches, with the member
-# positions and queue rows, would pass this many bytes
+# materialize() keeps the lazy trace when its segment batches, with the queue
+# rows, would pass this many bytes
 RECORD_TABLE_BYTES = 32 << 20
 
 
@@ -240,17 +214,12 @@ def materialize(trace: AccessTrace) -> AccessTrace:
     ``kept`` holds each (wave, pids, batch) as read, the columns made
     read-only. Its (waves, total, 6) ``queue_rows`` hold each member's
     ``Batch.queue_rows`` row, pointing into its kept batch, so a simulation
-    builds each queue with one index. Its batch function serves one member's
-    segments as a view of its kept batch, found by (part, index); it hands any
-    other request, a non-member or several pids, to the original batch
-    function, which gives the same segments. As soon as the batches'
-    columns, the member positions and the queue rows pass
+    builds each queue with one index. Its batch function is the original
+    one. As soon as the batches' columns and the queue rows pass
     ``RECORD_TABLE_BYTES``, reading stops and ``trace`` itself is returned.
     """
-    waves, total = trace.num_waves, trace.grid.total_blocks
-    where = np.full((waves, total, 2), -1, dtype=np.int64)  # (part, index) of each member
-    rows = np.zeros((waves, total, 6), dtype=np.int64)
-    size = where.nbytes + rows.nbytes
+    rows = np.zeros((trace.num_waves, trace.grid.total_blocks, 6), dtype=np.int64)
+    size = rows.nbytes
     kept = []
     for wave, pids, batch in trace.member_batches():
         size += batch.nbytes
@@ -258,28 +227,20 @@ def materialize(trace: AccessTrace) -> AccessTrace:
             return trace
         for column in batch.columns:
             column.flags.writeable = False
-        where[wave, pids, 0] = len(kept)
-        where[wave, pids, 1] = np.arange(len(pids))
         rows[wave, pids] = batch.queue_rows()
         kept.append((wave, pids, batch))
-    lazy = trace._batch_fn
-
-    def batch_fn(wave: int, pids: np.ndarray) -> Batch:
-        part, at = where[wave, pids[0]] if len(pids) == 1 else (-1, -1)
-        return lazy(wave, pids) if at < 0 else kept[part][2].part(at, at + 1)
-
-    return AccessTrace(trace.kernel, trace.grid, trace.buffers, batch_fn, trace.wave_pids,
-                       tuple(kept), rows)
+    return AccessTrace(trace.kernel, trace.grid, trace.buffers, trace._batch_fn,
+                       trace.wave_pids, tuple(kept), rows)
 
 
-def records_outside(stream: Stream, lengths: np.ndarray) -> bool:
-    """True if a record is empty, names no buffer, starts before its buffer or
-    ends past it."""
-    bufs = stream.bufs
+def records_outside(records: Batch, lengths: np.ndarray) -> bool:
+    """True if a record of ``records`` (one-run segments) is empty, names no
+    buffer, starts before its buffer or ends past it."""
+    bufs = records.bufs
     if len(bufs) and (bufs.min() < 0 or bufs.max() >= len(lengths)):
         return True
-    offs = stream.offs
-    lens = stream.lens
+    offs = records.offs
+    lens = records.lens
     return bool(((lens < 1) | (offs < 0) | (offs + lens > lengths[bufs])).any())
 
 
@@ -531,19 +492,6 @@ def _run_starts(*columns: np.ndarray) -> np.ndarray:
     for column in columns[1:]:
         differs |= column[1:] != column[:-1]
     return np.flatnonzero(np.concatenate(([True], differs)))
-
-
-def expand_ranges(firsts: np.ndarray, lasts: np.ndarray) -> np.ndarray:
-    """Concatenate the integer ranges [first, last] elementwise.
-
-    Requires ``last >= first`` for every range: an empty or reversed range
-    would throw off the one-value-per-range shortcut below, which counts
-    values rather than checking each range.
-    """
-    counts = lasts - firsts + 1
-    if int(counts.sum()) == len(firsts):  # one value per range, or no ranges
-        return firsts
-    return sequences(firsts, counts)
 
 
 def sequences(starts: np.ndarray, counts: np.ndarray, steps: np.ndarray | int = 1) -> np.ndarray:

@@ -14,7 +14,6 @@ from swizzlesim.traces import (
     Batch,
     LocalitySummary,
     SharingGroup,
-    expand_ranges,
     records_outside,
 )
 
@@ -107,16 +106,30 @@ class FullyAssociativeLru:
         return False
 
 
+def record_batch(bufs, offs, lens, writes) -> Batch:
+    """One workgroup's records as a batch of one-run segments: record ``i`` is
+    ``lens[i]`` bytes of buffer ``bufs[i]`` at ``offs[i]``, a write if
+    ``writes[i]``."""
+    offs = np.asarray(offs, dtype=np.int64)
+    return Batch(bufs, offs, lens, writes, np.zeros_like(offs), np.ones_like(offs),
+                 [0, len(offs)])
+
+
+def batch_part(batch: Batch, lo: int, hi: int) -> Batch:
+    """Workgroups ``lo`` to ``hi - 1`` of ``batch``, as views of its columns."""
+    a, b = batch.indptr[lo], batch.indptr[hi]
+    return Batch(*(column[a:b] for column in batch.columns), batch.indptr[lo:hi + 1] - a)
+
+
 def batched(stream_fn):
-    """The batch function over a per-pid ``(wave, pid) -> Stream`` function:
-    the pids' records in the order of ``pids``, each a segment of one run,
-    for tests that write their synthetic traces one stream at a time."""
+    """The batch function over a per-pid ``(wave, pid) -> Batch`` function:
+    the pids' segments in the order of ``pids``, for tests that write their
+    synthetic traces one stream at a time (see ``record_batch``)."""
 
     def batch_fn(wave, pids):
         streams = [stream_fn(wave, int(pid)) for pid in pids]
-        columns = zip(*(s.columns for s in streams)) if streams else [([],)] * 4
-        bufs, offs, lens, writes = map(np.concatenate, columns)
-        return Batch(bufs, offs, lens, writes, np.zeros_like(offs), np.ones_like(offs),
+        columns = zip(*(s.columns for s in streams)) if streams else [([],)] * 6
+        return Batch(*map(np.concatenate, columns),
                      np.cumsum([0] + [len(s) for s in streams]))
 
     return batch_fn
@@ -161,12 +174,13 @@ def reference_locality_summary(trace: AccessTrace) -> LocalitySummary:
     for wave in range(trace.num_waves):
         for pid in trace.wave_pids[wave]:
             s = trace.stream(int(pid), wave)
-            if len(s) == 0:
-                continue
             goff = s.offs + trace.base_offsets[s.bufs]
             firsts = goff // GRANULE_BYTES
-            lasts = (goff + s.lens - 1) // GRANULE_BYTES
-            for g in np.unique(expand_ranges(firsts, lasts)).tolist():
+            counts = (goff + s.lens - 1) // GRANULE_BYTES - firsts + 1
+            # granule k of the concatenated ranges is k plus its range's first
+            # granule minus the range's position
+            shift = np.repeat(firsts - np.cumsum(counts) + counts, counts)
+            for g in np.unique(shift + np.arange(len(shift))).tolist():
                 touched.setdefault(g, set()).add(int(pid))
                 touched_waves.setdefault(g, set()).add(wave)
 

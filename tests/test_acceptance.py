@@ -49,7 +49,7 @@ from swizzlesim.promptio import (
 )
 from swizzlesim.traces import locality_summary
 
-from conftest import ReferenceLru, arch_with_xcds, batched, random_expr
+from conftest import ReferenceLru, arch_with_xcds, batched, random_expr, record_batch
 
 MODULE_T0 = time.perf_counter()
 RUNTIME_BUDGET_SECONDS = 540  # criterion: full suite < 10 min on 8 cores
@@ -312,13 +312,13 @@ def test_c06_lru_matches_brute_force():
         assert got_seq == want_seq, f"sequence diverged at seed {seed}"
 
         # end to end through the simulator as one workgroup stream
-        from swizzlesim.traces import AccessTrace, Stream, make_buffers
+        from swizzlesim.traces import AccessTrace, make_buffers
         buffers = make_buffers([("b", 8 * num_sets * ways * 128)])
         arr = np.asarray(lines, dtype=np.int64) * 128
 
         def stream_fn(wave, pid, offs=arr):
             k = len(offs)
-            return Stream(np.zeros(k, np.int32), offs, np.full(k, 4), np.zeros(k, bool))
+            return record_batch(np.zeros(k, np.int32), offs, np.full(k, 4), np.zeros(k, bool))
 
         trace = AccessTrace("rand", GridSpec.from_block_counts(1), buffers, batched(stream_fn))
         rep = simulate(trace, builtin_pattern("identity", trace.grid, arch), arch)

@@ -27,9 +27,9 @@ from swizzlesim.patterns import (
     builtin_pattern,
     pattern_from_expr,
 )
-from swizzlesim.traces import AccessTrace, Stream, make_buffers, materialize
+from swizzlesim.traces import AccessTrace, make_buffers, materialize
 
-from conftest import FullyAssociativeLru, ReferenceLru, arch_with_xcds, batched
+from conftest import FullyAssociativeLru, ReferenceLru, arch_with_xcds, batched, record_batch
 
 
 def single_xcd(l2_bytes=4096, line=128, ways=2, slots=1):
@@ -45,8 +45,8 @@ def trace_of_streams(streams, buffers_bytes=1 << 20, waves=None):
 
     def stream_fn(wave, pid):
         recs = streams[wave].get(pid, [])
-        return Stream([0] * len(recs), [r[0] for r in recs], [r[1] for r in recs],
-                      [r[2] for r in recs])
+        return record_batch([0] * len(recs), [r[0] for r in recs], [r[1] for r in recs],
+                            [r[2] for r in recs])
 
     wave_pids = [np.asarray(sorted(w)) for w in streams]
     return AccessTrace("synthetic", GridSpec.from_block_counts(total), buffers,
@@ -139,8 +139,8 @@ def test_record_past_its_buffer_rejected(offset):
 
 @pytest.mark.parametrize("length", [0, -128])
 def test_empty_or_negative_record_rejected(length):
-    # accepted, a (0, 0) record would make this stream touch lines 0 and 10
-    # instead of 10 and 11: expand_ranges needs every range non-empty
+    # a record of no bytes, or fewer, would touch no line; simulate rejects it
+    # as a generator fault instead of skipping it
     trace = trace_of_streams({0: [(0, length, False), (1280, 256, False)]})
     with pytest.raises(SimulationError, match="empty"):
         simulate(trace, builtin_pattern("identity", trace.grid, single_xcd()), single_xcd())
@@ -150,7 +150,7 @@ def test_record_overrunning_into_alignment_gap_rejected():
     # buffer a spans 1024 B, but b starts 64 KiB later: a+4096 is in no buffer
     buffers = make_buffers([("a", 1024), ("b", 1024)])
     trace = AccessTrace("gap", GridSpec.from_block_counts(1), buffers,
-                        batched(lambda wave, pid: Stream([0], [4096], [4], [False])))
+                        batched(lambda wave, pid: record_batch([0], [4096], [4], [False])))
     with pytest.raises(SimulationError, match="outside"):
         simulate(trace, builtin_pattern("identity", trace.grid, single_xcd()), single_xcd())
 
@@ -225,9 +225,9 @@ def test_interleave_refill_midstream():
 
 
 def test_expand_lines_splits_multi_line_records():
-    stream = Stream([0], [100], [300], [False])
+    records = record_batch([0], [100], [300], [False])
     bases = np.array([0], dtype=np.int64)
-    assert _expand_lines(stream, bases, 128).tolist() == [0, 1, 2, 3]
+    assert _expand_lines(records, bases, 128).tolist() == [0, 1, 2, 3]
 
 
 def test_determinism_byte_identical_reports():

@@ -242,6 +242,13 @@ def test_non_positive_sizes_and_counts_usage_error(capsys, argv):
     assert "positive integer" in capsys.readouterr().err
 
 
+def test_validate_literal_past_the_value_limit_is_an_error(capsys):
+    code, out, err = run(capsys, "validate", "--expr", "pid + 0 * 99999999999999999999",
+                         "--grid", "64")
+    assert code == 1
+    assert err.startswith("error: ") and "2**62" in err and "Traceback" not in err
+
+
 def test_grid_with_more_than_two_counts_usage_error(capsys):
     code, out, err = run(capsys, "validate", "--pattern", "identity", "--grid", "3x4x5")
     assert code == 2

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swizzlesim.dsl import (
+    VOCABULARY,
     BinOp,
     DivisionByZeroError,
     ExprSyntaxError,
@@ -12,6 +14,7 @@ from swizzlesim.dsl import (
     UnboundIdentifierError,
     UnknownIdentifierError,
     EvalError,
+    ValueOverflowError,
     eval_expr,
     eval_expr_vec,
     format_expr,
@@ -139,6 +142,60 @@ def test_vector_evaluator_matches_scalar():
         assert got[0] == want
         checked += 1
     assert checked > 100  # most random trees must evaluate cleanly
+
+
+_NAMES = sorted(VOCABULARY)
+# small values, so that shifts, divisions and wrap-free results are common,
+# and values from the whole domain, so that every overflow path is reached
+_LEAVES = st.one_of(
+    st.integers(0, 70).map(Lit),
+    st.integers(0, 1 << 64).map(Lit),
+    st.sampled_from(_NAMES).map(Ident),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda sub: st.one_of(
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "//", "%", "<<", ">>", "&", "|"]),
+                  sub, sub),
+        st.builds(MinMax, st.sampled_from(["min", "max"]), sub, sub),
+    ),
+    max_leaves=10,
+)
+_ENVS = st.fixed_dictionaries(
+    {name: st.one_of(st.integers(0, 70), st.integers(0, 1 << 62),
+                     st.sampled_from([(1 << 62) - 1, 1 << 62]))
+     for name in _NAMES})
+
+
+def _outcome(evaluate):
+    """The value, or the type of the EvalError raised; any other exception propagates."""
+    try:
+        return int(np.asarray(evaluate()).reshape(-1)[0])
+    except EvalError as exc:
+        return type(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(tree=_TREES, env=_ENVS)
+def test_evaluators_agree_over_the_full_domain(tree, env):
+    # literals up to 2**64, bound values up to 2**62 and shift amounts past 63
+    scalar = _outcome(lambda: eval_expr(tree, env))
+    vector = _outcome(lambda: eval_expr_vec(tree, env))
+    assert scalar == vector, format_expr(tree)
+
+
+@pytest.mark.parametrize("text, pid", [
+    ("4611686018427387904", 0),  # 2**62
+    ("pid + 0 * 99999999999999999999", 0),
+    ("pid + pid", 1 << 62),  # 2**63 wraps to a negative int64
+])
+def test_values_at_the_limit_overflow_in_both_evaluators(text, pid):
+    tree = parse_expr(text)
+    env = {name: 1 for name in _NAMES} | {"pid": pid}
+    with pytest.raises(ValueOverflowError):
+        eval_expr(tree, env)
+    with pytest.raises(ValueOverflowError):
+        eval_expr_vec(tree, {name: np.asarray([value]) for name, value in env.items()})
 
 
 def test_vector_evaluator_broadcasts_scalars():

@@ -159,6 +159,16 @@ def test_eval_error_candidates_recorded_invalid():
     assert result.iterations_run == 1
 
 
+def test_literal_past_the_value_limit_recorded_invalid(tmp_path):
+    # the run goes on past the candidate instead of ending on its literal
+    proposer = QueueProposer(["pid + 0 * 99999999999999999999", CONTIGUOUS_EXPR])
+    with JsonlHistorySink(tmp_path / "history.jsonl") as sink:
+        result = optimize(SMALL_GEMM, MI300X_LIKE, proposer, max_iters=2, history_sink=sink)
+    entries = load_history(tmp_path / "history.jsonl")
+    assert entries[1].validation == ValidationResult.failure() and entries[1].report is None
+    assert result.iterations_run == 2 and result.best.iteration == 2
+
+
 def test_exhaustion_ends_loop_early():
     result = optimize(SMALL_GEMM, MI300X_LIKE, QueueProposer(["pid % 3"]), max_iters=5)
     assert result.iterations_run == 1

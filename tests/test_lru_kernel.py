@@ -33,7 +33,7 @@ from swizzlesim.patterns import (
 )
 from swizzlesim.traces import AccessTrace, Batch, make_buffers, materialize, records_outside
 
-from conftest import ReferenceLru, arch_with_xcds
+from conftest import ReferenceLru, arch_with_xcds, batch_part
 
 # 1 XCD, 16 KiB of 2-way L2 (64 sets): 7 of the 10 kernels at size 256 evict
 SMALL = arch_with_xcds(1, cus_per_xcd=4, l2_bytes=16 << 10, ways=2)
@@ -289,7 +289,7 @@ def _python_counts(batch, num_sets, ways, capacity):
     """[hits, touches] of the Python pass over a one-buffer batch's workgroups."""
     lru = SetAssocLru(num_sets, ways)
     bases = np.zeros(1, dtype=np.int64)
-    lines = (cachesim._expand_lines(batch.part(k, k + 1).records(), bases, 128)
+    lines = (cachesim._expand_lines(batch_part(batch, k, k + 1).records(), bases, 128)
              for k in range(len(batch.indptr) - 1))
     hits = touches = 0
     for chunk in cachesim._interleave(lines, capacity):
@@ -362,7 +362,7 @@ def test_batched_queue_matches_whole_queue_and_python_pass(native, case):
     bounds = [0, *(cut for cut in cuts if cut < size), size]
     left = 0
     for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        left = fed.drain(left, batch.part(lo, hi), k < len(bounds) - 2)
+        left = fed.drain(left, batch_part(batch, lo, hi), k < len(bounds) - 2)
         assert left >= 0
     assert left == 0
     assert fed.counts.tolist() == whole.counts.tolist()
@@ -390,7 +390,7 @@ def test_kernel_rejects_a_row_exactly_when_its_records_are_outside(native, case)
     capacity, buffer_bytes, batch = case
     lengths = np.array([buffer_bytes], dtype=np.int64)
     bad = [k for k in range(len(batch.indptr) - 1)
-           if records_outside(batch.part(k, k + 1).records(), lengths)]
+           if records_outside(batch_part(batch, k, k + 1).records(), lengths)]
     xcd = _Xcd(2, 2, capacity, buffer_bytes)
     got = xcd.drain(0, batch, False)
     if bad:

@@ -24,15 +24,16 @@ from swizzlesim.traces import (
     AccessTrace,
     Batch,
     Buffer,
-    Stream,
     locality_summary,
     make_buffers,
     materialize,
 )
 
 from conftest import (
+    batch_part,
     batched,
     check_write_coverage,
+    record_batch,
     reference_locality_summary,
     validate_trace_bounds,
 )
@@ -53,7 +54,7 @@ def test_negative_buffer_base_or_length_rejected(base, length):
     # a negative base would put line ids below the touched-line bitmap
     with pytest.raises(ValueError, match="negative"):
         AccessTrace("bad", GridSpec.from_block_counts(1), [Buffer(0, "a", length, base)],
-                    batched(lambda wave, pid: Stream([], [], [], [])))
+                    batched(lambda wave, pid: record_batch([], [], [], [])))
 
 
 def test_launch_grid_examples():
@@ -427,8 +428,8 @@ def sharing_traces(draw):
 
     def stream_fn(wave, pid):
         records = streams.get((wave, pid), [])
-        return Stream([r[0] for r in records], [r[1] for r in records],
-                      [r[2] for r in records], [r[3] for r in records])
+        return record_batch([r[0] for r in records], [r[1] for r in records],
+                            [r[2] for r in records], [r[3] for r in records])
 
     buffers = make_buffers([(f"b{i}", size) for i, size in enumerate(sizes)])
     return AccessTrace("random", GridSpec.from_block_counts(total), buffers, batched(stream_fn),
@@ -590,10 +591,9 @@ def test_materialized_records_match_lazy(kind, dims):
     lazy = generate_trace(small(kind, **dims))
     table = materialize(lazy)
     assert table is not lazy
-    # the kept batches are read-only; a stream is a fresh expansion of them
+    # the kept batches are read-only
     assert not any(column.flags.writeable for _, _, batch in table.kept for column in batch.columns)
-    assert not table.batch(0, [0]).offs.flags.writeable
-    # non-members of a wave (smith_waterman) fall through to the lazy stream
+    # every (pid, wave), a wave's member or not (smith_waterman), reads the same
     for wave in range(lazy.num_waves):
         for pid in range(lazy.grid.total_blocks):
             assert table.records_for(pid, wave) == lazy.records_for(pid, wave)
@@ -621,6 +621,26 @@ def test_batch_is_the_one_pid_batches_back_to_back(kind, data):
                 assert column.dtype == want.dtype and column.tolist() == want.tolist()
 
 
+def test_records_are_one_run_segments_at_each_workgroups_rows():
+    # workgroup 0: three runs at stride 128 and a segment of no runs; workgroup
+    # 1: no segment; workgroup 2: one run, then two runs at stride -100
+    batch = Batch([0, 1, 1, 0], [0, 64, 512, 1000], [8, 4, 16, 2], [False, True, False, True],
+                  [128, 32, 0, -100], [3, 0, 1, 2], [0, 2, 2, 4])
+    records = batch.records()
+    assert records.indptr.tolist() == [0, 3, 3, 6]
+    assert records.strides.tolist() == [0] * 6 and records.counts.tolist() == [1] * 6
+    assert records.bufs.tolist() == [0, 0, 0, 1, 0, 0]
+    assert records.offs.tolist() == [0, 128, 256, 512, 1000, 900]
+    assert records.lens.tolist() == [8, 8, 8, 16, 2, 2]
+    assert records.writes.tolist() == [False, False, False, False, True, True]
+    for w in range(3):
+        one = batch_part(batch, w, w + 1).records()
+        assert one.indptr.tolist() == [0, len(one)]
+        lo, hi = records.indptr[w], records.indptr[w + 1]
+        for column, want in zip(records.columns, one.columns):
+            assert column.dtype == want.dtype and column[lo:hi].tolist() == want.tolist()
+
+
 @pytest.mark.parametrize("wave", [1, 7, -1])
 def test_stream_rejects_a_wave_outside_the_trace(wave):
     lazy = generate_trace(KernelSpec("stencil2d", {"m": 200, "n": 130}, {"m": 64, "n": 32}))
@@ -646,7 +666,7 @@ def test_materialize_stops_one_batch_past_its_budget(monkeypatch, passing):
         return batch_fn(wave, pids)
 
     lazy._batch_fn = counting
-    rows = 64 * lazy.grid.total_blocks  # the member positions and queue rows
+    rows = 48 * lazy.grid.total_blocks  # the queue rows
     monkeypatch.setattr(traces, "RECORD_TABLE_BYTES", rows + sum(sizes[:passing + 1]) - 1)
     assert materialize(lazy) is lazy
     assert calls == [list(range(lo, min(lo + 3, 20))) for lo in range(0, 3 * passing + 1, 3)]
