@@ -1,4 +1,4 @@
-/* The native kernel behind swizzlesim.cachesim. Its one entry point,
+/* The native kernel behind swizzlesim.cachesim. Its entry point,
  * xcd_drain, runs one XCD's queue of workgroups for one wave: it loads them
  * into resident slots, walks their segments run by run (a segment is a
  * start, a stride and a count of equal-length runs), expands each run into
@@ -13,18 +13,31 @@
  * line or an empty entry (write-allocate): no scan, no shift. A hit scans
  * from the head and shifts only the entries before the line.
  * Every line id is non-negative: AccessTrace rejects negative buffer bases
- * and xcd_drain rejects any run outside its buffer, so `line % num_sets` is
- * a valid set and touched[line] a valid byte.
+ * and xcd_drain rejects any run outside its buffer, so touched[line] is a
+ * valid byte; cachesim.simulate keeps lines and sets below 2**32 for set_of.
  */
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
-/* Touch one line; 1 on a hit. */
-static inline int lru_touch(int64_t line, uint8_t *touched, int64_t *tags, int32_t *heads,
-                            int64_t num_sets, int64_t ways)
+/* line % num_sets without a division, exact for both below 2**32: Lemire,
+ * Kaser and Kurz, "Faster remainder by direct computation", 2019. m is
+ * UINT64_MAX / num_sets + 1, 0 for one set. set_index exports it for tests. */
+static inline int64_t set_of(int64_t line, uint64_t m, int64_t num_sets)
 {
-    int64_t set = line % num_sets;
+    return (int64_t)(((unsigned __int128)(m * (uint64_t)line) * (uint64_t)num_sets) >> 64);
+}
+
+int64_t set_index(int64_t line, int64_t num_sets)
+{
+    return set_of(line, UINT64_MAX / (uint64_t)num_sets + 1, num_sets);
+}
+
+/* Touch one line; 1 on a hit. m is set_of's multiplier for num_sets. */
+static inline int lru_touch(int64_t line, uint8_t *touched, int64_t *tags, int32_t *heads,
+                            uint64_t m, int64_t num_sets, int64_t ways)
+{
+    int64_t set = set_of(line, m, num_sets);
     int64_t *row = tags + set * ways;
     int64_t head = heads[set];
     if (!(touched[line] & 2)) {
@@ -149,6 +162,7 @@ int64_t xcd_drain(slot_t *slots, int64_t capacity, int64_t loaded,
                   int64_t line_shift, uint8_t *touched, int64_t *counts,
                   int64_t *tags, int32_t *heads, int64_t num_sets, int64_t ways)
 {
+    const uint64_t m = UINT64_MAX / (uint64_t)num_sets + 1;
     int64_t n = loaded;
     for (int64_t next = 0;;) {
         for (; n < capacity && next < rows; next++) {
@@ -170,7 +184,7 @@ int64_t xcd_drain(slot_t *slots, int64_t capacity, int64_t loaded,
         while (!drained) {
             for (int64_t k = 0; k < n; k++) {
                 slot_t *s = &slots[k];
-                hits += lru_touch(s->line, touched, tags, heads, num_sets, ways);
+                hits += lru_touch(s->line, touched, tags, heads, m, num_sets, ways);
                 if (s->line < s->last)
                     s->line++;
                 else if (!next_run(s, bases, line_shift))

@@ -14,10 +14,11 @@ touches, and writes allocate like reads. There is no cycle model; time is
 access-count interleaving, so reported hit rates are locality signals, not
 hardware predictions. A record that names no buffer, starts before its
 buffer or ends past it raises ``SimulationError``, as does a record of length
-zero or less.
+zero or less. So do buffers of 2**32 lines or more and an L2 of 2**32 sets or
+more, before any allocation: ``_lru.c``'s set index is exact below both.
 
 Each XCD's pass runs in a small C kernel, ``_lru.c`` beside this module,
-whose one entry point is ``xcd_drain``. It takes a queue of one XCD's
+whose entry point is ``xcd_drain``. It takes a queue of one XCD's
 workgroups of one wave, in launch order, each row the addresses of a
 workgroup's segment arrays (see ``traces.Batch``) and its segment count. It
 loads the resident slots from the queue, checking each row's segments
@@ -37,9 +38,9 @@ only while one of its workgroups is resident.
 whole pass. A line's byte in the touched-line map has bit 0 set once the
 line is touched, and bit 1 while the XCD's rows hold it (see ``_lru.c``).
 
-The first cache built in a process compiles the kernel with ``gcc`` into
-``$XDG_CACHE_HOME/swizzlesim`` (default ``~/.cache/swizzlesim``), under a
-name keyed by a hash of the C source, and loads it through ctypes; later
+The first cache built in a process compiles the kernel with ``_CC`` and
+``_CFLAGS`` into ``$XDG_CACHE_HOME/swizzlesim`` (default ``~/.cache/swizzlesim``),
+under a name keyed by a hash of the source, compiler and flags; later
 processes reuse that build. The compiler writes to a temporary file that is
 renamed into place, so a concurrent process never loads a half-written
 library. Nothing is compiled or loaded at import. When the kernel cannot be
@@ -53,6 +54,7 @@ set. Those three are otherwise the oracles the tests hold the kernel to.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import json
 import os
@@ -110,6 +112,20 @@ class BottleneckReport:
 
 _KERNEL_SOURCE = Path(__file__).with_name("_lru.c")
 _CC = "gcc"
+_CFLAGS = ("-O2", "-shared", "-fPIC")
+
+
+def _bind(lib: str):
+    """The kernel library at path ``lib``, loaded, its entry points typed."""
+    kernel = ctypes.CDLL(lib)
+    c_ptr, c_i64 = ctypes.c_void_p, ctypes.c_int64
+    # slots, capacity, loaded, queue, rows, more, bases, lengths, num_buffers,
+    # line_shift, touched, counts, tags, heads, num_sets, ways
+    kernel.xcd_drain.argtypes = [c_ptr, c_i64, c_i64, c_ptr, c_i64, c_i64, c_ptr, c_ptr,
+                                 c_i64, c_i64, c_ptr, c_ptr, c_ptr, c_ptr, c_i64, c_i64]
+    kernel.set_index.argtypes = [c_i64, c_i64]  # line, num_sets
+    kernel.xcd_drain.restype = kernel.set_index.restype = c_i64
+    return kernel
 
 
 @functools.cache
@@ -120,41 +136,29 @@ def _load_kernel():
     A failed build leaves nothing in the build directory, so the next
     process tries again; within this process the failure is remembered.
     """
-    import ctypes
     import hashlib
     import subprocess
     import tempfile
 
     try:
-        source = _KERNEL_SOURCE.read_bytes()
+        key = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + repr((_CC, _CFLAGS)).encode())
         build_dir = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
-        lib = build_dir / "swizzlesim" / f"lru-{hashlib.sha256(source).hexdigest()[:16]}.so"
+        lib = build_dir / "swizzlesim" / f"lru-{key.hexdigest()[:16]}.so"
         if not lib.exists():
             lib.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(suffix=".so.tmp", dir=lib.parent)
             os.close(fd)
             try:
-                subprocess.run(
-                    [_CC, "-O2", "-shared", "-fPIC", "-o", tmp, str(_KERNEL_SOURCE)],
-                    check=True, capture_output=True,
-                )
+                subprocess.run([_CC, *_CFLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
+                               check=True, capture_output=True)
                 os.replace(tmp, lib)
             finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        kernel = ctypes.CDLL(str(lib))
+                Path(tmp).unlink(missing_ok=True)
+        return _bind(str(lib))
     except subprocess.CalledProcessError as exc:
         reason = exc.stderr.decode(errors="replace").strip() or str(exc)
     except OSError as exc:  # no compiler, unwritable directory, unloadable library
         reason = str(exc)
-    else:
-        c_ptr, c_i64 = ctypes.c_void_p, ctypes.c_int64
-        # slots, capacity, loaded, queue, rows, more, bases, lengths, num_buffers,
-        # line_shift, touched, counts, tags, heads, num_sets, ways
-        kernel.xcd_drain.argtypes = [c_ptr, c_i64, c_i64, c_ptr, c_i64, c_i64, c_ptr, c_ptr,
-                                     c_i64, c_i64, c_ptr, c_ptr, c_ptr, c_ptr, c_i64, c_i64]
-        kernel.xcd_drain.restype = c_i64
-        return kernel
     warnings.warn(f"native LRU kernel unavailable, using the Python LRU: {reason}",
                   RuntimeWarning, stacklevel=2)
     return None
@@ -354,8 +358,10 @@ def simulate(
     num_xcds = arch.num_xcds
     slots = concurrent_slots_per_xcd(arch)
     end = max((b.base_offset + b.length_bytes for b in trace.buffers), default=0)
-    # one byte per line the buffers span (see _run_native)
-    touched = np.zeros(-(-end // arch.l2_line_bytes), dtype=np.uint8)
+    lines = -(-end // arch.l2_line_bytes)
+    if lines >> 32 or arch.num_sets >> 32:
+        raise SimulationError(f"{trace.kernel}: {lines} lines or {arch.num_sets} sets reach 2**32")
+    touched = np.zeros(lines, dtype=np.uint8)  # a byte per line (see _run_native)
 
     launch_of = np.empty_like(table)
     launch_of[table] = np.arange(len(table), dtype=np.int64)

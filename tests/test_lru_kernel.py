@@ -1,10 +1,12 @@
 """The native LRU kernel against the Python oracles, and its fallback."""
 
 import contextlib
+import json
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -31,7 +33,14 @@ from swizzlesim.patterns import (
     pattern_from_expr,
     validated_remap_table,
 )
-from swizzlesim.traces import AccessTrace, Batch, make_buffers, materialize, records_outside
+from swizzlesim.traces import (
+    AccessTrace,
+    Batch,
+    Buffer,
+    make_buffers,
+    materialize,
+    records_outside,
+)
 
 from conftest import ReferenceLru, arch_with_xcds, batch_part
 
@@ -130,13 +139,34 @@ def _stream(num_sets, ways, seed, stride=1):
     return num_sets, ways, [int(i) * stride for i in ids]
 
 
+PER_TOUCH_STREAMS = [_stream(1, 1, 0), _stream(7, 1, 1), _stream(3, 64, 2),
+                     _stream(4, 64, 3, stride=4),  # every line in set 0
+                     _stream(6, 13, 4)]
+
+
+def _with_examples(cases):
+    """Hypothesis ``example(case=...)`` for each of ``cases``."""
+    def apply(test):
+        for case in cases:
+            test = example(case=case)(test)
+        return test
+    return apply
+
+
+def _per_touch_counts(case):
+    """(hits, misses) of ``simulate`` over a caches_and_lines case: one XCD
+    with one slot runs one workgroup of one-byte records, one per line."""
+    num_sets, ways, lines = case
+    arch = arch_with_xcds(1, cus_per_xcd=1, l2_bytes=128 * num_sets * ways, ways=ways)
+    trace = _trace_of([{0: [(0, 128 * line, 1) for line in lines]}],
+                      [128 * (max(lines, default=0) + 1)], 1)
+    report = simulate(trace, builtin_pattern("identity", trace.grid, arch), arch)
+    return report.hits, report.misses
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=caches_and_lines())
-@example(case=_stream(1, 1, 0))
-@example(case=_stream(7, 1, 1))
-@example(case=_stream(3, 64, 2))
-@example(case=_stream(4, 64, 3, stride=4))  # every line in set 0
-@example(case=_stream(6, 13, 4))
+@_with_examples(PER_TOUCH_STREAMS)
 def test_native_matches_reference_per_touch(native, case):
     num_sets, ways, lines = case
     ref = ReferenceLru(num_sets, ways)
@@ -144,13 +174,21 @@ def test_native_matches_reference_per_touch(native, case):
 
     python_lru = SetAssocLru(num_sets, ways)
     assert [python_lru.access(line) for line in lines] == want
+    assert _per_touch_counts(case) == (sum(want), len(want) - sum(want))
 
-    # one XCD with one slot runs one workgroup of one-byte records, one per line
-    arch = arch_with_xcds(1, cus_per_xcd=1, l2_bytes=128 * num_sets * ways, ways=ways)
-    trace = _trace_of([{0: [(0, 128 * line, 1) for line in lines]}],
-                      [128 * (max(lines, default=0) + 1)], 1)
-    report = simulate(trace, builtin_pattern("identity", trace.grid, arch), arch)
-    assert (report.hits, report.misses) == (sum(want), len(want) - sum(want))
+
+# set counts of the kernel tests, the default arch's 2048 and the widest
+# the reduction serves, each against edge lines and seeded random ones
+SET_COUNTS = [*range(1, 71), 2048, 3000, 2**31 - 1, 2**32 - 1]
+
+
+def test_set_index_is_line_mod_num_sets(native):
+    set_index = cachesim._load_kernel().set_index
+    drawn = np.random.default_rng(21).integers(0, 2**32, size=1000).tolist()
+    for n in SET_COUNTS:
+        lines = [line for line in [0, 1, n - 1, n, n + 1, 2**32 - 2, 2**32 - 1, *drawn]
+                 if line < 2**32]
+        assert [set_index(line, n) for line in lines] == [line % n for line in lines], n
 
 
 @pytest.mark.parametrize("num_sets, ways", [(1, 1), (3, 1), (5, 4), (6, 16), (2, 64)])
@@ -550,15 +588,34 @@ def test_lazy_transpose_keeps_slot_file_batches(native):
     assert [sizes for sizes, _ in queues] == [[slots, 50 - slots]] * arch.num_xcds
 
 
+def _build(flags, lib):
+    """The runtime build command plus ``flags``, run into ``lib``."""
+    return subprocess.run([cachesim._CC, *cachesim._CFLAGS, *flags, "-o", str(lib),
+                           str(cachesim._KERNEL_SOURCE)], capture_output=True, text=True)
+
+
 def test_kernel_builds_with_strict_warnings(native, tmp_path):
     # the runtime build passes no warning flags; this catches edits that only
     # a warning would flag
-    done = subprocess.run(
-        [cachesim._CC, "-O2", "-Wall", "-Wextra", "-Werror", "-std=c11", "-shared", "-fPIC",
-         "-o", str(tmp_path / "lru.so"), str(cachesim._KERNEL_SOURCE)],
-        capture_output=True, text=True,
-    )
+    done = _build(["-Wall", "-Wextra", "-Werror", "-std=c11"], tmp_path / "lru.so")
     assert done.returncode == 0, done.stderr
+
+
+def test_library_name_keys_compiler_and_flags(native, monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    flags = cachesim._CFLAGS
+    builds = [(cachesim._CC, flags), (shutil.which(cachesim._CC), flags),
+              (cachesim._CC, (*flags, "-DNDEBUG"))]
+    try:
+        for cc, cflags in builds:
+            monkeypatch.setattr(cachesim, "_CC", cc)
+            monkeypatch.setattr(cachesim, "_CFLAGS", cflags)
+            cachesim._load_kernel.cache_clear()
+            assert cachesim._load_kernel() is not None
+    finally:
+        cachesim._load_kernel.cache_clear()
+    # each build has its own library, so a changed command never loads a stale one
+    assert len(list((tmp_path / "swizzlesim").glob("lru-*.so"))) == len(builds)
 
 
 # (buffer, offset, length) of a bad record in a 1024 B buffer
@@ -589,11 +646,12 @@ def test_out_of_bounds_record_names_its_workgroup_and_wave(native, bad, kind):
     assert f"workgroup {bad} in wave 1" in str(native_exc.value)
 
 
-@pytest.mark.parametrize("stride, count", [(1 << 62, 5), (-(1 << 62), 5), (-(1 << 63), 2)])
-def test_overflowing_segment_names_its_workgroup_and_wave(native, stride, count):
-    # stride * (count - 1) overflows int64: +-2**64 wraps to 0, so a check
-    # that formed the last run's offset would find it in the buffer and touch
-    # runs at +-2**62 and beyond; -2**63 has no negation
+OVERFLOWS = [(1 << 62, 5), (-(1 << 62), 5), (-(1 << 63), 2)]
+
+
+def _overflowing_case(stride, count):
+    """A trace whose workgroup 5 in wave 1 has a segment of ``count`` runs at
+    ``stride``, with an arch and the identity pattern."""
     streams = [
         {pid: [(0, 128 * pid, 128)] for pid in range(8)},
         {pid: [(0, 0, 128), (0, 0, 1, stride, count) if pid == 5 else (0, 128, 1)]
@@ -601,12 +659,86 @@ def test_overflowing_segment_names_its_workgroup_and_wave(native, stride, count)
     ]
     trace = _trace_of(streams, [1024], 8)
     arch = arch_with_xcds(2, cus_per_xcd=2, l2_bytes=4096, ways=2)
-    pattern = builtin_pattern("identity", trace.grid, arch)
+    return trace, arch, builtin_pattern("identity", trace.grid, arch)
+
+
+@pytest.mark.parametrize("stride, count", OVERFLOWS)
+def test_overflowing_segment_names_its_workgroup_and_wave(native, stride, count):
+    # stride * (count - 1) overflows int64: +-2**64 wraps to 0, so a check
+    # that formed the last run's offset would find it in the buffer and touch
+    # runs at +-2**62 and beyond; -2**63 has no negation
+    trace, arch, pattern = _overflowing_case(stride, count)
     for subject in (trace, materialize(trace)):
         with pytest.raises(SimulationError, match="workgroup 5 in wave 1"):
             simulate(subject, pattern, arch)
     with _python_pass(), pytest.raises(SimulationError, match="workgroup 5 in wave 1"):
         simulate(trace, pattern, arch)
+
+
+def _checked_outcomes():
+    """(hits, misses) of ``simulate`` on each of PER_TOUCH_STREAMS, then the
+    error of each OVERFLOWS case on its lazy and its materialized trace."""
+    out = [list(_per_touch_counts(case)) for case in PER_TOUCH_STREAMS]
+    for stride, count in OVERFLOWS:
+        trace, arch, pattern = _overflowing_case(stride, count)
+        for subject in (trace, materialize(trace)):
+            with pytest.raises(SimulationError) as exc:
+                simulate(subject, pattern, arch)
+            out.append(str(exc.value))
+    return out
+
+
+def test_kernel_runs_clean_under_ubsan(native, tmp_path):
+    # a build that aborts on undefined behaviour (signed overflow, shifts out
+    # of range, misaligned or null accesses) runs the per-touch and the
+    # overflowing-segment cases in a child process, since a report aborts it
+    lib = tmp_path / "lru-ubsan.so"
+    done = _build(["-fsanitize=undefined", "-fno-sanitize-recover=all"], lib)
+    if done.returncode != 0 and "ubsan" in done.stderr:
+        pytest.skip(f"{cachesim._CC} cannot link libubsan: {done.stderr.strip()}")
+    assert done.returncode == 0, done.stderr
+    code = ("import json, sys\n"
+            "from swizzlesim import cachesim\n"
+            "kernel = cachesim._bind(sys.argv[1])\n"
+            "cachesim._load_kernel = lambda: kernel\n"
+            "import test_lru_kernel\n"
+            "print(json.dumps(test_lru_kernel._checked_outcomes()))\n")
+    path = os.pathsep.join([str(Path(cachesim.__file__).parents[1]), str(Path(__file__).parent)])
+    child = subprocess.run([sys.executable, "-c", code, str(lib)], capture_output=True,
+                           text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == _checked_outcomes()
+
+
+def _wide_case(kind):
+    """(trace, arch) past the bound of 2**32 lines or sets, allocating nothing
+    of that size: a 128 B buffer whose last line is line 2**32 - 1, with
+    2**32 lines in all, or a small trace on an L2 of 2**32 one-way sets."""
+    if kind == "lines":
+        buffers = [Buffer(0, "b0", 128, (2**32 - 1) * 128)]
+        arch = SMALL
+    else:
+        buffers = make_buffers([("b0", 128)])
+        arch = arch_with_xcds(1, cus_per_xcd=4, l2_bytes=128 << 32, ways=1)
+    batch_fn = lambda wave, pids: _segment_batch([[(0, 0, 128, 0, 1)]] * len(pids))
+    return AccessTrace("wide", GridSpec.from_block_counts(4), buffers, batch_fn), arch
+
+
+@pytest.mark.parametrize("kind", ["lines", "sets"])
+def test_2_32_lines_or_sets_raise_before_any_allocation(kind):
+    trace, arch = _wide_case(kind)
+    pattern = builtin_pattern("identity", trace.grid, arch)
+    for subject in (trace, materialize(trace)):
+        for python_pass in (False, True):
+            tracemalloc.start()
+            try:
+                with _python_pass() if python_pass else contextlib.nullcontext():
+                    with pytest.raises(SimulationError, match=r"reach 2\*\*32"):
+                        simulate(subject, pattern, arch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20  # the line map would take 4 GiB, the tag rows 32 GiB
 
 
 def _failing_compiler(tmp_path):
