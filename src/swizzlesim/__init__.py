@@ -62,6 +62,6 @@ from .promptio import (
     parse_profiler_log,
     parse_proposal,
 )
-from .traces import AccessRecord, AccessTrace, LocalitySummary, locality_summary
+from .traces import AccessTrace, LocalitySummary, locality_summary
 
 __version__ = "0.1.0"

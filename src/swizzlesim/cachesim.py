@@ -43,13 +43,9 @@ The first cache built in a process compiles the kernel with ``_CC`` and
 under a name keyed by a hash of the source, compiler and flags; later
 processes reuse that build. The compiler writes to a temporary file that is
 renamed into place, so a concurrent process never loads a half-written
-library. Nothing is compiled or loaded at import. When the kernel cannot be
-built or loaded, a warning names the reason and the whole pass runs in
-Python instead, with identical counts: ``_run_python`` expands each
-workgroup's segments into one-run segments (``AccessTrace.stream``) and
-those into lines with ``_expand_lines``, schedules the slots with
-``_interleave`` and feeds its own ``SetAssocLru``, an ``OrderedDict`` per
-set. Those three are otherwise the oracles the tests hold the kernel to.
+library. Nothing is compiled or loaded at import. gcc is required: when the
+kernel cannot be built or loaded, ``simulate`` raises ``SimulationError``
+with the reason. It never calls ``reference_pass``, the tests' oracle.
 """
 
 from __future__ import annotations
@@ -58,7 +54,6 @@ import ctypes
 import functools
 import json
 import os
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -131,11 +126,8 @@ def _bind(lib: str):
 @functools.cache
 def _load_kernel():
     """The native kernel (its entry point is ``xcd_drain``), built on first
-    use; None if unavailable.
-
-    A failed build leaves nothing in the build directory, so the next
-    process tries again; within this process the failure is remembered.
-    """
+    use, or ``SimulationError`` with the reason. A failed build leaves no
+    file, and ``functools.cache`` keeps no exception: the next call retries."""
     import hashlib
     import subprocess
     import tempfile
@@ -159,17 +151,15 @@ def _load_kernel():
         reason = exc.stderr.decode(errors="replace").strip() or str(exc)
     except OSError as exc:  # no compiler, unwritable directory, unloadable library
         reason = str(exc)
-    warnings.warn(f"native LRU kernel unavailable, using the Python LRU: {reason}",
-                  RuntimeWarning, stacklevel=2)
-    return None
+    raise SimulationError(f"native LRU kernel unavailable: {reason}")
 
 
 class SetAssocLru:
     """Set-associative cache with strict LRU replacement per set, an
     ``OrderedDict`` per set.
 
-    This is the Python pass's LRU and the tests' oracle for the kernel;
-    the native pass keeps its own tag rows (see ``_run_native``).
+    This is the LRU of the oracle ``reference_pass``; the native pass keeps
+    its own tag rows (see ``_run_native``).
     """
 
     def __init__(self, num_sets: int, ways: int):
@@ -255,12 +245,14 @@ def _bad_record(trace: AccessTrace, pid: int, wave: int) -> SimulationError:
     )
 
 
-def _run_python(
+def reference_pass(
     trace: AccessTrace, waves: list[np.ndarray], arch: ArchSpec, slots: int,
     touched: np.ndarray,
 ) -> tuple[int, int]:
-    """(hits, touches) of one XCD: ``_interleave`` over expanded lines, per wave,
-    into one ``SetAssocLru``."""
+    """(hits, touches) of one XCD, as ``_run_native`` counts them without its
+    kernel: each workgroup's one-run segments (``AccessTrace.stream``) expanded
+    by ``_expand_lines`` and merged by ``_interleave``, per wave, into one
+    ``SetAssocLru``. The tests' oracle; ``simulate`` never calls it."""
     cache = SetAssocLru(arch.num_sets, arch.l2_associativity)
 
     def lines_of(pid: int, wave: int) -> np.ndarray:
@@ -361,6 +353,7 @@ def simulate(
     lines = -(-end // arch.l2_line_bytes)
     if lines >> 32 or arch.num_sets >> 32:
         raise SimulationError(f"{trace.kernel}: {lines} lines or {arch.num_sets} sets reach 2**32")
+    kernel = _load_kernel()
     touched = np.zeros(lines, dtype=np.uint8)  # a byte per line (see _run_native)
 
     launch_of = np.empty_like(table)
@@ -372,12 +365,10 @@ def simulate(
         launched[launch_of[members]] = True
         wave_launch.append(np.flatnonzero(launched))
 
-    kernel = _load_kernel()
-    run = _run_python if kernel is None else functools.partial(_run_native, kernel)
     per_xcd: list[XcdStats] = []
     for xcd in range(num_xcds):
         waves = [table[launch[launch % num_xcds == xcd]] for launch in wave_launch]
-        hits, accesses = run(trace, waves, arch, slots, touched)
+        hits, accesses = _run_native(kernel, trace, waves, arch, slots, touched)
         rate = hits / accesses if accesses else 0.0
         per_xcd.append(XcdStats(accesses=accesses, hits=hits, misses=accesses - hits,
                                 hit_rate=rate))

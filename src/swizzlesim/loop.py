@@ -34,7 +34,7 @@ from . import dsl
 from .arch import ArchSpec
 from .cachesim import BottleneckReport, compare_reports, simulate
 from .client import CompletionClient, ClientError, ReplayExhaustedError
-from .kernels import KernelSpec, generate_trace
+from .kernels import KernelSpec, generate_trace, launch_grid
 from .patterns import (
     GridSpec,
     NonBijectiveError,
@@ -117,7 +117,8 @@ def entry_from_dict(data: dict) -> HistoryEntry:
 
 
 class JsonlHistorySink:
-    """JSON Lines history of one run, flushed per iteration; refuses an existing file."""
+    """JSON Lines history of one run, flushed per iteration; refuses an existing
+    file, and leaves none if the run raises before its first entry."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -133,8 +134,11 @@ class JsonlHistorySink:
     def __enter__(self) -> "JsonlHistorySink":
         return self
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, exc_type, *exc) -> None:
+        empty = self._fh.tell() == 0
         self.close()
+        if exc_type is not None and empty:  # so that the same run can start again
+            self.path.unlink()
 
 
 class NullHistorySink:
@@ -206,8 +210,11 @@ def optimize(
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
     sink = history_sink if history_sink is not None else NullHistorySink()
+    grid = launch_grid(spec)
+    identity = builtin_pattern("identity", grid, arch)
+    # on a grid past the enumeration cap this raises, before the trace is built
+    identity_table = validated_remap_table(identity, grid, arch)
     trace = materialize(generate_trace(spec))
-    grid = trace.grid
     locality = locality_summary(trace)
     summary = summarize_kernel(spec, grid)
 
@@ -215,9 +222,11 @@ def optimize(
     reports_by_expr: dict[str, tuple[ValidationResult, BottleneckReport | None]] = {}
     reports_by_table: dict[bytes, BottleneckReport] = {}  # by SHA-256 of the table
 
-    def evaluate(pattern: SwizzlePattern) -> tuple[ValidationResult, BottleneckReport | None]:
+    def evaluate(
+        pattern: SwizzlePattern, table=None
+    ) -> tuple[ValidationResult, BottleneckReport | None]:
         try:
-            table = validated_remap_table(pattern, grid, arch)
+            table = validated_remap_table(pattern, grid, arch) if table is None else table
         except NonBijectiveError as exc:
             return exc.result, None
         except (dsl.EvalError, PatternError):
@@ -227,8 +236,7 @@ def optimize(
             reports_by_table[key] = simulate(trace, pattern, arch, table=table)
         return ValidationResult.success(), replace(reports_by_table[key], pattern=pattern.name)
 
-    identity = builtin_pattern("identity", grid, arch)
-    baseline_validation, baseline_report = evaluate(identity)
+    baseline_validation, baseline_report = evaluate(identity, identity_table)
     baseline = HistoryEntry(
         iteration=0,
         pattern=pattern_to_dict(identity),

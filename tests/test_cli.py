@@ -3,9 +3,12 @@ from pathlib import Path
 
 import pytest
 
+from swizzlesim import cachesim, patterns
+from swizzlesim.arch import MI300X_LIKE
 from swizzlesim.cli import main
-from swizzlesim.kernels import KERNEL_KINDS, default_pattern
-from swizzlesim.loop import load_history
+from swizzlesim.kernels import KERNEL_KINDS, default_pattern, spec_with_size
+from swizzlesim.loop import SearchProposer, load_history, optimize
+from swizzlesim.patterns import EnumerationLimitError
 
 
 def run(capsys, *argv):
@@ -271,3 +274,55 @@ def test_optimize_negative_max_iters_usage_error(tmp_path, capsys):
     assert code == 2
     assert "--max-iters" in err
     assert not (tmp_path / "history.jsonl").exists()  # a later run is not blocked
+
+
+def test_optimize_past_the_enumeration_cap_is_an_error(tmp_path, capsys, monkeypatch):
+    # gemm at 256 has 4 x 4 tiles: the identity's enumeration fails before
+    # the trace is built, where it used to be swallowed as a failed validation
+    monkeypatch.setattr(patterns, "ENUMERATION_CAP", 4)
+    with pytest.raises(EnumerationLimitError):
+        optimize(spec_with_size("gemm", 256), MI300X_LIKE, SearchProposer(), max_iters=2)
+    code, _, err = run(capsys, "optimize", "--kernel", "gemm", "--size", "256",
+                       "--max-iters", "2", "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: ") and "enumeration cap" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture
+def no_compiler(tmp_path, monkeypatch):
+    """The kernel's build directory, empty, with no compiler to build into it."""
+    build_root = tmp_path / "cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(build_root))
+    monkeypatch.setattr(cachesim, "_CC", str(tmp_path / "missing-cc"))
+    cachesim._load_kernel.cache_clear()
+    yield build_root
+    cachesim._load_kernel.cache_clear()
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--kernel", "gemm", "--size", "256"),
+    ("sweep", "--kernel", "gemm", "--sizes", "256,512"),
+    ("optimize", "--kernel", "gemm", "--size", "256", "--max-iters", "2"),
+])
+def test_simulating_commands_without_a_compiler_exit_1(tmp_path, capsys, monkeypatch,
+                                                      no_compiler, argv):
+    out_dir = tmp_path / "out"
+    argv = (*argv, "--out-dir", str(out_dir)) if argv[0] == "optimize" else argv
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    [line] = err.splitlines()  # no traceback
+    assert line.startswith("error: native LRU kernel unavailable: ") and "missing-cc" in line
+    assert [p for p in no_compiler.rglob("*") if p.is_file()] == []
+    if argv[0] == "optimize":
+        assert list(out_dir.iterdir()) == []  # no empty history blocks the next run
+        monkeypatch.undo()  # the real compiler and build directory
+        cachesim._load_kernel.cache_clear()
+        assert run(capsys, *argv)[0] == 0
+        assert [e.iteration for e in load_history(out_dir / "history.jsonl")] == [0, 1, 2]
+
+
+def test_validate_without_a_compiler_exits_0(capsys, no_compiler):
+    code, out, _ = run(capsys, "validate", "--pattern", "gemm_contiguous", "--kernel", "gemm")
+    assert code == 0 and "bijective=True" in out
+    assert not no_compiler.exists()

@@ -137,6 +137,18 @@ def test_duplicates_reuse_cached_report(tmp_path):
     assert result.best.iteration == 0  # stable tie resolves to the baseline
 
 
+def test_failed_run_keeps_a_history_with_entries_and_removes_an_empty_one(tmp_path):
+    kept = tmp_path / "kept.jsonl"
+    with pytest.raises(RuntimeError, match="crashed"), JsonlHistorySink(kept) as sink:
+        optimize(SMALL_GEMM, MI300X_LIKE, QueueProposer([RuntimeError("crashed")]),
+                 max_iters=1, history_sink=sink)
+    assert [e.iteration for e in load_history(kept)] == [0]
+    empty = tmp_path / "empty.jsonl"
+    with pytest.raises(RuntimeError, match="before the baseline"), JsonlHistorySink(empty):
+        raise RuntimeError("before the baseline")
+    assert list(tmp_path.iterdir()) == [kept]
+
+
 def test_best_so_far_monotone():
     proposer = QueueProposer(["pid % 7", CONTIGUOUS_EXPR, "pid"])
     result = optimize(SMALL_GEMM, MI300X_LIKE, proposer, max_iters=3)

@@ -1,4 +1,4 @@
-"""The native LRU kernel against the Python oracles, and its fallback."""
+"""The native LRU kernel against the Python oracles."""
 
 import contextlib
 import json
@@ -52,8 +52,7 @@ SMALL = arch_with_xcds(1, cus_per_xcd=4, l2_bytes=16 << 10, ways=2)
 def native():
     if shutil.which(cachesim._CC) is None:
         pytest.skip(f"no {cachesim._CC} to build the native LRU kernel")
-    # a compiler is present, so the build must succeed
-    assert cachesim._load_kernel() is not None
+    cachesim._load_kernel()  # a compiler is present, so the build must succeed
 
 
 def _reports(trace, arch) -> list[str]:
@@ -68,20 +67,21 @@ def _reports(trace, arch) -> list[str]:
 
 
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
-def test_native_reports_match_python_lru(native, monkeypatch, kind):
+def test_native_reports_match_python_lru(native, kind):
     trace = generate_trace(spec_with_size(kind, 256))
     for arch in (MI300X_LIKE, SMALL):
         want_native = _reports(trace, arch)
-        with monkeypatch.context() as m:
-            m.setattr(cachesim, "_load_kernel", lambda: None)
+        with _python_pass():
             assert _reports(trace, arch) == want_native, f"{kind} on {arch.name}"
 
 
 @contextlib.contextmanager
 def _python_pass():
-    """``simulate`` runs the whole pass in Python inside this context."""
+    """``simulate`` runs each XCD's pass in the oracle ``reference_pass``
+    inside this context."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(cachesim, "_load_kernel", lambda: None)
+        m.setattr(cachesim, "_run_native",
+                  lambda kernel, *args: cachesim.reference_pass(*args))
         yield
 
 
@@ -748,8 +748,11 @@ def _failing_compiler(tmp_path):
     return str(script)
 
 
-@pytest.mark.parametrize("compiler", [lambda tmp: str(tmp / "missing-cc"), _failing_compiler])
-def test_failed_build_falls_back_and_is_not_cached(native, monkeypatch, tmp_path, compiler):
+@pytest.mark.parametrize("compiler, reason", [
+    (lambda tmp: str(tmp / "missing-cc"), "missing-cc"),
+    (_failing_compiler, "cannot compile"),
+], ids=["missing", "failing"])
+def test_failed_build_raises_and_is_not_cached(native, monkeypatch, tmp_path, compiler, reason):
     trace = generate_trace(spec_with_size("softmax", 256))
     pattern = builtin_pattern("layernorm_rowgroup", trace.grid, SMALL)
     want = report_to_json(simulate(trace, pattern, SMALL))
@@ -760,15 +763,14 @@ def test_failed_build_falls_back_and_is_not_cached(native, monkeypatch, tmp_path
     monkeypatch.setattr(cachesim, "_CC", compiler(tmp_path))
     cachesim._load_kernel.cache_clear()
     try:
-        with pytest.warns(RuntimeWarning, match="using the Python LRU"):
-            got = report_to_json(simulate(trace, pattern, SMALL))
-        assert got == want
+        with pytest.raises(SimulationError, match=f"native LRU kernel unavailable: .*{reason}"):
+            simulate(trace, pattern, SMALL)
         assert [p for p in build_root.rglob("*") if p.is_file()] == []
 
-        # with a working compiler the next attempt builds and loads
+        # the failure is not cached: with a working compiler the next call
+        # builds, without clearing the cache
         monkeypatch.setattr(cachesim, "_CC", real_cc)
-        cachesim._load_kernel.cache_clear()
-        assert cachesim._load_kernel() is not None
+        assert report_to_json(simulate(trace, pattern, SMALL)) == want
         assert [p.suffix for p in (build_root / "swizzlesim").iterdir()] == [".so"]
     finally:
         cachesim._load_kernel.cache_clear()
