@@ -38,6 +38,22 @@ only while one of its workgroups is resident.
 whole pass. A line's byte in the touched-line map has bit 0 set once the
 line is touched, and bit 1 while the XCD's rows hold it (see ``_lru.c``).
 
+Threads: the calling thread runs XCD 0's pass first. If that pass made at
+least ``PARALLEL_TOUCHES`` touches, a rule that reads only the trace, the
+other XCDs run on ``min(num_xcds, WORKERS)`` threads, ``WORKERS`` being the
+CPUs this process may use: the calling thread and the helpers of one
+persistent pool, made on the first such call. Otherwise the calling thread
+runs them alone and no thread starts. Each thread takes the next XCD in
+order and runs its whole pass, until none is left or a pass has failed.
+ctypes releases the GIL around ``xcd_drain``. Each helper owns a
+touched-line map, ORed into the caller's at the end. The counts are those of
+the serial order: each pass has its own LRU rows and clears bit 1 as it
+ends, a hit depends only on bit 1, and bit 0 is only ORed, so
+``unique_lines_touched`` counts the nonzero bytes of the maps' OR. So are
+the errors: if XCD 0 fails, no other XCD runs; otherwise, once the running
+passes end, the lowest failed XCD's error is raised. Every XCD below it was
+taken before it and ran to its end.
+
 The first cache built in a process compiles the kernel with ``_CC`` and
 ``_CFLAGS`` into ``$XDG_CACHE_HOME/swizzlesim`` (default ``~/.cache/swizzlesim``),
 under a name keyed by a hash of the source, compiler and flags; later
@@ -55,6 +71,7 @@ import functools
 import json
 import os
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -104,6 +121,12 @@ class BottleneckReport:
     per_xcd: tuple[XcdStats, ...]
     unique_lines_touched: int
 
+
+# CPUs this process may use; a simulation runs on at most this many threads
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+# touches XCD 0's pass must make before the other XCDs run in parallel
+PARALLEL_TOUCHES = 2**20
 
 _KERNEL_SOURCE = Path(__file__).with_name("_lru.c")
 _CC = "gcc"
@@ -336,6 +359,39 @@ def _run_native(
     return int(counts[0]), int(counts[1])
 
 
+@functools.cache
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """The persistent pool of ``threads`` helper threads, made on first use."""
+    return ThreadPoolExecutor(threads, thread_name_prefix="swizzlesim-xcd")
+
+
+def _run_xcds(run, xcds: range, workers: int, touched: np.ndarray) -> list[tuple[int, int]]:
+    """``run(xcd, map)`` of each XCD in ``xcds``, in that order, on ``workers``
+    threads: the calling one with ``touched`` and ``workers - 1`` pool helpers
+    with maps of their own, ORed into ``touched`` (see the module docstring).
+    A helper that has not started when the caller stops is cancelled."""
+    todo = iter(xcds)  # a range iterator's next() is atomic under the GIL
+    counts, errors = {}, {}
+
+    def drain(own: np.ndarray) -> np.ndarray:
+        while not errors and (xcd := next(todo, None)) is not None:
+            try:
+                counts[xcd] = run(xcd, own)
+            except Exception as exc:
+                errors[xcd] = exc
+        return own
+
+    helpers = [_pool(WORKERS - 1).submit(lambda: drain(np.zeros_like(touched)))
+               for _ in range(workers - 1)]
+    drain(touched)
+    for helper in helpers:
+        if not helper.cancel():
+            touched |= helper.result()
+    if errors:
+        raise errors[min(errors)]
+    return [counts[xcd] for xcd in xcds]
+
+
 def simulate(
     trace: AccessTrace,
     pattern: SwizzlePattern,
@@ -365,13 +421,16 @@ def simulate(
         launched[launch_of[members]] = True
         wave_launch.append(np.flatnonzero(launched))
 
-    per_xcd: list[XcdStats] = []
-    for xcd in range(num_xcds):
+    def run(xcd: int, touched: np.ndarray) -> tuple[int, int]:
         waves = [table[launch[launch % num_xcds == xcd]] for launch in wave_launch]
-        hits, accesses = _run_native(kernel, trace, waves, arch, slots, touched)
-        rate = hits / accesses if accesses else 0.0
-        per_xcd.append(XcdStats(accesses=accesses, hits=hits, misses=accesses - hits,
-                                hit_rate=rate))
+        return _run_native(kernel, trace, waves, arch, slots, touched)
+
+    counts = [run(0, touched)]
+    workers = min(num_xcds, WORKERS) if counts[0][1] >= PARALLEL_TOUCHES else 1
+    counts += _run_xcds(run, range(1, num_xcds), workers, touched)
+    per_xcd = [XcdStats(accesses=accesses, hits=hits, misses=accesses - hits,
+                        hit_rate=hits / accesses if accesses else 0.0)
+               for hits, accesses in counts]
 
     accesses = sum(s.accesses for s in per_xcd)
     hits = sum(s.hits for s in per_xcd)

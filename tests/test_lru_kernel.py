@@ -1,14 +1,17 @@
 """The native LRU kernel against the Python oracles."""
 
 import contextlib
+import itertools
 import json
 import os
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -439,7 +442,7 @@ def test_kernel_rejects_a_row_exactly_when_its_records_are_outside(native, case)
 
 
 def _queue_lengths(trace, pattern, arch) -> list[int]:
-    """Workgroups per non-empty (XCD, wave) queue, in the order simulate runs them."""
+    """Workgroups per non-empty (XCD, wave) queue, by XCD and then wave."""
     launch_of = np.argsort(validated_remap_table(pattern, trace.grid, arch))
     lengths = (np.count_nonzero(launch_of[members] % arch.num_xcds == xcd)
                for xcd in range(arch.num_xcds) for members in trace.wave_pids)
@@ -447,44 +450,59 @@ def _queue_lengths(trace, pattern, arch) -> list[int]:
 
 
 @contextlib.contextmanager
-def _watch_feed(trace, slots):
+def _watch_feed(trace, arch, *patterns):
     """Check the lazy feed's contract on every batch ``simulate`` asks of
-    ``trace`` inside this context, which gives the batch sizes and kernel
-    calls of each (XCD, wave) queue, in the order simulate runs them.
+    ``trace`` on ``arch`` inside this context, whose simulations run under
+    ``patterns`` in turn. Gives the batch sizes and kernel calls of each
+    (XCD, wave) queue, once the context ends, in ``_queue_lengths`` order.
 
-    A batch holds at most ``slots`` pids or, if more, ``BATCH_SEGMENTS``
-    segments' worth at the mean segments per pid of the batches the XCD's
-    pass has read so far, and lives only while one of its pids is resident."""
+    Each XCD's pass is watched on its own, on the thread that runs it. A
+    batch holds at most ``slots`` pids or, if more, ``BATCH_SEGMENTS``
+    segments' worth at the mean segments per pid of the batches the pass has
+    read so far, and lives only while one of its pids is resident."""
+    slots = concurrent_slots_per_xcd(arch)
+    xcd_of = [np.argsort(validated_remap_table(p, trace.grid, arch)) % arch.num_xcds
+              for p in patterns]
     kernel = cachesim._load_kernel()
-    last = {"left": 0, "more": 0}  # the last xcd_drain call's return and `more` flag
-    seen = {"pids": 0, "segments": 0}  # read by the current XCD's pass
-    handed_out = []  # a finalizer per batch's offs column
-    queues = []  # [batch sizes, kernel calls] of each (XCD, wave) queue
+    started = itertools.count()  # passes begun; a simulation begins num_xcds
+    watching = threading.local()  # .feed: the state of the pass this thread runs
+    passes = []  # (simulation, XCD, state) of each pass that read a batch
+    queues = []
     run_native = cachesim._run_native
 
     def one_pass(*args):
-        seen.update(pids=0, segments=0)
+        feed = watching.feed = SimpleNamespace(
+            left=0, more=0,  # the last xcd_drain call's return and `more` flag
+            pids=0, segments=0,  # read by this pass
+            handed_out=[],  # a finalizer per batch's offs column
+            queues=[])  # [batch sizes, kernel calls] of each of the pass's waves
+        simulation = next(started) // arch.num_xcds
+        pids = np.concatenate(args[2])
+        if len(pids):
+            passes.append((simulation, int(xcd_of[simulation][pids[0]]), feed))
         return run_native(*args)
 
     class Watched:
         def xcd_drain(self, *args):
-            last["left"], last["more"] = kernel.xcd_drain(*args), args[5]
-            queues[-1][1] += 1
-            return last["left"]
+            feed = watching.feed
+            feed.left, feed.more = kernel.xcd_drain(*args), args[5]
+            feed.queues[-1][1] += 1
+            return feed.left
 
     def watched(wave, pids):
-        alive = sum(f.alive for f in handed_out)
-        if not last["more"]:  # a new (XCD, wave) queue: every earlier batch is freed
+        feed = watching.feed
+        alive = sum(f.alive for f in feed.handed_out)
+        if not feed.more:  # a new (XCD, wave) queue: every earlier batch is freed
             assert alive == 0
-            queues.append([[], 0])
-        assert alive <= last["left"]  # a batch lives only while one of its pids is resident
-        budget = cachesim.BATCH_SEGMENTS * seen["pids"] // max(seen["segments"], 1)
+            feed.queues.append([[], 0])
+        assert alive <= feed.left  # a batch lives only while one of its pids is resident
+        budget = cachesim.BATCH_SEGMENTS * feed.pids // max(feed.segments, 1)
         assert len(pids) <= max(slots, budget)
-        queues[-1][0].append(len(pids))
+        feed.queues[-1][0].append(len(pids))
         batch = batch_fn(wave, pids)
-        seen["pids"] += len(pids)
-        seen["segments"] += len(batch)
-        handed_out.append(weakref.finalize(batch.offs, lambda: None))
+        feed.pids += len(pids)
+        feed.segments += len(batch)
+        feed.handed_out.append(weakref.finalize(batch.offs, lambda: None))
         return batch
 
     batch_fn = trace._batch_fn
@@ -493,7 +511,9 @@ def _watch_feed(trace, slots):
         m.setattr(cachesim, "_run_native", one_pass)
         m.setattr(cachesim, "_load_kernel", lambda: Watched())
         yield queues
-    assert not any(f.alive for f in handed_out)
+    passes.sort(key=lambda entry: entry[:2])
+    queues += [queue for *_, feed in passes for queue in feed.queues]
+    assert not any(f.alive for *_, feed in passes for f in feed.handed_out)
 
 
 def _tapering_trace(total=480, bad=None):
@@ -527,7 +547,7 @@ def test_lazy_feed_sizes_batches_by_segments_and_frees_each_batch(native, name):
     slots = concurrent_slots_per_xcd(arch)
     pattern = builtin_pattern("identity", lazy.grid, arch)
     want = simulate(materialize(lazy), pattern, arch)
-    with _watch_feed(lazy, slots) as queues:
+    with _watch_feed(lazy, arch, pattern) as queues:
         assert simulate(lazy, pattern, arch) == want
     members = _queue_lengths(lazy, pattern, arch)
     assert [sum(sizes) for sizes, _ in queues] == members
@@ -548,7 +568,7 @@ def test_bad_segment_deep_in_a_wide_batch_names_its_workgroup(native, k):
     pattern = builtin_pattern("identity", lazy.grid, arch)
     with _python_pass(), pytest.raises(SimulationError, match=f"workgroup {bad} in wave 0"):
         simulate(lazy, pattern, arch)
-    with _watch_feed(lazy, concurrent_slots_per_xcd(arch)) as queues:
+    with _watch_feed(lazy, arch, pattern) as queues:
         with pytest.raises(SimulationError, match=f"workgroup {bad} in wave 0"):
             simulate(lazy, pattern, arch)
     assert queues == [[[3, 68], 2]]
@@ -560,13 +580,12 @@ def test_lazy_pair_makes_at_most_two_batch_and_kernel_calls_per_queue(native, si
     # at a time; at 1000 each XCD's 32 workgroups fit its 38 slots, at 3000
     # each XCD's ~276 take a slot file and then one batch of the rest
     arch = MI300X_LIKE
-    slots = concurrent_slots_per_xcd(arch)
     lazy = generate_trace(spec_with_size("stencil2d", size))
     pattern = builtin_pattern("stencil_group", lazy.grid, arch)
     want = simulate_pair(materialize(lazy), arch, ExecParams(), pattern)
     identity = builtin_pattern("identity", lazy.grid, arch)
     members = [count for p in (identity, pattern) for count in _queue_lengths(lazy, p, arch)]
-    with _watch_feed(lazy, slots) as queues:
+    with _watch_feed(lazy, arch, identity, pattern) as queues:
         assert simulate_pair(lazy, arch, ExecParams(), pattern) == want
     assert [sum(sizes) for sizes, _ in queues] == members
     calls = 1 if size == 1000 else 2
@@ -583,9 +602,37 @@ def test_lazy_transpose_keeps_slot_file_batches(native):
     lazy = generate_trace(KernelSpec("transpose", {"m": 1280, "n": 1280}, {"m": 64, "n": 64}))
     pattern = builtin_pattern("transpose_band", lazy.grid, arch)
     want = simulate(materialize(lazy), pattern, arch)
-    with _watch_feed(lazy, slots) as queues:
+    with _watch_feed(lazy, arch, pattern) as queues:
         assert simulate(lazy, pattern, arch) == want
     assert [sizes for sizes, _ in queues] == [[slots, 50 - slots]] * arch.num_xcds
+
+
+@pytest.fixture
+def threads_forced(monkeypatch):
+    """These small simulations, which run serially, on the parallel path:
+    every XCD pass after XCD 0's on a pool of up to 8 threads."""
+    monkeypatch.setattr(cachesim, "PARALLEL_TOUCHES", 0)
+    monkeypatch.setattr(cachesim, "WORKERS", 8)
+
+
+# The four lazy-feed contracts above, each XCD's pass on its own thread
+@pytest.mark.parametrize("name", FEED_TRACES)
+def test_lazy_feed_sizes_batches_by_segments_on_threads(native, threads_forced, name):
+    test_lazy_feed_sizes_batches_by_segments_and_frees_each_batch(native, name)
+
+
+@pytest.mark.parametrize("k", [0, 17, 58])
+def test_bad_segment_deep_in_a_wide_batch_on_threads(native, threads_forced, k):
+    test_bad_segment_deep_in_a_wide_batch_names_its_workgroup(native, k)
+
+
+@pytest.mark.parametrize("size", [1000, 3000])
+def test_lazy_pair_batch_and_kernel_calls_on_threads(native, threads_forced, size):
+    test_lazy_pair_makes_at_most_two_batch_and_kernel_calls_per_queue(native, size)
+
+
+def test_lazy_transpose_keeps_slot_file_batches_on_threads(native, threads_forced):
+    test_lazy_transpose_keeps_slot_file_batches(native)
 
 
 def _build(flags, lib):
