@@ -38,20 +38,26 @@ only while one of its workgroups is resident.
 whole pass. A line's byte in the touched-line map has bit 0 set once the
 line is touched, and bit 1 while the XCD's rows hold it (see ``_lru.c``).
 
-Threads: the calling thread runs XCD 0's pass first. If that pass made at
-least ``PARALLEL_TOUCHES`` touches, a rule that reads only the trace, the
-other XCDs run on ``min(num_xcds, WORKERS)`` threads, ``WORKERS`` being the
-CPUs this process may use: the calling thread and the helpers of one
-persistent pool, made on the first such call. Otherwise the calling thread
-runs them alone and no thread starts. Each thread takes the next XCD in
-order and runs its whole pass, until none is left or a pass has failed.
-ctypes releases the GIL around ``xcd_drain``. Each helper owns a
-touched-line map, ORed into the caller's at the end. The counts are those of
-the serial order: each pass has its own LRU rows and clears bit 1 as it
-ends, a hit depends only on bit 1, and bit 0 is only ORed, so
-``unique_lines_touched`` counts the nonzero bytes of the maps' OR. So are
-the errors: if XCD 0 fails, no other XCD runs; otherwise, once the running
-passes end, the lowest failed XCD's error is raised. Every XCD below it was
+Threads: the calling thread runs XCD 0's pass. After each of its kernel
+calls that did not fail, the pass's touches are projected from the pids fed
+so far: touches so far times the pass's pids over the pids fed, low while fed
+pids are unfinished and exact at the last return. Once that reaches
+``PARALLEL_TOUCHES``, a rule that reads only the trace and the table, the
+caller starts ``min(num_xcds, WORKERS) - 1`` helpers of one persistent pool,
+made on first use, ``WORKERS`` being the CPUs this process may use; if it
+never does, no thread starts. The helpers take XCDs 1 and up while XCD 0's
+pass goes on, and the caller joins them once it ends. A lazy trace returns
+after each batch, so a large one starts its helpers after its first; a
+materialized trace returns after each wave, so only after XCD 0's first wave.
+Each thread takes the next XCD in order and runs its whole pass, until none
+is left or a failure is recorded.
+ctypes releases the GIL around ``xcd_drain``. Each helper owns a touched-line
+map, ORed into the caller's at the end. The counts are those of the serial
+order: each pass has its own LRU rows and clears bit 1 as it ends, a hit
+depends only on bit 1, and bit 0 is only ORed, so ``unique_lines_touched``
+counts the nonzero bytes of the maps' OR. So are the errors: if XCD 0 fails
+before the helpers start, no other XCD begins; otherwise every pass taken
+ends, and the lowest failed XCD's error is raised. Every XCD below it was
 taken before it and ran to its end.
 
 The first cache built in a process compiles the kernel with ``_CC`` and
@@ -70,6 +76,7 @@ import ctypes
 import functools
 import json
 import os
+import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -125,7 +132,7 @@ class BottleneckReport:
 # CPUs this process may use; a simulation runs on at most this many threads
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
-# touches XCD 0's pass must make before the other XCDs run in parallel
+# XCD 0's projected touches at which its pass starts the other XCDs in parallel
 PARALLEL_TOUCHES = 2**20
 
 _KERNEL_SOURCE = Path(__file__).with_name("_lru.c")
@@ -307,7 +314,7 @@ def _lru_rows(num_sets: int, ways: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _run_native(
     kernel, trace: AccessTrace, waves: list[np.ndarray], arch: ArchSpec, slots: int,
-    touched: np.ndarray,
+    touched: np.ndarray, progress=None,
 ) -> tuple[int, int]:
     """(hits, touches) of one XCD, all waves, in the kernel's ``xcd_drain``.
 
@@ -320,7 +327,9 @@ def _run_native(
     of the batches the pass has read, but at least ``slots``. The kernel
     returns for the next batch once this one is spent and a slot is free;
     ``live`` keeps each batch, with its offs column's address range, while a
-    resident slot's offs address (slot word 1) lies in it.
+    resident slot's offs address (slot word 1) lies in it. After each call
+    that did not fail, ``progress``, if given, gets the pass's touches
+    projected from the pids fed so far, floored (see the module docstring).
     """
     num_sets, ways = arch.num_sets, arch.l2_associativity
     tags, heads = _lru_rows(num_sets, ways)
@@ -332,6 +341,7 @@ def _run_native(
              tags.ctypes.data, heads.ctypes.data, num_sets, ways)
 
     rows = trace.queue_rows
+    pass_pids = sum(map(len, waves))
     pids_read = segments_read = 0
     for wave, pids in enumerate(waves):
         left, live, start = 0, [], 0
@@ -339,11 +349,11 @@ def _run_native(
             width = max(slots, BATCH_SEGMENTS * pids_read // max(segments_read, 1))
             batch = pids[start:len(pids) if rows is not None else start + width]
             start += len(batch)
+            pids_read += len(batch)
             if rows is not None:
                 queue = rows[wave][batch]
             else:
                 segments = trace.batch(wave, batch)
-                pids_read += len(batch)
                 segments_read += len(segments)
                 queue = segments.queue_rows()
                 lo = segments.offs.ctypes.data
@@ -353,6 +363,8 @@ def _run_native(
                                     len(queue), start < len(pids), *fixed)
             if left < 0:
                 raise _bad_record(trace, batch[-left - 1], wave)
+            if progress:
+                progress(int(counts[1]) * pass_pids // pids_read)
             held = resident[:left, 1]
             live = [entry for entry in live if ((held >= entry[1]) & (held < entry[2])).any()]
     touched &= 1  # the next XCD starts with nothing resident
@@ -363,33 +375,6 @@ def _run_native(
 def _pool(threads: int) -> ThreadPoolExecutor:
     """The persistent pool of ``threads`` helper threads, made on first use."""
     return ThreadPoolExecutor(threads, thread_name_prefix="swizzlesim-xcd")
-
-
-def _run_xcds(run, xcds: range, workers: int, touched: np.ndarray) -> list[tuple[int, int]]:
-    """``run(xcd, map)`` of each XCD in ``xcds``, in that order, on ``workers``
-    threads: the calling one with ``touched`` and ``workers - 1`` pool helpers
-    with maps of their own, ORed into ``touched`` (see the module docstring).
-    A helper that has not started when the caller stops is cancelled."""
-    todo = iter(xcds)  # a range iterator's next() is atomic under the GIL
-    counts, errors = {}, {}
-
-    def drain(own: np.ndarray) -> np.ndarray:
-        while not errors and (xcd := next(todo, None)) is not None:
-            try:
-                counts[xcd] = run(xcd, own)
-            except Exception as exc:
-                errors[xcd] = exc
-        return own
-
-    helpers = [_pool(WORKERS - 1).submit(lambda: drain(np.zeros_like(touched)))
-               for _ in range(workers - 1)]
-    drain(touched)
-    for helper in helpers:
-        if not helper.cancel():
-            touched |= helper.result()
-    if errors:
-        raise errors[min(errors)]
-    return [counts[xcd] for xcd in xcds]
 
 
 def simulate(
@@ -421,16 +406,42 @@ def simulate(
         launched[launch_of[members]] = True
         wave_launch.append(np.flatnonzero(launched))
 
-    def run(xcd: int, touched: np.ndarray) -> tuple[int, int]:
-        waves = [table[launch[launch % num_xcds == xcd]] for launch in wave_launch]
-        return _run_native(kernel, trace, waves, arch, slots, touched)
+    # the caller takes XCD 0 first, and its pass may start the helpers; under
+    # `lock`, no XCD is taken once a failure is recorded (see the module docstring)
+    todo, lock = iter(range(num_xcds)), threading.Lock()
+    counts, errors, helpers = {}, {}, []
 
-    counts = [run(0, touched)]
-    workers = min(num_xcds, WORKERS) if counts[0][1] >= PARALLEL_TOUCHES else 1
-    counts += _run_xcds(run, range(1, num_xcds), workers, touched)
+    def drain(own: np.ndarray, progress=None) -> np.ndarray:
+        while True:
+            with lock:
+                xcd = None if errors else next(todo, None)
+            if xcd is None:
+                return own
+            waves = [table[launch[launch % num_xcds == xcd]] for launch in wave_launch]
+            try:
+                counts[xcd] = _run_native(kernel, trace, waves, arch, slots, own,
+                                          progress if xcd == 0 else None)
+            except Exception as exc:
+                with lock:
+                    errors[xcd] = exc
+
+    def start(touches: int) -> None:  # XCD 0's projected touches
+        if not helpers and touches >= PARALLEL_TOUCHES:
+            helpers.extend(_pool(WORKERS - 1).submit(drain, np.zeros_like(touched))
+                           for _ in range(min(num_xcds, WORKERS) - 1))
+
+    drain(touched, start)
+    for helper in helpers:
+        if not helper.cancel():
+            touched |= helper.result()
+    if errors:
+        try:
+            raise errors[min(errors)]
+        finally:
+            errors.clear()  # the error's traceback holds this frame: break the cycle
     per_xcd = [XcdStats(accesses=accesses, hits=hits, misses=accesses - hits,
                         hit_rate=hits / accesses if accesses else 0.0)
-               for hits, accesses in counts]
+               for hits, accesses in map(counts.get, range(num_xcds))]
 
     accesses = sum(s.accesses for s in per_xcd)
     hits = sum(s.hits for s in per_xcd)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from swizzlesim import cachesim
 from swizzlesim.arch import ArchSpec, MI300X_LIKE
 from swizzlesim.dsl import BinOp, Ident, Lit, MinMax, VOCABULARY
 from swizzlesim.traces import (
@@ -104,6 +107,18 @@ class FullyAssociativeLru:
         if len(self.order) > self.capacity:
             self.order.pop(0)
         return False
+
+
+@contextlib.contextmanager
+def python_pass():
+    """``simulate`` runs each XCD's pass in the oracle ``reference_pass``
+    inside this context. The oracle calls no ``progress`` hook, so XCD 0's
+    pass starts no helper and every XCD runs on the calling thread."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cachesim, "_run_native",
+                  lambda kernel, trace, waves, arch, slots, touched, progress:
+                  cachesim.reference_pass(trace, waves, arch, slots, touched))
+        yield
 
 
 def record_batch(bufs, offs, lens, writes) -> Batch:

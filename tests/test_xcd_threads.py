@@ -5,11 +5,13 @@ Run under ``taskset -c 0``, the tests that leave ``cachesim.WORKERS`` as the
 host set it take the single-CPU path: no pool.
 """
 
+import gc
 import json
 import os
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -28,14 +30,15 @@ from swizzlesim.kernels import (
 from swizzlesim.patterns import GridSpec, builtin_pattern
 from swizzlesim.traces import AccessTrace, Batch, make_buffers, materialize
 
-from conftest import arch_with_xcds
+from conftest import arch_with_xcds, python_pass
 
 SPECS = {kind: default_spec(kind) for kind in KERNEL_KINDS}
 SPECS["gemm@2048"] = spec_with_size("gemm", 2048)
 
 
 def _forced(monkeypatch, workers):
-    """Every XCD after XCD 0 goes to the parallel path on ``workers`` threads."""
+    """Every XCD after XCD 0 goes to the parallel path on ``workers``
+    threads, the helpers starting at XCD 0's first kernel return."""
     monkeypatch.setattr(cachesim, "PARALLEL_TOUCHES", 0)
     monkeypatch.setattr(cachesim, "WORKERS", workers)
 
@@ -60,8 +63,7 @@ def test_parallel_report_matches_the_reference_pass(monkeypatch):
     arch = arch_with_xcds(4, cus_per_xcd=2, l2_bytes=2048, ways=2)
     trace = generate_trace(spec_with_size("gemm", 128))
     pattern = builtin_pattern("gemm_contiguous", trace.grid, arch)
-    with monkeypatch.context() as m:
-        m.setattr(cachesim, "_run_native", lambda kernel, *args: cachesim.reference_pass(*args))
+    with python_pass():
         want = simulate(trace, pattern, arch)
     assert want.misses > want.unique_lines_touched  # capacity or conflict misses
     _forced(monkeypatch, arch.num_xcds)
@@ -85,16 +87,43 @@ def test_parallel_reports_hold_under_fast_thread_switching(monkeypatch):
     assert reports == [want] * 20
 
 
+def test_a_parallel_simulation_frees_its_trace_without_the_cycle_collector(monkeypatch):
+    # a reference cycle through simulate's helpers would keep each
+    # simulation's trace, tables and line maps alive until the cycle
+    # collector ran: a loop of large simulations grew by megabytes each
+    _forced(monkeypatch, 2)
+    trace = generate_trace(spec_with_size("gemm", 256))
+    pattern = builtin_pattern("identity", trace.grid, MI300X_LIKE)
+    freed = weakref.finalize(trace, lambda: None)
+    gc.collect()
+    gc.disable()
+    try:
+        simulate(trace, pattern, MI300X_LIKE)
+        del trace
+        assert not freed.alive
+    finally:
+        gc.enable()
+
+
 ARCH4 = arch_with_xcds(4, cus_per_xcd=2, l2_bytes=4096, ways=2)
 
 
-def _trace_with_bad(bad, total=200):
+def _trace_with_bad(bad, total=200, gate=0):
     """One wave of ``total`` workgroups of 16 one-line reads each; each one
     in ``bad`` then reads past the buffer's end. Under the identity on
-    ``ARCH4``, workgroup ``p`` runs on XCD ``p % 4``. The trace records the
-    pids of every batch asked of it in ``.asked``."""
+    ``ARCH4``, workgroup ``p`` runs on XCD ``p % 4``, and XCD 0's pass asks
+    for two batches: pids 0 and 4, then the rest. The trace records the
+    pids of every batch asked of it in ``.asked``. With ``gate``, XCD 0's
+    second batch waits, 30 s at most, until ``gate`` passes of other XCDs
+    have asked for their first batch, and ``.waits`` records whether they
+    had."""
     def batch_fn(wave, pids):
         trace.asked.extend(pids.tolist())
+        first = int(pids[0])
+        if gate and first in (1, 2, 3):
+            trace.begun.release()
+        elif gate and first == 8:
+            trace.waits.append(all(trace.begun.acquire(timeout=30) for _ in range(gate)))
         segments = [[(0, 128 * ((pid + k) % 64), 128, 0, 1) for k in range(16)]
                     + ([(0, 8192 - 64, 128, 0, 1)] if pid in bad else []) for pid in pids.tolist()]
         flat = np.array([s for workgroup in segments for s in workgroup], dtype=np.int64)
@@ -104,7 +133,7 @@ def _trace_with_bad(bad, total=200):
 
     trace = AccessTrace("synthetic", GridSpec.from_block_counts(total),
                         make_buffers([("b0", 8192)]), batch_fn)
-    trace.asked = []
+    trace.asked, trace.begun, trace.waits = [], threading.Semaphore(0), []
     return trace
 
 
@@ -154,15 +183,95 @@ def test_the_lowest_failed_xcd_raises_and_no_pass_outlives_it(monkeypatch, runni
     assert len(running["begun"]) == 4
 
 
+def test_helpers_start_during_xcd_0s_pass(monkeypatch):
+    # forced onto 2 workers, the helper starts at XCD 0's first kernel
+    # return, so XCD 1's pass begins while XCD 0's waits for its second batch
+    lazy = _trace_with_bad(set(), gate=1)
+    pattern = builtin_pattern("identity", lazy.grid, ARCH4)
+    _forced(monkeypatch, 1)
+    want = simulate(materialize(lazy), pattern, ARCH4)
+    _forced(monkeypatch, 2)
+    assert simulate(lazy, pattern, ARCH4) == want
+    assert lazy.waits == [True]
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_a_failed_xcd_0_runs_no_other_xcd(monkeypatch, running, workers):
-    lazy = _trace_with_bad({4 * 10, 2})
+    # the bad row is in XCD 0's first batch: its first kernel call fails,
+    # before any return could start the helpers
+    lazy = _trace_with_bad({4, 2})
     pattern = builtin_pattern("identity", lazy.grid, ARCH4)
     _forced(monkeypatch, workers)
-    with pytest.raises(SimulationError, match="workgroup 40 in wave 0"):
+    with pytest.raises(SimulationError, match="workgroup 4 in wave 0"):
         simulate(lazy, pattern, ARCH4)
     assert running == {"now": [], "begun": [None]}
     assert lazy.asked and all(pid % 4 == 0 for pid in lazy.asked)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_failed_xcd_0_after_the_helpers_start_begins_no_later_xcd(monkeypatch, running,
+                                                                   workers):
+    # the bad row is in XCD 0's second batch, which waits until each helper
+    # has begun a pass; each helper's pass then holds its end until XCD 0's
+    # has ended, so it takes its next XCD only after XCD 0 has failed
+    lazy = _trace_with_bad({40, 3}, gate=workers - 1)
+    pattern = builtin_pattern("identity", lazy.grid, ARCH4)
+    xcd_0_ended = threading.Event()
+    ended_first = []
+    run_native = cachesim._run_native
+
+    def ordered(kernel, trace, waves, *args):
+        xcd = int(waves[0][0]) % 4
+        try:
+            return run_native(kernel, trace, waves, *args)
+        finally:
+            if xcd == 0:
+                xcd_0_ended.set()
+            else:
+                ended_first.append(xcd_0_ended.wait(timeout=30))
+
+    monkeypatch.setattr(cachesim, "_run_native", ordered)
+    _forced(monkeypatch, workers)
+    with pytest.raises(SimulationError, match="workgroup 40 in wave 0"):
+        simulate(lazy, pattern, ARCH4)
+    assert lazy.waits == [True] and ended_first == [True] * (workers - 1)
+    assert running["now"] == []
+    assert len(running["begun"]) == workers  # XCD 3, with its bad row, never began
+    assert 3 not in {pid % 4 for pid in lazy.asked}
+
+
+# every default kernel, and the sizes the benchmark and the tests simulate
+RULE_SPECS = {**SPECS, "softmax@1024": spec_with_size("softmax", 1024),
+              **{f"stencil2d@{n}": spec_with_size("stencil2d", n)
+                 for n in (512, 1000, 1024, 2048, 3000, 4096, 8192)}}
+
+
+@pytest.mark.parametrize("name", RULE_SPECS)
+def test_helpers_start_when_xcd_0_makes_parallel_touches(monkeypatch, name):
+    # the projection from the pids fed so far starts the helpers exactly
+    # when XCD 0's whole pass makes PARALLEL_TOUCHES touches, the rule that
+    # decided once that pass had ended
+    arch = MI300X_LIKE
+    lazy = generate_trace(RULE_SPECS[name])
+    names = dict.fromkeys(("identity", default_pattern(lazy.kernel)))
+    submits, pool = [], cachesim._pool
+
+    class Counted:
+        def __init__(self, threads):
+            self.pool = pool(threads)
+
+        def submit(self, *args):
+            submits.append(None)
+            return self.pool.submit(*args)
+
+    monkeypatch.setattr(cachesim, "_pool", Counted)
+    monkeypatch.setattr(cachesim, "WORKERS", 2)
+    for trace in (lazy, materialize(lazy)):
+        for p in names:
+            submits.clear()
+            report = simulate(trace, builtin_pattern(p, lazy.grid, arch), arch)
+            large = report.per_xcd[0].accesses >= cachesim.PARALLEL_TOUCHES
+            assert len(submits) == large, f"{name} under {p}"
 
 
 def _child(code: str) -> dict:
