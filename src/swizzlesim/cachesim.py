@@ -40,8 +40,12 @@ line is touched, and bit 1 while the XCD's rows hold it (see ``_lru.c``).
 
 Threads: the calling thread runs XCD 0's pass. After each of its kernel
 calls that did not fail, the pass's touches are projected from the pids fed
-so far: touches so far times the pass's pids over the pids fed, low while fed
-pids are unfinished and exact at the last return. Once that reaches
+so far: touches so far times the pass's pids over the pids fed, exact at the
+last return. It reads low while fed pids are unfinished, but high if the
+first pids make more touches than the rest (60 segments per pid, then 4,
+projects 14400 touches at the first return of a pass that makes 7680), so a
+pass below the threshold can start the helpers; none of the tests' default
+kernel cases does. Once the projection reaches
 ``PARALLEL_TOUCHES``, a rule that reads only the trace and the table, the
 caller starts ``min(num_xcds, WORKERS) - 1`` helpers of one persistent pool,
 made on first use, ``WORKERS`` being the CPUs this process may use; if it

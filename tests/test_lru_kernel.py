@@ -548,8 +548,11 @@ def test_lazy_feed_sizes_batches_by_segments_and_frees_each_batch(native, name):
         assert all(len(set(sizes[1:-1])) > 1 for sizes, _ in queues)
 
 
-@pytest.mark.parametrize("k", [0, 17, 58])
-def test_bad_segment_deep_in_a_wide_batch_names_its_workgroup(native, k):
+def _bad_segment_queues(k, xcd_1_first=False):
+    """The queues ``_watch_feed`` gives for a 2-XCD simulation of the
+    tapering trace whose XCD 0 fails on the k-th pid of its second batch.
+    With ``xcd_1_first``, that batch is asked for only once XCD 1's pass has
+    asked for its first, 30 s at most."""
     # XCD 0's first batch is pids 0, 2, 4 (3 slots, 180 segments), so its
     # second holds 4096 * 3 // 180 = 68 pids, from pid 6: the bad one is its k-th
     bad = 6 + 2 * k
@@ -558,13 +561,27 @@ def test_bad_segment_deep_in_a_wide_batch_names_its_workgroup(native, k):
     pattern = builtin_pattern("identity", lazy.grid, arch)
     with python_pass(), pytest.raises(SimulationError, match=f"workgroup {bad} in wave 0"):
         simulate(lazy, pattern, arch)
-    with _watch_feed(lazy, arch, pattern) as queues:
-        with pytest.raises(SimulationError, match=f"workgroup {bad} in wave 0"):
-            simulate(lazy, pattern, arch)
-    assert queues[0] == [[3, 68], 2]
-    # on threads the helpers start at XCD 0's first kernel return, so XCD 1
-    # may take its pass before XCD 0's fails; then it runs all 240 of its pids
-    assert [sum(sizes) for sizes, _ in queues[1:]] in ([], [240])
+    xcd_1_begun, batch_fn = threading.Event(), lazy._batch_fn
+
+    def gated(wave, pids):
+        if pids[0] == 1:
+            xcd_1_begun.set()
+        elif pids[0] == 6:
+            assert xcd_1_begun.wait(timeout=30)
+        return batch_fn(wave, pids)
+
+    with pytest.MonkeyPatch.context() as m:
+        if xcd_1_first:
+            m.setattr(lazy, "_batch_fn", gated)
+        with _watch_feed(lazy, arch, pattern) as queues:
+            with pytest.raises(SimulationError, match=f"workgroup {bad} in wave 0"):
+                simulate(lazy, pattern, arch)
+    return queues
+
+
+@pytest.mark.parametrize("k", [0, 17, 58])
+def test_bad_segment_deep_in_a_wide_batch_names_its_workgroup(native, k):
+    assert _bad_segment_queues(k) == [[[3, 68], 2]]
 
 
 @pytest.mark.parametrize("size", [1000, 3000])
@@ -617,7 +634,11 @@ def test_lazy_feed_sizes_batches_by_segments_on_threads(native, threads_forced, 
 
 @pytest.mark.parametrize("k", [0, 17, 58])
 def test_bad_segment_deep_in_a_wide_batch_on_threads(native, threads_forced, k):
-    test_bad_segment_deep_in_a_wide_batch_names_its_workgroup(native, k)
+    # the helper starts at XCD 0's first kernel return; held until XCD 1's
+    # pass has begun, XCD 0 fails while it runs, and that pass still ends
+    queues = _bad_segment_queues(k, xcd_1_first=True)
+    assert queues[0] == [[3, 68], 2]
+    assert [sum(sizes) for sizes, _ in queues[1:]] == [240]
 
 
 @pytest.mark.parametrize("size", [1000, 3000])

@@ -212,29 +212,49 @@ def test_a_failed_xcd_0_runs_no_other_xcd(monkeypatch, running, workers):
 def test_a_failed_xcd_0_after_the_helpers_start_begins_no_later_xcd(monkeypatch, running,
                                                                    workers):
     # the bad row is in XCD 0's second batch, which waits until each helper
-    # has begun a pass; each helper's pass then holds its end until XCD 0's
-    # has ended, so it takes its next XCD only after XCD 0 has failed
+    # has begun a pass; each helper's pass then holds its end until the
+    # caller joins the helpers, which it does only once XCD 0's pass has
+    # failed and that failure is recorded, so no helper takes a next XCD
     lazy = _trace_with_bad({40, 3}, gate=workers - 1)
     pattern = builtin_pattern("identity", lazy.grid, ARCH4)
-    xcd_0_ended = threading.Event()
-    ended_first = []
-    run_native = cachesim._run_native
+    joining = threading.Event()
+    ended_after_join = []
+    run_native, pool = cachesim._run_native, cachesim._pool
 
     def ordered(kernel, trace, waves, *args):
         xcd = int(waves[0][0]) % 4
         try:
             return run_native(kernel, trace, waves, *args)
         finally:
-            if xcd == 0:
-                xcd_0_ended.set()
-            else:
-                ended_first.append(xcd_0_ended.wait(timeout=30))
+            if xcd != 0:
+                ended_after_join.append(joining.wait(timeout=30))
+
+    class Joined:
+        """A helper's future; the caller's first call on it begins the join."""
+        def __init__(self, future):
+            self.future = future
+
+        def cancel(self):
+            joining.set()
+            return self.future.cancel()
+
+        def result(self):
+            joining.set()
+            return self.future.result()
+
+    class Watched:
+        def __init__(self, threads):
+            self.pool = pool(threads)
+
+        def submit(self, *args):
+            return Joined(self.pool.submit(*args))
 
     monkeypatch.setattr(cachesim, "_run_native", ordered)
+    monkeypatch.setattr(cachesim, "_pool", Watched)
     _forced(monkeypatch, workers)
     with pytest.raises(SimulationError, match="workgroup 40 in wave 0"):
         simulate(lazy, pattern, ARCH4)
-    assert lazy.waits == [True] and ended_first == [True] * (workers - 1)
+    assert lazy.waits == [True] and ended_after_join == [True] * (workers - 1)
     assert running["now"] == []
     assert len(running["begun"]) == workers  # XCD 3, with its bad row, never began
     assert 3 not in {pid % 4 for pid in lazy.asked}
