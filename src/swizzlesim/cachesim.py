@@ -38,31 +38,21 @@ only while one of its workgroups is resident.
 whole pass. A line's byte in the touched-line map has bit 0 set once the
 line is touched, and bit 1 while the XCD's rows hold it (see ``_lru.c``).
 
-Threads: the calling thread runs XCD 0's pass. After each of its kernel
-calls that did not fail, the pass's touches are projected from the pids fed
-so far: touches so far times the pass's pids over the pids fed, exact at the
-last return. It reads low while fed pids are unfinished, but high if the
-first pids make more touches than the rest (60 segments per pid, then 4,
-projects 14400 touches at the first return of a pass that makes 7680), so a
-pass below the threshold can start the helpers; none of the tests' default
-kernel cases does. Once the projection reaches
-``PARALLEL_TOUCHES``, a rule that reads only the trace and the table, the
-caller starts ``min(num_xcds, WORKERS) - 1`` helpers of one persistent pool,
-made on first use, ``WORKERS`` being the CPUs this process may use; if it
-never does, no thread starts. The helpers take XCDs 1 and up while XCD 0's
-pass goes on, and the caller joins them once it ends. A lazy trace returns
-after each batch, so a large one starts its helpers after its first; a
-materialized trace returns after each wave, so only after XCD 0's first wave.
-Each thread takes the next XCD in order and runs its whole pass, until none
-is left or a failure is recorded.
+Threads: ``simulate`` submits ``min(num_xcds, WORKERS) - 1`` helpers to one
+persistent pool, made on first use, ``WORKERS`` being the CPUs this process
+may use, and drains on the calling thread too; on one usable CPU or one XCD
+there is no helper and no pool, and the caller runs every pass in order.
+Each thread takes the next XCD in order, from XCD 0, and runs its whole
+pass, until none is left or a failure is recorded.
 ctypes releases the GIL around ``xcd_drain``. Each helper owns a touched-line
 map, ORed into the caller's at the end. The counts are those of the serial
 order: each pass has its own LRU rows and clears bit 1 as it ends, a hit
 depends only on bit 1, and bit 0 is only ORed, so ``unique_lines_touched``
-counts the nonzero bytes of the maps' OR. So are the errors: if XCD 0 fails
-before the helpers start, no other XCD begins; otherwise every pass taken
-ends, and the lowest failed XCD's error is raised. Every XCD below it was
-taken before it and ran to its end.
+counts the nonzero bytes of the maps' OR. So are the errors: every pass
+taken ends before ``simulate`` returns or raises, and the lowest failed
+XCD's error is raised. Every XCD below it was taken before it and ran to
+its end. With one worker a failed XCD 0 runs no other XCD; with more, the
+helpers may have begun other XCDs before XCD 0 fails.
 
 The first cache built in a process compiles the kernel with ``_CC`` and
 ``_CFLAGS`` into ``$XDG_CACHE_HOME/swizzlesim`` (default ``~/.cache/swizzlesim``),
@@ -136,8 +126,6 @@ class BottleneckReport:
 # CPUs this process may use; a simulation runs on at most this many threads
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
-# XCD 0's projected touches at which its pass starts the other XCDs in parallel
-PARALLEL_TOUCHES = 2**20
 
 _KERNEL_SOURCE = Path(__file__).with_name("_lru.c")
 _CC = "gcc"
@@ -318,7 +306,7 @@ def _lru_rows(num_sets: int, ways: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _run_native(
     kernel, trace: AccessTrace, waves: list[np.ndarray], arch: ArchSpec, slots: int,
-    touched: np.ndarray, progress=None,
+    touched: np.ndarray,
 ) -> tuple[int, int]:
     """(hits, touches) of one XCD, all waves, in the kernel's ``xcd_drain``.
 
@@ -331,9 +319,7 @@ def _run_native(
     of the batches the pass has read, but at least ``slots``. The kernel
     returns for the next batch once this one is spent and a slot is free;
     ``live`` keeps each batch, with its offs column's address range, while a
-    resident slot's offs address (slot word 1) lies in it. After each call
-    that did not fail, ``progress``, if given, gets the pass's touches
-    projected from the pids fed so far, floored (see the module docstring).
+    resident slot's offs address (slot word 1) lies in it.
     """
     num_sets, ways = arch.num_sets, arch.l2_associativity
     tags, heads = _lru_rows(num_sets, ways)
@@ -345,7 +331,6 @@ def _run_native(
              tags.ctypes.data, heads.ctypes.data, num_sets, ways)
 
     rows = trace.queue_rows
-    pass_pids = sum(map(len, waves))
     pids_read = segments_read = 0
     for wave, pids in enumerate(waves):
         left, live, start = 0, [], 0
@@ -367,8 +352,6 @@ def _run_native(
                                     len(queue), start < len(pids), *fixed)
             if left < 0:
                 raise _bad_record(trace, batch[-left - 1], wave)
-            if progress:
-                progress(int(counts[1]) * pass_pids // pids_read)
             held = resident[:left, 1]
             live = [entry for entry in live if ((held >= entry[1]) & (held < entry[2])).any()]
     touched &= 1  # the next XCD starts with nothing resident
@@ -410,12 +393,12 @@ def simulate(
         launched[launch_of[members]] = True
         wave_launch.append(np.flatnonzero(launched))
 
-    # the caller takes XCD 0 first, and its pass may start the helpers; under
-    # `lock`, no XCD is taken once a failure is recorded (see the module docstring)
+    # every thread takes the next XCD; under `lock`, no XCD is taken once a
+    # failure is recorded (see the module docstring)
     todo, lock = iter(range(num_xcds)), threading.Lock()
-    counts, errors, helpers = {}, {}, []
+    counts, errors = {}, {}
 
-    def drain(own: np.ndarray, progress=None) -> np.ndarray:
+    def drain(own: np.ndarray) -> np.ndarray:
         while True:
             with lock:
                 xcd = None if errors else next(todo, None)
@@ -423,18 +406,14 @@ def simulate(
                 return own
             waves = [table[launch[launch % num_xcds == xcd]] for launch in wave_launch]
             try:
-                counts[xcd] = _run_native(kernel, trace, waves, arch, slots, own,
-                                          progress if xcd == 0 else None)
+                counts[xcd] = _run_native(kernel, trace, waves, arch, slots, own)
             except Exception as exc:
                 with lock:
                     errors[xcd] = exc
 
-    def start(touches: int) -> None:  # XCD 0's projected touches
-        if not helpers and touches >= PARALLEL_TOUCHES:
-            helpers.extend(_pool(WORKERS - 1).submit(drain, np.zeros_like(touched))
-                           for _ in range(min(num_xcds, WORKERS) - 1))
-
-    drain(touched, start)
+    helpers = [_pool(WORKERS - 1).submit(drain, np.zeros_like(touched))
+               for _ in range(min(num_xcds, WORKERS) - 1)]
+    drain(touched)
     for helper in helpers:
         if not helper.cancel():
             touched |= helper.result()

@@ -112,11 +112,10 @@ class FullyAssociativeLru:
 @contextlib.contextmanager
 def python_pass():
     """``simulate`` runs each XCD's pass in the oracle ``reference_pass``
-    inside this context. The oracle calls no ``progress`` hook, so XCD 0's
-    pass starts no helper and every XCD runs on the calling thread."""
+    inside this context, on the threads it would run the native pass on."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(cachesim, "_run_native",
-                  lambda kernel, trace, waves, arch, slots, touched, progress:
+                  lambda kernel, trace, waves, arch, slots, touched:
                   cachesim.reference_pass(trace, waves, arch, slots, touched))
         yield
 

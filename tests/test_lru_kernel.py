@@ -530,6 +530,13 @@ FEED_TRACES = {
 }
 
 
+@pytest.fixture
+def serial(monkeypatch):
+    """One worker: the caller runs every XCD pass, in order."""
+    monkeypatch.setattr(cachesim, "WORKERS", 1)
+
+
+@pytest.mark.usefixtures("serial")
 @pytest.mark.parametrize("name", FEED_TRACES)
 def test_lazy_feed_sizes_batches_by_segments_and_frees_each_batch(native, name):
     lazy = FEED_TRACES[name]()
@@ -550,9 +557,10 @@ def test_lazy_feed_sizes_batches_by_segments_and_frees_each_batch(native, name):
 
 def _bad_segment_queues(k, xcd_1_first=False):
     """The queues ``_watch_feed`` gives for a 2-XCD simulation of the
-    tapering trace whose XCD 0 fails on the k-th pid of its second batch.
-    With ``xcd_1_first``, that batch is asked for only once XCD 1's pass has
-    asked for its first, 30 s at most."""
+    tapering trace whose XCD 0 fails on the k-th pid of its second batch, on
+    one worker. With ``xcd_1_first``, on ``cachesim.WORKERS`` as it is, that
+    batch is asked for only once XCD 1's pass has asked for its first, 30 s
+    at most."""
     # XCD 0's first batch is pids 0, 2, 4 (3 slots, 180 segments), so its
     # second holds 4096 * 3 // 180 = 68 pids, from pid 6: the bad one is its k-th
     bad = 6 + 2 * k
@@ -573,6 +581,8 @@ def _bad_segment_queues(k, xcd_1_first=False):
     with pytest.MonkeyPatch.context() as m:
         if xcd_1_first:
             m.setattr(lazy, "_batch_fn", gated)
+        else:
+            m.setattr(cachesim, "WORKERS", 1)
         with _watch_feed(lazy, arch, pattern) as queues:
             with pytest.raises(SimulationError, match=f"workgroup {bad} in wave 0"):
                 simulate(lazy, pattern, arch)
@@ -584,6 +594,7 @@ def test_bad_segment_deep_in_a_wide_batch_names_its_workgroup(native, k):
     assert _bad_segment_queues(k) == [[[3, 68], 2]]
 
 
+@pytest.mark.usefixtures("serial")
 @pytest.mark.parametrize("size", [1000, 3000])
 def test_lazy_pair_makes_at_most_two_batch_and_kernel_calls_per_queue(native, size):
     # stencil tiles differ in length at the edges, so slots drain one or two
@@ -603,6 +614,7 @@ def test_lazy_pair_makes_at_most_two_batch_and_kernel_calls_per_queue(native, si
         [(calls, calls)] * len(members)
 
 
+@pytest.mark.usefixtures("serial")
 def test_lazy_transpose_keeps_slot_file_batches(native):
     # 64 x 64 fp32 tiles have 128 segments each, so 38 of them pass
     # BATCH_SEGMENTS and every batch stays one slot file; 400 tiles put 50
@@ -619,10 +631,7 @@ def test_lazy_transpose_keeps_slot_file_batches(native):
 
 @pytest.fixture
 def threads_forced(monkeypatch):
-    """These small simulations, which run serially, on the parallel path:
-    every XCD pass after XCD 0's on a pool of up to 8 threads, started at
-    XCD 0's first kernel return."""
-    monkeypatch.setattr(cachesim, "PARALLEL_TOUCHES", 0)
+    """Up to 8 threads, the caller's included, whatever the host's CPUs."""
     monkeypatch.setattr(cachesim, "WORKERS", 8)
 
 
@@ -634,8 +643,8 @@ def test_lazy_feed_sizes_batches_by_segments_on_threads(native, threads_forced, 
 
 @pytest.mark.parametrize("k", [0, 17, 58])
 def test_bad_segment_deep_in_a_wide_batch_on_threads(native, threads_forced, k):
-    # the helper starts at XCD 0's first kernel return; held until XCD 1's
-    # pass has begun, XCD 0 fails while it runs, and that pass still ends
+    # XCD 0's second batch is held until XCD 1's pass has begun, so XCD 0
+    # fails while it runs, and that pass still ends
     queues = _bad_segment_queues(k, xcd_1_first=True)
     assert queues[0] == [[3, 68], 2]
     assert [sum(sizes) for sizes, _ in queues[1:]] == [240]

@@ -1,8 +1,9 @@
 """The XCD passes of a simulation on several threads: the same reports and
-the same errors as the serial order, and no thread where it cannot pay.
+the same errors as the serial order.
 
-Run under ``taskset -c 0``, the tests that leave ``cachesim.WORKERS`` as the
-host set it take the single-CPU path: no pool.
+Every simulation starts ``min(num_xcds, WORKERS) - 1`` helpers before it
+takes XCD 0. Run under ``taskset -c 0``, the tests that leave
+``cachesim.WORKERS`` as the host set it take the single-CPU path: no pool.
 """
 
 import gc
@@ -37,9 +38,7 @@ SPECS["gemm@2048"] = spec_with_size("gemm", 2048)
 
 
 def _forced(monkeypatch, workers):
-    """Every XCD after XCD 0 goes to the parallel path on ``workers``
-    threads, the helpers starting at XCD 0's first kernel return."""
-    monkeypatch.setattr(cachesim, "PARALLEL_TOUCHES", 0)
+    """Simulations run on ``workers`` threads, the caller's included."""
     monkeypatch.setattr(cachesim, "WORKERS", workers)
 
 
@@ -114,7 +113,7 @@ def _trace_with_bad(bad, total=200, gate=0):
     ``ARCH4``, workgroup ``p`` runs on XCD ``p % 4``, and XCD 0's pass asks
     for two batches: pids 0 and 4, then the rest. The trace records the
     pids of every batch asked of it in ``.asked``. With ``gate``, XCD 0's
-    second batch waits, 30 s at most, until ``gate`` passes of other XCDs
+    first batch waits, 30 s at most, until ``gate`` passes of other XCDs
     have asked for their first batch, and ``.waits`` records whether they
     had."""
     def batch_fn(wave, pids):
@@ -122,7 +121,7 @@ def _trace_with_bad(bad, total=200, gate=0):
         first = int(pids[0])
         if gate and first in (1, 2, 3):
             trace.begun.release()
-        elif gate and first == 8:
+        elif gate and first == 0:
             trace.waits.append(all(trace.begun.acquire(timeout=30) for _ in range(gate)))
         segments = [[(0, 128 * ((pid + k) % 64), 128, 0, 1) for k in range(16)]
                     + ([(0, 8192 - 64, 128, 0, 1)] if pid in bad else []) for pid in pids.tolist()]
@@ -184,21 +183,21 @@ def test_the_lowest_failed_xcd_raises_and_no_pass_outlives_it(monkeypatch, runni
 
 
 def test_helpers_start_during_xcd_0s_pass(monkeypatch):
-    # forced onto 2 workers, the helper starts at XCD 0's first kernel
-    # return, so XCD 1's pass begins while XCD 0's waits for its second batch
+    # on 2 workers the helper is submitted before XCD 0 is taken, so XCD 1's
+    # pass begins while XCD 0's waits for its first batch
     lazy = _trace_with_bad(set(), gate=1)
     pattern = builtin_pattern("identity", lazy.grid, ARCH4)
     _forced(monkeypatch, 1)
-    want = simulate(materialize(lazy), pattern, ARCH4)
+    want = simulate(materialize(_trace_with_bad(set())), pattern, ARCH4)
     _forced(monkeypatch, 2)
     assert simulate(lazy, pattern, ARCH4) == want
     assert lazy.waits == [True]
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("workers", [1])
 def test_a_failed_xcd_0_runs_no_other_xcd(monkeypatch, running, workers):
-    # the bad row is in XCD 0's first batch: its first kernel call fails,
-    # before any return could start the helpers
+    # one worker runs the passes in order on the calling thread: XCD 0's
+    # first kernel call fails on the bad row, and no other XCD begins
     lazy = _trace_with_bad({4, 2})
     pattern = builtin_pattern("identity", lazy.grid, ARCH4)
     _forced(monkeypatch, workers)
@@ -211,14 +210,14 @@ def test_a_failed_xcd_0_runs_no_other_xcd(monkeypatch, running, workers):
 @pytest.mark.parametrize("workers", [2, 3])
 def test_a_failed_xcd_0_after_the_helpers_start_begins_no_later_xcd(monkeypatch, running,
                                                                    workers):
-    # the bad row is in XCD 0's second batch, which waits until each helper
-    # has begun a pass; each helper's pass then holds its end until the
-    # caller joins the helpers, which it does only once XCD 0's pass has
-    # failed and that failure is recorded, so no helper takes a next XCD
+    # the bad row is in XCD 0's second batch, and its first waits until each
+    # other thread has begun a pass; each of those passes then holds its end
+    # until a thread has left `drain`, which the one that ran XCD 0 does
+    # first, once its failure is recorded, so no thread takes a next XCD
     lazy = _trace_with_bad({40, 3}, gate=workers - 1)
     pattern = builtin_pattern("identity", lazy.grid, ARCH4)
-    joining = threading.Event()
-    ended_after_join = []
+    left = threading.Event()
+    ended_after_left = []
     run_native, pool = cachesim._run_native, cachesim._pool
 
     def ordered(kernel, trace, waves, *args):
@@ -227,71 +226,42 @@ def test_a_failed_xcd_0_after_the_helpers_start_begins_no_later_xcd(monkeypatch,
             return run_native(kernel, trace, waves, *args)
         finally:
             if xcd != 0:
-                ended_after_join.append(joining.wait(timeout=30))
+                ended_after_left.append(left.wait(timeout=30))
 
     class Joined:
-        """A helper's future; the caller's first call on it begins the join."""
+        """A helper's future; the caller joins it once its own `drain` has left."""
         def __init__(self, future):
             self.future = future
 
         def cancel(self):
-            joining.set()
+            left.set()
             return self.future.cancel()
 
         def result(self):
-            joining.set()
+            left.set()
             return self.future.result()
 
     class Watched:
         def __init__(self, threads):
             self.pool = pool(threads)
 
-        def submit(self, *args):
-            return Joined(self.pool.submit(*args))
+        def submit(self, drain, own):
+            def watched():
+                try:
+                    return drain(own)
+                finally:
+                    left.set()
+            return Joined(self.pool.submit(watched))
 
     monkeypatch.setattr(cachesim, "_run_native", ordered)
     monkeypatch.setattr(cachesim, "_pool", Watched)
     _forced(monkeypatch, workers)
     with pytest.raises(SimulationError, match="workgroup 40 in wave 0"):
         simulate(lazy, pattern, ARCH4)
-    assert lazy.waits == [True] and ended_after_join == [True] * (workers - 1)
+    assert lazy.waits == [True] and ended_after_left == [True] * (workers - 1)
     assert running["now"] == []
     assert len(running["begun"]) == workers  # XCD 3, with its bad row, never began
     assert 3 not in {pid % 4 for pid in lazy.asked}
-
-
-# every default kernel, and the sizes the benchmark and the tests simulate
-RULE_SPECS = {**SPECS, "softmax@1024": spec_with_size("softmax", 1024),
-              **{f"stencil2d@{n}": spec_with_size("stencil2d", n)
-                 for n in (512, 1000, 1024, 2048, 3000, 4096, 8192)}}
-
-
-@pytest.mark.parametrize("name", RULE_SPECS)
-def test_helpers_start_when_xcd_0_makes_parallel_touches(monkeypatch, name):
-    # the projection from the pids fed so far starts the helpers exactly
-    # when XCD 0's whole pass makes PARALLEL_TOUCHES touches, the rule that
-    # decided once that pass had ended
-    arch = MI300X_LIKE
-    lazy = generate_trace(RULE_SPECS[name])
-    names = dict.fromkeys(("identity", default_pattern(lazy.kernel)))
-    submits, pool = [], cachesim._pool
-
-    class Counted:
-        def __init__(self, threads):
-            self.pool = pool(threads)
-
-        def submit(self, *args):
-            submits.append(None)
-            return self.pool.submit(*args)
-
-    monkeypatch.setattr(cachesim, "_pool", Counted)
-    monkeypatch.setattr(cachesim, "WORKERS", 2)
-    for trace in (lazy, materialize(lazy)):
-        for p in names:
-            submits.clear()
-            report = simulate(trace, builtin_pattern(p, lazy.grid, arch), arch)
-            large = report.per_xcd[0].accesses >= cachesim.PARALLEL_TOUCHES
-            assert len(submits) == large, f"{name} under {p}"
 
 
 def _child(code: str) -> dict:
@@ -309,41 +279,23 @@ def _child(code: str) -> dict:
     return json.loads(done.stdout)
 
 
-def test_small_benchmark_simulations_start_no_thread():
-    # softmax rows=1024 and stencil2d @ 4096 make 98 K and 198 K touches per
-    # XCD, far below PARALLEL_TOUCHES, so even 8 workers leave them serial;
-    # gemm @ 2048 (1.06 M per XCD) shows the count would see a pool
-    out = _child(
-        "from swizzlesim.kernels import default_pattern\n"
-        "cachesim.WORKERS = 8\n"
-        "before = threads()\n"
-        "for kind, size in (('softmax', 1024), ('stencil2d', 4096)):\n"
-        "    trace = sz.generate_trace(sz.spec_with_size(kind, size))\n"
-        "    pattern = sz.builtin_pattern(default_pattern(kind), trace.grid, sz.MI300X_LIKE)\n"
-        "    sz.simulate_pair(trace, sz.MI300X_LIKE, sz.ExecParams(), pattern)\n"
-        "serial = [threads() - before, pools()]\n"
-        "trace = sz.generate_trace(sz.spec_with_size('gemm', 2048))\n"
-        "sz.simulate(trace, sz.builtin_pattern('identity', trace.grid, sz.MI300X_LIKE),\n"
-        "            sz.MI300X_LIKE)\n"
-        "print(json.dumps({'serial': serial, 'gemm': [threads() - before, pools()]}))\n")
-    assert out["serial"] == [0, 0]
-    assert out["gemm"][0] > 0 and out["gemm"][1] == 1
-
-
 def test_usable_cpus_bound_the_threads():
-    # the host's own WORKERS: one usable CPU (taskset -c 0) makes no pool
-    # even when the parallel path is forced; more make at most one helper
-    # thread per CPU past the caller's
+    # the host's own WORKERS: even a small simulation submits one helper per
+    # usable CPU past the caller's, up to one per XCD past XCD 0; one usable
+    # CPU (taskset -c 0) makes no pool
     out = _child(
         "import os\n"
-        "cachesim.PARALLEL_TOUCHES = 0\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "submit, submits = ThreadPoolExecutor.submit, []\n"
+        "ThreadPoolExecutor.submit = lambda *args: submits.append(None) or submit(*args)\n"
         "before = threads()\n"
         "trace = sz.generate_trace(sz.spec_with_size('gemm', 256))\n"
         "sz.simulate(trace, sz.builtin_pattern('identity', trace.grid, sz.MI300X_LIKE),\n"
         "            sz.MI300X_LIKE)\n"
         "print(json.dumps({'cpus': len(os.sched_getaffinity(0)), 'workers': cachesim.WORKERS,\n"
-        "                  'threads': threads() - before, 'pools': pools()}))\n")
+        "                  'threads': threads() - before, 'pools': pools(),\n"
+        "                  'submits': len(submits)}))\n")
     assert out["workers"] == out["cpus"]
     helpers = min(MI300X_LIKE.num_xcds, out["cpus"]) - 1
-    assert out["pools"] == (helpers > 0)
+    assert out["submits"] == helpers and out["pools"] == (helpers > 0)
     assert (out["threads"] > 0) == (helpers > 0) and out["threads"] <= helpers
