@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .records import from_dict, key_mismatch, to_dict
+from .records import from_dict, key_mismatch
 
 
 class ArchSpecError(ValueError):
@@ -110,10 +110,6 @@ def load_arch_spec(document: str) -> ArchSpec:
     if missing:
         raise ArchSpecError(f"missing arch spec keys: {missing}", field=missing[0])
     return from_dict(ArchSpec, raw)
-
-
-def dump_arch_spec(arch: ArchSpec) -> str:
-    return json.dumps(to_dict(arch), indent=2, sort_keys=True)
 
 
 def resolve_arch(name_or_path: str) -> ArchSpec:

@@ -38,10 +38,11 @@ only while one of its workgroups is resident.
 whole pass. A line's byte in the touched-line map has bit 0 set once the
 line is touched, and bit 1 while the XCD's rows hold it (see ``_lru.c``).
 
-Threads: ``simulate`` submits ``min(num_xcds, WORKERS) - 1`` helpers to one
-persistent pool, made on first use, ``WORKERS`` being the CPUs this process
-may use, and drains on the calling thread too; on one usable CPU or one XCD
-there is no helper and no pool, and the caller runs every pass in order.
+Threads: ``simulate`` starts ``min(num_xcds, WORKERS) - 1`` helper threads,
+``WORKERS`` being the CPUs this process may use, drains on the calling
+thread too, and joins every helper before it returns or raises; no thread
+outlives the call, and there is no persistent pool. On one usable CPU or one
+XCD there is no helper, and the caller runs every pass in order.
 Each thread takes the next XCD in order, from XCD 0, and runs its whole
 pass, until none is left or a failure is recorded.
 ctypes releases the GIL around ``xcd_drain``. Each helper owns a touched-line
@@ -72,7 +73,6 @@ import json
 import os
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -358,12 +358,6 @@ def _run_native(
     return int(counts[0]), int(counts[1])
 
 
-@functools.cache
-def _pool(threads: int) -> ThreadPoolExecutor:
-    """The persistent pool of ``threads`` helper threads, made on first use."""
-    return ThreadPoolExecutor(threads, thread_name_prefix="swizzlesim-xcd")
-
-
 def simulate(
     trace: AccessTrace,
     pattern: SwizzlePattern,
@@ -398,25 +392,27 @@ def simulate(
     todo, lock = iter(range(num_xcds)), threading.Lock()
     counts, errors = {}, {}
 
-    def drain(own: np.ndarray) -> np.ndarray:
+    def drain(own: np.ndarray) -> None:
         while True:
             with lock:
                 xcd = None if errors else next(todo, None)
             if xcd is None:
-                return own
-            waves = [table[launch[launch % num_xcds == xcd]] for launch in wave_launch]
+                return
             try:
+                waves = [table[launch[launch % num_xcds == xcd]] for launch in wave_launch]
                 counts[xcd] = _run_native(kernel, trace, waves, arch, slots, own)
             except Exception as exc:
                 with lock:
                     errors[xcd] = exc
 
-    helpers = [_pool(WORKERS - 1).submit(drain, np.zeros_like(touched))
-               for _ in range(min(num_xcds, WORKERS) - 1)]
-    drain(touched)
+    maps = [np.zeros_like(touched) for _ in range(min(num_xcds, WORKERS) - 1)]
+    helpers = [threading.Thread(target=drain, args=(own,)) for own in maps]
     for helper in helpers:
-        if not helper.cancel():
-            touched |= helper.result()
+        helper.start()
+    drain(touched)
+    for helper, own in zip(helpers, maps):
+        helper.join()
+        touched |= own
     if errors:
         try:
             raise errors[min(errors)]

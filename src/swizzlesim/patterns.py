@@ -376,10 +376,3 @@ def validated_remap_table(
         )
     return table
 
-
-def xcd_table(pattern: SwizzlePattern, grid: GridSpec, arch: ArchSpec) -> np.ndarray:
-    """XCD executing each logical pid under round-robin dispatch."""
-    table = validated_remap_table(pattern, grid, arch)
-    launch_of = np.empty_like(table)
-    launch_of[table] = np.arange(len(table), dtype=np.int64)
-    return launch_of % arch.num_xcds

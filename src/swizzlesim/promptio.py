@@ -229,25 +229,6 @@ def parse_proposal(text: str) -> ProposalRecord:
     )
 
 
-def format_proposal(record: ProposalRecord) -> str:
-    """Inverse of parse_proposal; used to build fixtures and tests."""
-    critiques = {str(k): v for k, v in sorted(record.per_iteration_critiques.items())}
-    return (
-        "REASONING:\n"
-        f"{record.reasoning}\n"
-        "CRITIQUES:\n"
-        f"{json.dumps(critiques, sort_keys=True)}\n"
-        "NEW_APPROACH:\n"
-        f"{record.new_approach}\n"
-        "IMPROVEMENT_RATIONALE:\n"
-        f"{record.improvement_rationale}\n"
-        "FINAL_EXPRESSION:\n"
-        "```\n"
-        f"{record.final_expression}\n"
-        "```\n"
-    )
-
-
 def parse_profiler_log(document: str) -> BottleneckReport:
     """Parse a serialized bottleneck report, rejecting corrupt metrics."""
     try:

@@ -185,12 +185,6 @@ class AccessTrace:
             for b, o, l, w in zip(s.bufs, s.offs, s.lens, s.writes)
         ]
 
-    def buffer_by_name(self, name: str) -> Buffer:
-        for buf in self.buffers:
-            if buf.name == name:
-                return buf
-        raise KeyError(name)
-
 
 def make_buffers(sizes: Sequence[tuple[str, int]]) -> list[Buffer]:
     """Lay buffers out in the global address space, bases aligned."""

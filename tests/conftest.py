@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import json
 
 import numpy as np
 import pytest
@@ -10,11 +11,14 @@ import pytest
 from swizzlesim import cachesim
 from swizzlesim.arch import ArchSpec, MI300X_LIKE
 from swizzlesim.dsl import BinOp, Ident, Lit, MinMax, VOCABULARY
+from swizzlesim.patterns import GridSpec, SwizzlePattern, validated_remap_table
+from swizzlesim.promptio import ProposalRecord
 from swizzlesim.traces import (
     GRANULE_BYTES,
     MIN_SHARED_BYTES,
     AccessTrace,
     Batch,
+    Buffer,
     LocalitySummary,
     SharingGroup,
     records_outside,
@@ -149,6 +153,38 @@ def batched(stream_fn):
     return batch_fn
 
 
+def xcd_table(pattern: SwizzlePattern, grid: GridSpec, arch: ArchSpec) -> np.ndarray:
+    """XCD executing each logical pid under round-robin dispatch."""
+    table = validated_remap_table(pattern, grid, arch)
+    launch_of = np.empty_like(table)
+    launch_of[table] = np.arange(len(table), dtype=np.int64)
+    return launch_of % arch.num_xcds
+
+
+def format_proposal(record: ProposalRecord) -> str:
+    """Inverse of ``parse_proposal``; builds replay fixtures and proposals."""
+    critiques = {str(k): v for k, v in sorted(record.per_iteration_critiques.items())}
+    return (
+        "REASONING:\n"
+        f"{record.reasoning}\n"
+        "CRITIQUES:\n"
+        f"{json.dumps(critiques, sort_keys=True)}\n"
+        "NEW_APPROACH:\n"
+        f"{record.new_approach}\n"
+        "IMPROVEMENT_RATIONALE:\n"
+        f"{record.improvement_rationale}\n"
+        "FINAL_EXPRESSION:\n"
+        "```\n"
+        f"{record.final_expression}\n"
+        "```\n"
+    )
+
+
+def buffer_by_name(trace: AccessTrace, name: str) -> Buffer:
+    """The trace's buffer called ``name``; ``KeyError`` if it has none."""
+    return {buf.name: buf for buf in trace.buffers}[name]
+
+
 def validate_trace_bounds(trace: AccessTrace) -> None:
     """Raise ValueError if any record is empty or leaves its buffer (simulate's check)."""
     for wave in range(trace.num_waves):
@@ -159,7 +195,7 @@ def validate_trace_bounds(trace: AccessTrace) -> None:
 
 def check_write_coverage(trace: AccessTrace, buffer_name: str, waves=None) -> None:
     """Verify writes to a buffer tile it exactly once (no gap, no overlap)."""
-    buf = trace.buffer_by_name(buffer_name)
+    buf = buffer_by_name(trace, buffer_name)
     starts = []
     lens = []
     for wave in range(trace.num_waves) if waves is None else waves:

@@ -39,17 +39,23 @@ from swizzlesim.patterns import (
     check_bijectivity,
     pattern_from_expr,
     remap_table,
-    xcd_table,
 )
 from swizzlesim.promptio import (
     ProposalRecord,
     build_prompt,
-    format_proposal,
     parse_profiler_log,
 )
 from swizzlesim.traces import locality_summary
 
-from conftest import ReferenceLru, arch_with_xcds, batched, random_expr, record_batch
+from conftest import (
+    ReferenceLru,
+    arch_with_xcds,
+    batched,
+    format_proposal,
+    random_expr,
+    record_batch,
+    xcd_table,
+)
 
 MODULE_T0 = time.perf_counter()
 RUNTIME_BUDGET_SECONDS = 540  # criterion: full suite < 10 min on 8 cores

@@ -8,13 +8,17 @@ from swizzlesim.arch import (
     ArchSpecError,
     MI300X_LIKE,
     concurrent_slots_per_xcd,
-    dump_arch_spec,
     load_arch_spec,
     resolve_arch,
 )
-from swizzlesim.patterns import GridSpec, builtin_pattern, xcd_table
+from swizzlesim.patterns import GridSpec, builtin_pattern
+from swizzlesim.records import to_dict
 
-from conftest import arch_with_xcds
+from conftest import arch_with_xcds, xcd_table
+
+
+def dump_arch_spec(arch: ArchSpec) -> str:
+    return json.dumps(to_dict(arch), indent=2, sort_keys=True)
 
 
 def round_robin_xcds(total, arch):

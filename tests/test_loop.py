@@ -27,9 +27,9 @@ from swizzlesim.loop import (
     write_progression_csv,
 )
 from swizzlesim.patterns import ValidationResult, builtin_pattern, pattern_from_expr
-from swizzlesim.promptio import ProposalRecord, format_proposal
+from swizzlesim.promptio import ProposalRecord
 
-from conftest import arch_with_xcds
+from conftest import arch_with_xcds, format_proposal
 
 SMALL_GEMM = KernelSpec("gemm", {"m": 1280, "n": 256, "k": 256},
                         {"m": 64, "n": 64, "k": 64})

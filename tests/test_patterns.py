@@ -18,10 +18,9 @@ from swizzlesim.patterns import (
     pattern_to_dict,
     remap,
     remap_table,
-    xcd_table,
 )
 
-from conftest import arch_with_xcds
+from conftest import arch_with_xcds, xcd_table
 
 BITWISE_EXPR = "((pid >> 1) & 1431655765) | ((pid & 1431655765) << 1)"
 

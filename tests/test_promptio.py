@@ -14,13 +14,12 @@ from swizzlesim.promptio import (
     ProposalRecord,
     ReportSchemaError,
     build_prompt,
-    format_proposal,
     parse_profiler_log,
     parse_proposal,
 )
 from swizzlesim.traces import locality_summary
 
-from conftest import arch_with_xcds
+from conftest import arch_with_xcds, format_proposal
 
 
 @pytest.fixture(scope="module")

@@ -32,6 +32,7 @@ from swizzlesim.traces import (
 from conftest import (
     batch_part,
     batched,
+    buffer_by_name,
     check_write_coverage,
     record_batch,
     reference_locality_summary,
@@ -151,8 +152,8 @@ def test_transpose_mirror_symmetry():
     a = generate_trace(small("transpose", m=256, n=128))
     b = generate_trace(small("transpose", m=128, n=256))
     assert a.grid.total_blocks == b.grid.total_blocks
-    assert a.buffer_by_name("in").length_bytes == b.buffer_by_name("out").length_bytes
-    assert a.buffer_by_name("out").length_bytes == b.buffer_by_name("in").length_bytes
+    assert buffer_by_name(a, "in").length_bytes == buffer_by_name(b, "out").length_bytes
+    assert buffer_by_name(a, "out").length_bytes == buffer_by_name(b, "in").length_bytes
 
     def totals(trace):
         read = written = 0
@@ -168,7 +169,7 @@ def test_transpose_mirror_symmetry():
 def test_gemm_row_mates_read_identical_a_bytes():
     spec = small("gemm", m=128, n=128, k=128)
     trace = generate_trace(spec)
-    a_id = trace.buffer_by_name("a").buffer_id
+    a_id = buffer_by_name(trace, "a").buffer_id
 
     def a_ranges(pid):
         s = trace.stream(pid)
@@ -223,8 +224,8 @@ def test_fdtd_ping_pong():
     assert trace.num_waves == 2
     w0 = trace.records_for(0, wave=0)
     w1 = trace.records_for(0, wave=1)
-    e_id = trace.buffer_by_name("e").buffer_id
-    h_id = trace.buffer_by_name("h").buffer_id
+    e_id = buffer_by_name(trace, "e").buffer_id
+    h_id = buffer_by_name(trace, "h").buffer_id
     assert {r.buffer_id for r in w0 if r.mode == "read"} == {h_id}
     assert {r.buffer_id for r in w0 if r.mode == "write"} == {e_id}
     assert {r.buffer_id for r in w1 if r.mode == "read"} == {e_id}
@@ -251,7 +252,7 @@ def test_spmv_banded_structure_is_seed_free():
     assert a.records_for(0) == b.records_for(0)
     assert a.records_for(3) == b.records_for(3)
     # row 0 band is clamped to [0, hw]; middle rows span 2*hw+1 elements
-    x_id = a.buffer_by_name("x").buffer_id
+    x_id = buffer_by_name(a, "x").buffer_id
     gathers = [r for r in a.records_for(1) if r.buffer_id == x_id]
     assert gathers[16].length_bytes == 33 * 4
     first = [r for r in a.records_for(0) if r.buffer_id == x_id][0]

@@ -3,7 +3,8 @@ the same errors as the serial order.
 
 Every simulation starts ``min(num_xcds, WORKERS) - 1`` helpers before it
 takes XCD 0. Run under ``taskset -c 0``, the tests that leave
-``cachesim.WORKERS`` as the host set it take the single-CPU path: no pool.
+``cachesim.WORKERS`` as the host set it take the single-CPU path: no helper
+thread.
 """
 
 import gc
@@ -104,6 +105,28 @@ def test_a_parallel_simulation_frees_its_trace_without_the_cycle_collector(monke
         gc.enable()
 
 
+@pytest.mark.parametrize("workers", [2, 8])
+def test_repeated_parallel_simulations_free_each_trace(monkeypatch, workers):
+    # no helper thread may hold a simulation's trace once simulate returns:
+    # each trace must be freed as its last reference goes, collector or not
+    _forced(monkeypatch, workers)
+    spec = spec_with_size("gemm", 256)
+    pattern = builtin_pattern("identity", generate_trace(spec).grid, MI300X_LIKE)
+    gc.collect()
+    gc.disable()
+    try:
+        alive = 0
+        for _ in range(50):
+            trace = generate_trace(spec)
+            freed = weakref.finalize(trace, lambda: None)
+            simulate(trace, pattern, MI300X_LIKE)
+            del trace
+            alive += freed.alive
+        assert alive == 0, f"{alive} of 50 traces outlived their simulate"
+    finally:
+        gc.enable()
+
+
 ARCH4 = arch_with_xcds(4, cus_per_xcd=2, l2_bytes=4096, ways=2)
 
 
@@ -175,15 +198,17 @@ def test_the_lowest_failed_xcd_raises_and_no_pass_outlives_it(monkeypatch, runni
 
     monkeypatch.setattr(cachesim, "_run_native", ordered)
     _forced(monkeypatch, workers)
+    before = threading.active_count()
     with pytest.raises(SimulationError, match="workgroup 161 in wave 0"):
         simulate(lazy, pattern, ARCH4)
     assert xcd_3_failed.is_set()
     assert running["now"] == []
     assert len(running["begun"]) == 4
+    assert threading.active_count() == before  # the error path joins its helpers too
 
 
 def test_helpers_start_during_xcd_0s_pass(monkeypatch):
-    # on 2 workers the helper is submitted before XCD 0 is taken, so XCD 1's
+    # on 2 workers the helper is started before XCD 0 is taken, so XCD 1's
     # pass begins while XCD 0's waits for its first batch
     lazy = _trace_with_bad(set(), gate=1)
     pattern = builtin_pattern("identity", lazy.grid, ARCH4)
@@ -213,12 +238,14 @@ def test_a_failed_xcd_0_after_the_helpers_start_begins_no_later_xcd(monkeypatch,
     # the bad row is in XCD 0's second batch, and its first waits until each
     # other thread has begun a pass; each of those passes then holds its end
     # until a thread has left `drain`, which the one that ran XCD 0 does
-    # first, once its failure is recorded, so no thread takes a next XCD
+    # first, once its failure is recorded, so no thread takes a next XCD. A
+    # helper has left `drain` when its `Thread.run` ends, the caller when it
+    # first joins a helper
     lazy = _trace_with_bad({40, 3}, gate=workers - 1)
     pattern = builtin_pattern("identity", lazy.grid, ARCH4)
     left = threading.Event()
     ended_after_left = []
-    run_native, pool = cachesim._run_native, cachesim._pool
+    run_native, run, join = cachesim._run_native, threading.Thread.run, threading.Thread.join
 
     def ordered(kernel, trace, waves, *args):
         xcd = int(waves[0][0]) % 4
@@ -228,33 +255,19 @@ def test_a_failed_xcd_0_after_the_helpers_start_begins_no_later_xcd(monkeypatch,
             if xcd != 0:
                 ended_after_left.append(left.wait(timeout=30))
 
-    class Joined:
-        """A helper's future; the caller joins it once its own `drain` has left."""
-        def __init__(self, future):
-            self.future = future
-
-        def cancel(self):
+    def watched(thread):
+        try:
+            run(thread)
+        finally:
             left.set()
-            return self.future.cancel()
 
-        def result(self):
-            left.set()
-            return self.future.result()
-
-    class Watched:
-        def __init__(self, threads):
-            self.pool = pool(threads)
-
-        def submit(self, drain, own):
-            def watched():
-                try:
-                    return drain(own)
-                finally:
-                    left.set()
-            return Joined(self.pool.submit(watched))
+    def joined(thread, *args):
+        left.set()
+        return join(thread, *args)
 
     monkeypatch.setattr(cachesim, "_run_native", ordered)
-    monkeypatch.setattr(cachesim, "_pool", Watched)
+    monkeypatch.setattr(threading.Thread, "run", watched)
+    monkeypatch.setattr(threading.Thread, "join", joined)
     _forced(monkeypatch, workers)
     with pytest.raises(SimulationError, match="workgroup 40 in wave 0"):
         simulate(lazy, pattern, ARCH4)
@@ -266,13 +279,12 @@ def test_a_failed_xcd_0_after_the_helpers_start_begins_no_later_xcd(monkeypatch,
 
 def _child(code: str) -> dict:
     """The JSON a child interpreter prints after running ``code``, with
-    ``threads`` and ``pools`` bound to the live thread and pool counts."""
+    ``threads`` bound to the live thread count."""
     src = Path(cachesim.__file__).parents[1]
     prelude = ("import json, threading\n"
                "import swizzlesim as sz\n"
                "from swizzlesim import cachesim\n"
-               "threads = threading.active_count\n"
-               "pools = lambda: cachesim._pool.cache_info().currsize\n")
+               "threads = threading.active_count\n")
     done = subprocess.run([sys.executable, "-c", prelude + code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert done.returncode == 0, done.stderr
@@ -280,22 +292,19 @@ def _child(code: str) -> dict:
 
 
 def test_usable_cpus_bound_the_threads():
-    # the host's own WORKERS: even a small simulation submits one helper per
-    # usable CPU past the caller's, up to one per XCD past XCD 0; one usable
-    # CPU (taskset -c 0) makes no pool
+    # the host's own WORKERS: even a small simulation starts one helper per
+    # usable CPU past the caller's, up to one per XCD past XCD 0, and joins
+    # them all before it returns; one usable CPU (taskset -c 0) starts none
     out = _child(
         "import os\n"
-        "from concurrent.futures import ThreadPoolExecutor\n"
-        "submit, submits = ThreadPoolExecutor.submit, []\n"
-        "ThreadPoolExecutor.submit = lambda *args: submits.append(None) or submit(*args)\n"
+        "start, starts = threading.Thread.start, []\n"
+        "threading.Thread.start = lambda *args: starts.append(None) or start(*args)\n"
         "before = threads()\n"
         "trace = sz.generate_trace(sz.spec_with_size('gemm', 256))\n"
         "sz.simulate(trace, sz.builtin_pattern('identity', trace.grid, sz.MI300X_LIKE),\n"
         "            sz.MI300X_LIKE)\n"
         "print(json.dumps({'cpus': len(os.sched_getaffinity(0)), 'workers': cachesim.WORKERS,\n"
-        "                  'threads': threads() - before, 'pools': pools(),\n"
-        "                  'submits': len(submits)}))\n")
+        "                  'threads': threads() - before, 'starts': len(starts)}))\n")
     assert out["workers"] == out["cpus"]
-    helpers = min(MI300X_LIKE.num_xcds, out["cpus"]) - 1
-    assert out["submits"] == helpers and out["pools"] == (helpers > 0)
-    assert (out["threads"] > 0) == (helpers > 0) and out["threads"] <= helpers
+    assert out["starts"] == min(MI300X_LIKE.num_xcds, out["cpus"]) - 1
+    assert out["threads"] == 0
