@@ -4,17 +4,22 @@
  * start, a stride and a count of equal-length runs), expands each run into
  * line touches and feeds each touch to a set-associative LRU.
  *
- * tags holds num_sets rows of `ways` line ids, each a ring read in recency
- * order from its entry heads[s], wrapping; an empty entry holds -1 and
- * follows every valid one. touched holds a byte per line: bit 0 says the
- * line was ever touched, bit 1 that it is resident in these rows, so a
- * touch hits exactly when bit 1 is set. A miss steps the head back one
- * entry and writes the line over what is there, the least recently used
- * line or an empty entry (write-allocate): no scan, no shift. A hit scans
- * from the head and shifts only the entries before the line.
+ * touched, the touched-line map, holds a byte per line at byte_of(line),
+ * which puts 64 bytes of padding after every 4096 lines: lines of one set,
+ * num_sets apart, then do not all share their low 12 address bits in the
+ * host's caches. Bit 0 says the line was ever touched, bit 1 that it is
+ * resident in these rows, so a touch hits exactly when bit 1 is set.
+ * tags holds num_sets rows of `ways` map bytes (byte_of is one to one),
+ * each a ring read in recency order from its entry heads[s], wrapping; an
+ * empty entry holds -1 and follows every valid one. A miss steps the head
+ * back one entry and writes the line over what is there, the least recently
+ * used line or an empty entry (write-allocate): no scan, no shift. A hit
+ * walks from the head to the line, moving each entry it passes one place
+ * back, and writes the line at the head.
  * Every line id is non-negative: AccessTrace rejects negative buffer bases
- * and xcd_drain rejects any run outside its buffer, so touched[line] is a
- * valid byte; cachesim.simulate keeps lines and sets below 2**32 for set_of.
+ * and xcd_drain rejects any run outside its buffer, so touched[byte_of(line)]
+ * lies in the map cachesim._touched_map sizes; cachesim.simulate keeps lines
+ * and sets below 2**32 for set_of, and map bytes below 2**32 + 2**26.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -33,6 +38,14 @@ int64_t set_index(int64_t line, int64_t num_sets)
     return set_of(line, UINT64_MAX / (uint64_t)num_sets + 1, num_sets);
 }
 
+/* The line's byte in the touched-line map; the extern declaration exports it
+ * for tests. */
+inline int64_t byte_of(int64_t line)
+{
+    return line + ((line >> 12) << 6);
+}
+extern int64_t byte_of(int64_t line);
+
 /* Touch one line; 1 on a hit. m is set_of's multiplier for num_sets. */
 static inline int lru_touch(int64_t line, uint8_t *touched, int64_t *tags, int32_t *heads,
                             uint64_t m, int64_t num_sets, int64_t ways)
@@ -40,32 +53,29 @@ static inline int lru_touch(int64_t line, uint8_t *touched, int64_t *tags, int32
     int64_t set = set_of(line, m, num_sets);
     int64_t *row = tags + set * ways;
     int64_t head = heads[set];
-    if (!(touched[line] & 2)) {
+    int64_t byte = byte_of(line);
+    if (!(touched[byte] & 2)) {
         head = (head ? head : ways) - 1;
         if (row[head] >= 0) /* evict the least recently used */
             touched[row[head]] = 1;
-        row[head] = line;
+        row[head] = byte;
         heads[set] = (int32_t)head;
-        touched[line] = 3;
+        touched[byte] = 3;
         return 0;
     }
-    int64_t p = head;
-    while (p < ways && row[p] != line)
-        p++;
-    if (p == ways) { /* wrap: the line is before the head, if anywhere */
-        for (p = 0; p < head && row[p] != line; p++)
-            ;
-        if (p == head) /* bit 1 is wrong: so are the counts, but nothing hangs */
+    /* move the line to the head: each entry from the head on moves one place
+     * back, wrapping, until the line's own entry is overwritten; a memmove
+     * call would cost more than the few moves of a hit near the head */
+    int64_t carry = byte;
+    for (int64_t p = head, k = 0; k < ways; k++) {
+        int64_t next = row[p];
+        row[p] = carry;
+        if (next == byte)
             return 1;
-        for (; p > 0; p--)
-            row[p] = row[p - 1];
-        row[0] = row[ways - 1];
-        p = ways - 1;
+        carry = next;
+        p = p + 1 == ways ? 0 : p + 1;
     }
-    for (; p > head; p--)
-        row[p] = row[p - 1];
-    row[head] = line;
-    return 1;
+    return 1; /* bit 1 is wrong: so are the counts, but nothing hangs */
 }
 
 /* One resident workgroup: its segment arrays and segment count, copied from

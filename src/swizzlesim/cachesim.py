@@ -36,7 +36,10 @@ asks for the next one once it is spent and a slot is free. A batch is kept
 only while one of its workgroups is resident.
 ``_run_native`` owns each XCD's LRU rows, one ring of tags per set, for the
 whole pass. A line's byte in the touched-line map has bit 0 set once the
-line is touched, and bit 1 while the XCD's rows hold it (see ``_lru.c``).
+line is touched, and bit 1 while the XCD's rows hold it. The map pads 64
+bytes after every 4096 lines (``_touched_map``), so that lines of one set do
+not share their low address bits, and the tags hold map bytes, not line ids
+(see ``_lru.c``); padding bytes stay 0.
 
 Threads: ``simulate`` starts ``min(num_xcds, WORKERS) - 1`` helper threads,
 ``WORKERS`` being the CPUs this process may use, drains on the calling
@@ -141,7 +144,8 @@ def _bind(lib: str):
     kernel.xcd_drain.argtypes = [c_ptr, c_i64, c_i64, c_ptr, c_i64, c_i64, c_ptr, c_ptr,
                                  c_i64, c_i64, c_ptr, c_ptr, c_ptr, c_ptr, c_i64, c_i64]
     kernel.set_index.argtypes = [c_i64, c_i64]  # line, num_sets
-    kernel.xcd_drain.restype = kernel.set_index.restype = c_i64
+    kernel.byte_of.argtypes = [c_i64]  # line
+    kernel.xcd_drain.restype = kernel.set_index.restype = kernel.byte_of.restype = c_i64
     return kernel
 
 
@@ -274,7 +278,9 @@ def reference_pass(
     """(hits, touches) of one XCD, as ``_run_native`` counts them without its
     kernel: each workgroup's one-run segments (``AccessTrace.stream``) expanded
     by ``_expand_lines`` and merged by ``_interleave``, per wave, into one
-    ``SetAssocLru``. The tests' oracle; ``simulate`` never calls it."""
+    ``SetAssocLru``. It marks ``touched`` at line ids, not at the kernel's
+    padded map bytes: the nonzero count is the same. The tests' oracle;
+    ``simulate`` never calls it."""
     cache = SetAssocLru(arch.num_sets, arch.l2_associativity)
 
     def lines_of(pid: int, wave: int) -> np.ndarray:
@@ -298,9 +304,15 @@ def reference_pass(
 _SLOT_WORDS = 11
 
 
+def _touched_map(lines: int) -> np.ndarray:
+    """A zeroed touched-line map for lines ``[0, lines)``, ending at the last
+    one's byte (``_lru.c``'s ``byte_of``: 64 bytes of padding per 4096 lines)."""
+    return np.zeros(lines + ((lines - 1) >> 12 << 6) if lines else 0, dtype=np.uint8)
+
+
 def _lru_rows(num_sets: int, ways: int) -> tuple[np.ndarray, np.ndarray]:
-    """An empty LRU for ``xcd_drain``: tag rows of -1, each a ring read in
-    recency order from its head (see ``_lru.c``), and the heads."""
+    """An empty LRU for ``xcd_drain``: tag rows of -1, each a ring of map bytes
+    read in recency order from its head (see ``_lru.c``), and the heads."""
     return np.full(num_sets * ways, -1, dtype=np.int64), np.zeros(num_sets, dtype=np.int32)
 
 
@@ -310,8 +322,10 @@ def _run_native(
 ) -> tuple[int, int]:
     """(hits, touches) of one XCD, all waves, in the kernel's ``xcd_drain``.
 
-    The XCD's LRU rows (``_lru_rows``) persist across waves; the pass ends
-    by clearing bit 1, "resident", in ``touched``. On a materialized trace a
+    ``touched`` is a ``_touched_map``: a line's byte is at ``_lru.c``'s
+    ``byte_of(line)``, and the XCD's LRU rows (``_lru_rows``) hold those
+    bytes as tags. The rows persist across waves; the pass ends by clearing
+    bit 1, "resident", in ``touched``. On a materialized trace a
     wave is one queue, indexed from ``trace.queue_rows``, and one call. On a
     lazy trace the pass's first batch holds the wave's first ``slots`` pids,
     whatever number of slots is free, and each later batch the wave's next
@@ -376,7 +390,7 @@ def simulate(
     if lines >> 32 or arch.num_sets >> 32:
         raise SimulationError(f"{trace.kernel}: {lines} lines or {arch.num_sets} sets reach 2**32")
     kernel = _load_kernel()
-    touched = np.zeros(lines, dtype=np.uint8)  # a byte per line (see _run_native)
+    touched = _touched_map(lines)  # a byte per line (see _run_native)
 
     launch_of = np.empty_like(table)
     launch_of[table] = np.arange(len(table), dtype=np.int64)
@@ -405,7 +419,7 @@ def simulate(
                 with lock:
                     errors[xcd] = exc
 
-    maps = [np.zeros_like(touched) for _ in range(min(num_xcds, WORKERS) - 1)]
+    maps = [_touched_map(lines) for _ in range(min(num_xcds, WORKERS) - 1)]
     helpers = [threading.Thread(target=drain, args=(own,)) for own in maps]
     for helper in helpers:
         helper.start()

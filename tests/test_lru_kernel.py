@@ -184,6 +184,21 @@ def test_set_index_is_line_mod_num_sets(native):
         assert [set_index(line, n) for line in lines] == [line % n for line in lines], n
 
 
+def test_touched_map_spreads_each_set_over_the_host_cache_sets(native):
+    # a class is one of the 64 host cache lines of a 4 KiB page, the address
+    # bits that 4K aliasing and the host L1's set index read. Lines of one
+    # set lie num_sets apart: at 512 or more sets, a power of two, an
+    # unpadded map puts 64 of them in at most 8 classes
+    byte_of = cachesim._load_kernel().byte_of
+    for num_sets in [512, 1024, 2048, 4096, 3000]:
+        classes = {byte_of(5 + k * num_sets) // 64 % 64 for k in range(64)}
+        assert len(classes) >= 32, num_sets
+    # the map ends at its last line's byte
+    for lines in [1, 4095, 4096, 4097, 2**20 + 1]:
+        assert byte_of(lines - 1) == len(cachesim._touched_map(lines)) - 1, lines
+    assert len(cachesim._touched_map(0)) == 0
+
+
 @pytest.mark.parametrize("num_sets, ways", [(1, 1), (3, 1), (5, 4), (6, 16), (2, 64)])
 def test_xcds_touching_the_same_lines_each_match_reference(native, num_sets, ways):
     # 2 XCDs of one slot each: XCD x runs pids x, x + 2 and x + 4 in turn.
@@ -294,7 +309,7 @@ class _Xcd:
         self.resident = np.zeros((capacity, cachesim._SLOT_WORDS), dtype=np.int64)
         self.bases = np.zeros(1, dtype=np.int64)
         self.lengths = np.array([buffer_bytes], dtype=np.int64)
-        self.touched = np.zeros(-(-buffer_bytes // line), dtype=np.uint8)
+        self.touched = cachesim._touched_map(-(-buffer_bytes // line))
         self.counts = np.zeros(2, dtype=np.int64)  # hits, touches
         self.shape = (capacity, line.bit_length() - 1, num_sets, ways)
 
@@ -310,7 +325,8 @@ class _Xcd:
             self.heads.ctypes.data, num_sets, ways)
 
     def rows(self):
-        """Each set's tags in recency order, read from its head."""
+        """Each set's tags in recency order, read from its head: map bytes,
+        which are the lines' ids below line 4096."""
         ways = self.shape[3]
         return [np.roll(row, -head).tolist()
                 for row, head in zip(self.tags.reshape(-1, ways), self.heads)]
@@ -759,26 +775,71 @@ def _checked_outcomes():
     return out
 
 
-def test_kernel_runs_clean_under_ubsan(native, tmp_path):
-    # a build that aborts on undefined behaviour (signed overflow, shifts out
-    # of range, misaligned or null accesses) runs the per-touch and the
-    # overflowing-segment cases in a child process, since a report aborts it
-    lib = tmp_path / "lru-ubsan.so"
-    done = _build(["-fsanitize=undefined", "-fno-sanitize-recover=all"], lib)
-    if done.returncode != 0 and "ubsan" in done.stderr:
-        pytest.skip(f"{cachesim._CC} cannot link libubsan: {done.stderr.strip()}")
-    assert done.returncode == 0, done.stderr
+def _past_a_pad_outcomes():
+    """The report of a lazy ``simulate`` on a trace of 16 384 lines, then the
+    counts, touched-line map and rows of an ``_Xcd`` drain over 10 000 lines:
+    both write map bytes past the first 4096 lines' padding."""
+    trace = generate_trace(spec_with_size("transpose", 512))
+    out = [report_to_json(simulate(trace, builtin_pattern("identity", trace.grid, SMALL), SMALL))]
+    xcd = _Xcd(num_sets=64, ways=2, capacity=3, buffer_bytes=128 * 10_000)
+    batch = _segment_batch([[(0, 0, 128, 128 * 37, 270)], [(0, 64, 1, 128, 9_999)],
+                            [(0, 128 * 9_999, 128, -128 * 4_095, 3)]])
+    assert xcd.drain(0, batch, False) == 0
+    return out + [xcd.counts.tolist(), xcd.touched.tolist(), xcd.rows()]
+
+
+def _sanitized_run(lib, outcomes, env=None):
+    """``outcomes()`` in a child process whose kernel is the library ``lib``,
+    which aborts it on a sanitizer report."""
     code = ("import json, sys\n"
             "from swizzlesim import cachesim\n"
             "kernel = cachesim._bind(sys.argv[1])\n"
             "cachesim._load_kernel = lambda: kernel\n"
             "import test_lru_kernel\n"
-            "print(json.dumps(test_lru_kernel._checked_outcomes()))\n")
+            f"print(json.dumps(test_lru_kernel.{outcomes.__name__}()))\n")
     path = os.pathsep.join([str(Path(cachesim.__file__).parents[1]), str(Path(__file__).parent)])
-    child = subprocess.run([sys.executable, "-c", code, str(lib)], capture_output=True,
-                           text=True, env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run([sys.executable, "-c", code, str(lib)], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path, **(env or {})))
+
+
+def test_kernel_runs_clean_under_ubsan(native, tmp_path):
+    # a build that aborts on undefined behaviour (signed overflow, shifts out
+    # of range, misaligned or null accesses) runs the per-touch and the
+    # overflowing-segment cases
+    lib = tmp_path / "lru-ubsan.so"
+    done = _build(["-fsanitize=undefined", "-fno-sanitize-recover=all"], lib)
+    if done.returncode != 0 and "ubsan" in done.stderr:
+        pytest.skip(f"{cachesim._CC} cannot link libubsan: {done.stderr.strip()}")
+    assert done.returncode == 0, done.stderr
+    child = _sanitized_run(lib, _checked_outcomes)
     assert child.returncode == 0, child.stderr
     assert json.loads(child.stdout) == _checked_outcomes()
+
+
+def _asan_outcomes():
+    return _checked_outcomes() + _past_a_pad_outcomes()
+
+
+def test_kernel_runs_clean_under_asan(native, tmp_path):
+    # a build that aborts on an access outside any allocation, such as a map
+    # byte past the end of a touched-line map, runs the UBSan test's cases
+    # and two passes whose map bytes lie past the first padding; the ASan
+    # runtime must be the first library the child loads
+    lib = tmp_path / "lru-asan.so"
+    done = _build(["-fsanitize=address", "-fno-omit-frame-pointer"], lib)
+    if done.returncode != 0 and "asan" in done.stderr:
+        pytest.skip(f"{cachesim._CC} cannot link libasan: {done.stderr.strip()}")
+    assert done.returncode == 0, done.stderr
+    runtime = subprocess.run([cachesim._CC, "-print-file-name=libasan.so"], capture_output=True,
+                             text=True).stdout.strip()
+    if not Path(runtime).is_absolute():  # the compiler found no such file
+        pytest.skip(f"{cachesim._CC} has no libasan.so to preload")
+    child = _sanitized_run(lib, _asan_outcomes,
+                           {"LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0"})
+    if "cannot be preloaded" in child.stderr:
+        pytest.skip(f"libasan cannot be preloaded: {child.stderr.strip()}")
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == _asan_outcomes()
 
 
 def _wide_case(kind):
