@@ -27,7 +27,10 @@ walks each segment run by run, stepping the run's start by the stride,
 expands runs into line touches on the fly and feeds them to the LRU, one
 touch per slot per turn, and refills a drained slot after the survivors.
 Records are never built on this path. A materialized trace keeps every
-member's row, so a wave is one foreign call.
+member's row, so a wave is one foreign call. ``simulate_pair`` materializes
+a lazy trace within ``RECORD_TABLE_BYTES`` and a cap of ``num_xcds *
+BATCH_SEGMENTS`` segments (``traces.materialize``'s two budgets), so that
+both of its simulations read each member once.
 A lazy trace is fed one batch at a time, each row pointing into it: first
 as many workgroups as the XCD has slots, then as many as ``BATCH_SEGMENTS``
 segments hold at the XCD's mean segments per workgroup so far, never fewer
@@ -85,7 +88,7 @@ import numpy as np
 from .arch import ArchSpec, concurrent_slots_per_xcd
 from .patterns import SwizzlePattern, builtin_pattern, validated_remap_table
 from .records import from_dict, to_dict
-from .traces import BATCH_SEGMENTS, AccessTrace, Batch, records_outside, sequences
+from .traces import BATCH_SEGMENTS, AccessTrace, Batch, materialize, records_outside, sequences
 
 
 class SimulationError(ValueError):
@@ -103,7 +106,7 @@ class ExecParams:
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class XcdStats:
     accesses: int
     hits: int
@@ -111,7 +114,7 @@ class XcdStats:
     hit_rate: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BottleneckReport:
     """Simulated L2 hit-rate metrics; the loop's ranking signal."""
 
@@ -458,7 +461,14 @@ def simulate_pair(
     exec_params: ExecParams,
     pattern: SwizzlePattern,
 ) -> tuple[BottleneckReport, BottleneckReport]:
-    """(baseline-with-identity, swizzled) reports over the same trace."""
+    """(baseline-with-identity, swizzled) reports over the same trace.
+
+    A lazy trace is materialized first (``traces.materialize``, capped at
+    ``num_xcds * BATCH_SEGMENTS`` segments, what the lazy feed's per-XCD
+    batches hold between them), so that each member is read once for both
+    simulations; one found past the cap before it is read whole is
+    simulated lazily, twice."""
+    trace = materialize(trace, arch.num_xcds * BATCH_SEGMENTS)
     baseline = simulate(trace, builtin_pattern("identity", trace.grid, arch), arch)
     swizzled = simulate(trace, pattern, arch)
     return baseline, swizzled

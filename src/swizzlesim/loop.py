@@ -8,10 +8,11 @@ duplicates) to a persistent history. Ranking considers validated entries
 only, so a broken remapping can never be returned as best.
 
 The kernel's trace is generated once per run and each of its waves read
-once and kept (``traces.materialize``, under its byte budget): the locality
-summary and every candidate's simulation read the kept batches instead of
-calling the kernel's batch function again. A trace too large for the
-budget stays lazy, with identical results.
+once and kept (``traces.materialize``, under its byte budget
+``RECORD_TABLE_BYTES`` and with no segment cap): the locality summary and
+every candidate's simulation read the kept batches instead of calling the
+kernel's batch function again. A trace too large for the budget stays lazy,
+with identical results.
 
 Each candidate is validated once, and each distinct remap table simulated
 once: a new expression with an earlier table reuses that report under its

@@ -19,10 +19,12 @@ expanded); the native simulator walks the segments as they are.
 turns them into granule intervals: it keys each piece of an interval that a
 workgroup touches in a wave, not each granule. Simulating a lazy
 trace holds only the batches of currently-resident workgroups. Where one
-trace is read many times (the optimization loop), ``materialize`` reads
-each wave's members once and keeps their batches as read, with the native
-kernel's queue row of each member; a trace whose kept batches would pass
-``RECORD_TABLE_BYTES`` stays lazy.
+trace is read many times (the optimization loop, ``simulate_pair``'s two
+simulations), ``materialize`` reads each wave's members once and keeps
+their batches as read, with the native kernel's queue row of each member.
+A trace whose kept batches would pass ``RECORD_TABLE_BYTES``, or whose
+segments pass the caller's cap (``simulate_pair``'s ``num_xcds *
+BATCH_SEGMENTS``) before it is read whole, stays lazy.
 
 Multi-phase kernels are modeled as waves: each wave is one dispatch over
 the same launch grid, and all workgroups of a wave finish before the next
@@ -201,7 +203,7 @@ def make_buffers(sizes: Sequence[tuple[str, int]]) -> list[Buffer]:
 RECORD_TABLE_BYTES = 32 << 20
 
 
-def materialize(trace: AccessTrace) -> AccessTrace:
+def materialize(trace: AccessTrace, max_segments: int | None = None) -> AccessTrace:
     """``trace`` with every wave's member segments read once and kept.
 
     The members are read ``BATCH_PIDS`` at a time, and the returned trace's
@@ -210,14 +212,26 @@ def materialize(trace: AccessTrace) -> AccessTrace:
     ``Batch.queue_rows`` row, pointing into its kept batch, so a simulation
     builds each queue with one index. Its batch function is the original
     one. As soon as the batches' columns and the queue rows pass
-    ``RECORD_TABLE_BYTES``, reading stops and ``trace`` itself is returned.
+    ``RECORD_TABLE_BYTES``, or, with members left to read, the segments
+    read, projected over all the members at the segments per member read so
+    far, pass ``max_segments``, reading stops and ``trace`` itself is
+    returned. Past the cap, a trace read whole is kept all the same: its
+    reading is done, and its batches are no more than it held while the
+    last one was read. A materialized trace is returned as it is.
     """
+    if trace.kept is not None:
+        return trace
+    members = sum(map(len, trace.wave_pids))
     rows = np.zeros((trace.num_waves, trace.grid.total_blocks, 6), dtype=np.int64)
     size = rows.nbytes
     kept = []
+    pids_read = segments_read = 0
     for wave, pids, batch in trace.member_batches():
         size += batch.nbytes
-        if size > RECORD_TABLE_BYTES:
+        pids_read += len(pids)
+        segments_read += len(batch)
+        if size > RECORD_TABLE_BYTES or (max_segments is not None and pids_read < members
+                                         and segments_read * members > max_segments * pids_read):
             return trace
         for column in batch.columns:
             column.flags.writeable = False

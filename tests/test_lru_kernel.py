@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from swizzlesim import cachesim
+from swizzlesim import cachesim, traces
 from swizzlesim.arch import MI300X_LIKE, concurrent_slots_per_xcd
 from swizzlesim.cachesim import (
     ExecParams,
@@ -27,7 +27,7 @@ from swizzlesim.cachesim import (
     simulate,
     simulate_pair,
 )
-from swizzlesim.kernels import KERNEL_KINDS, KernelSpec, generate_trace, spec_with_size
+from swizzlesim.kernels import KERNEL_KINDS, KernelSpec, default_spec, generate_trace, spec_with_size
 from swizzlesim.patterns import (
     BUILTIN_PATTERN_NAMES,
     GridSpec,
@@ -610,24 +610,153 @@ def test_bad_segment_deep_in_a_wide_batch_names_its_workgroup(native, k):
     assert _bad_segment_queues(k) == [[[3, 68], 2]]
 
 
+@contextlib.contextmanager
+def _watch_pair(trace):
+    """The batch reads of ``trace`` and the ``xcd_drain`` calls of every
+    simulation inside this context, in order, as ("read", wave, pids) and
+    ("drain", queue length, more) events."""
+    events = []
+    kernel = cachesim._load_kernel()
+    batch_fn = trace._batch_fn
+
+    class Watched:
+        def xcd_drain(self, *args):
+            events.append(("drain", args[4], args[5]))  # list.append is atomic
+            return kernel.xcd_drain(*args)
+
+    def watched(wave, pids):
+        events.append(("read", wave, pids.tolist()))
+        return batch_fn(wave, pids)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(trace, "_batch_fn", watched)
+        m.setattr(cachesim, "_load_kernel", lambda: Watched())
+        yield events
+
+
+def _windows(trace) -> list[tuple]:
+    """("read", wave, pids) of each ``BATCH_PIDS`` window of each wave's members."""
+    return [("read", wave, members[lo:lo + traces.BATCH_PIDS].tolist())
+            for wave, members in enumerate(trace.wave_pids)
+            for lo in range(0, len(members), traces.BATCH_PIDS)]
+
+
 @pytest.mark.usefixtures("serial")
 @pytest.mark.parametrize("size", [1000, 3000])
 def test_lazy_pair_makes_at_most_two_batch_and_kernel_calls_per_queue(native, size):
-    # stencil tiles differ in length at the edges, so slots drain one or two
-    # at a time; at 1000 each XCD's 32 workgroups fit its 38 slots, at 3000
-    # each XCD's ~276 take a slot file and then one batch of the rest
+    # a stencil trace holds fewer than num_xcds * BATCH_SEGMENTS segments, so
+    # simulate_pair reads each member once, in BATCH_PIDS windows (1000: 256
+    # members, one window; 3000: 2209, nine), before either simulation, and
+    # each simulation drains each (XCD, wave) queue in one kernel call
     arch = MI300X_LIKE
     lazy = generate_trace(spec_with_size("stencil2d", size))
     pattern = builtin_pattern("stencil_group", lazy.grid, arch)
-    want = simulate_pair(materialize(lazy), arch, ExecParams(), pattern)
     identity = builtin_pattern("identity", lazy.grid, arch)
-    members = [count for p in (identity, pattern) for count in _queue_lengths(lazy, p, arch)]
-    with _watch_feed(lazy, arch, identity, pattern) as queues:
+    want = (simulate(lazy, identity, arch), simulate(lazy, pattern, arch))
+    with _watch_pair(lazy) as events:
         assert simulate_pair(lazy, arch, ExecParams(), pattern) == want
-    assert [sum(sizes) for sizes, _ in queues] == members
-    calls = 1 if size == 1000 else 2
-    assert [(len(sizes), kernel_calls) for sizes, kernel_calls in queues] == \
-        [(calls, calls)] * len(members)
+    reads = _windows(lazy)
+    assert len(reads) == (1 if size == 1000 else 9)
+    assert events[:len(reads)] == reads
+    drains = events[len(reads):]
+    assert all(kind == "drain" and not more for kind, _, more in drains)
+    baseline = _queue_lengths(lazy, identity, arch)
+    swizzled = _queue_lengths(lazy, pattern, arch)
+    assert len(drains) == len(baseline) + len(swizzled) == 2 * arch.num_xcds
+    # the identity's simulation ends before the swizzle's begins; within one,
+    # the threads may take the XCDs in any order
+    assert sorted(n for _, n, _ in drains[:len(baseline)]) == sorted(baseline)
+    assert sorted(n for _, n, _ in drains[len(baseline):]) == sorted(swizzled)
+
+
+def _capped_trace(extra_on=None) -> AccessTrace:
+    """512 workgroups of 16 one-line segments, 8192 in all, in two
+    BATCH_PIDS windows, and one more segment on workgroup ``extra_on``."""
+    def batch_fn(wave, pids):
+        return _segment_batch([[(0, 128 * ((pid + k) % 64), 128, 0, 1)
+                                for k in range(16 + (pid == extra_on))]
+                               for pid in pids.tolist()])
+
+    return AccessTrace("synthetic", GridSpec.from_block_counts(512),
+                       make_buffers([("b0", 8192)]), batch_fn)
+
+
+@pytest.mark.parametrize("extra_on", [None, 0, 511])
+def test_pair_keeps_a_trace_at_its_segment_cap_and_stops_reading_past_it(native, extra_on):
+    # 2 XCDs cap simulate_pair's kept trace at 2 * BATCH_SEGMENTS = 8192
+    # segments. At the cap the pair reads each window once and keeps them.
+    # One segment more in the first window projects to 8194 with a window
+    # unread: reading stops there, and each simulation reads the lazy feed's
+    # batches. One segment more in the last window is found with every
+    # member read, and the read trace is kept rather than read twice again.
+    arch = arch_with_xcds(2, cus_per_xcd=3, l2_bytes=4096, ways=2)
+    cap = arch.num_xcds * traces.BATCH_SEGMENTS
+    lazy = _capped_trace(extra_on)
+    stays_lazy = extra_on == 0
+    assert (materialize(lazy, cap) is lazy) == stays_lazy
+    assert materialize(lazy, cap - 2) is lazy
+    pattern = builtin_pattern("gemm_contiguous", lazy.grid, arch, check_grid=False)
+    identity = builtin_pattern("identity", lazy.grid, arch)
+    want = (simulate(lazy, identity, arch), simulate(lazy, pattern, arch))
+    with _watch_pair(lazy) as events:
+        assert simulate_pair(lazy, arch, ExecParams(), pattern) == want
+    reads = [event for event in events if event[0] == "read"]
+    windows = _windows(lazy)
+    if stays_lazy:  # the first window, then every member again per simulation
+        assert reads[0] == windows[0] and reads[1] != windows[1]
+        assert sorted(pid for _, _, pids in reads[1:] for pid in pids) == \
+            sorted(list(range(512)) * 2)
+    else:
+        assert reads == windows
+
+
+def test_materialized_trace_is_kept_as_it_is(native):
+    table = materialize(_capped_trace())
+    assert materialize(table) is table and materialize(table, 1) is table
+
+
+def test_pair_on_the_default_transpose_reads_one_window_and_stays_lazy(native, monkeypatch):
+    # 524 288 segments: the first window's 32 768, projected over 4096
+    # members, pass the 32 768 cap, so the pair reads no second window and
+    # each simulation feeds the lazy trace as simulate alone does. The
+    # window is freed before the simulations, so the pair's peak stays
+    # within the window and the queue rows of theirs, at the two workers of
+    # a 2-CPU host. (On one worker a simulation peaks at about 2 MB, below
+    # the 4.1 MB that generating the 256-pid window takes.)
+    monkeypatch.setattr(cachesim, "WORKERS", 2)
+    arch = MI300X_LIKE
+    slots = concurrent_slots_per_xcd(arch)
+    lazy = generate_trace(default_spec("transpose"))
+    pattern = builtin_pattern("transpose_band", lazy.grid, arch)
+    identity = builtin_pattern("identity", lazy.grid, arch)
+    members = lazy.wave_pids[0].tolist()
+    window = lazy.batch(0, members[:traces.BATCH_PIDS])
+    tracemalloc.start()
+    try:
+        want = (simulate(lazy, identity, arch), simulate(lazy, pattern, arch))
+        lazy_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with _watch_pair(lazy) as events:
+            assert simulate_pair(lazy, arch, ExecParams(), pattern) == want
+        pair_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    reads = [pids for kind, _, pids in events if kind == "read"]
+    assert reads[0] == members[:traces.BATCH_PIDS]
+    assert len(reads[1]) == slots  # an XCD's first lazy batch, one slot file
+    assert sorted(pid for pids in reads[1:] for pid in pids) == sorted(members * 2)
+    assert pair_peak <= lazy_peak + window.nbytes + 48 * len(members)
+
+
+def test_pair_on_the_stencil_sweep_equals_two_lazy_simulations(native):
+    arch = MI300X_LIKE
+    for size in (512, 1000, 1024, 2048, 3000, 4096):
+        lazy = generate_trace(spec_with_size("stencil2d", size))
+        pattern = builtin_pattern("stencil_group", lazy.grid, arch)
+        want = [report_to_json(simulate(lazy, p, arch))
+                for p in (builtin_pattern("identity", lazy.grid, arch), pattern)]
+        got = simulate_pair(lazy, arch, ExecParams(), pattern)
+        assert [report_to_json(report) for report in got] == want, size
 
 
 @pytest.mark.usefixtures("serial")
