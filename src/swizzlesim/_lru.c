@@ -1,8 +1,10 @@
 /* The native kernel behind swizzlesim.cachesim. Its entry point,
  * xcd_drain, runs one XCD's queue of workgroups for one wave: it loads them
  * into resident slots, walks their segments run by run (a segment is a
- * start, a stride and a count of equal-length runs), expands each run into
- * line touches and feeds each touch to a set-associative LRU.
+ * start, a stride and a count of equal-length runs, and a workgroup's
+ * segments are one group that it runs `groups` times, each segment moving by
+ * its group stride at each repetition), expands each run into line touches
+ * and feeds each touch to a set-associative LRU.
  *
  * touched, the touched-line map, holds a byte per line at byte_of(line),
  * which puts 64 bytes of padding after every 4096 lines: lines of one set,
@@ -78,20 +80,23 @@ static inline int lru_touch(int64_t line, uint8_t *touched, int64_t *tags, int32
     return 1; /* bit 1 is wrong: so are the counts, but nothing hangs */
 }
 
-/* One resident workgroup: its segment arrays and segment count, copied from
- * its queue row, the segment being run, the runs left in it after the
- * current one, and the current run's first byte address and current and
- * last line. A segment is counts[i] runs of lens[i] bytes of buffer bufs[i]
- * at offs[i] + j * strides[i]. The caller owns the slots,
- * cachesim._SLOT_WORDS int64 words each, and keeps a workgroup's arrays
- * alive while a slot points into them. */
+/* One resident workgroup: its segment arrays, segment count and groups,
+ * copied from its queue row, the group and the segment being run, the runs
+ * left in it after the current one, and the current run's first byte address
+ * and current and last line. In group g a segment is counts[i] runs of
+ * lens[i] bytes of buffer bufs[i] at offs[i] + g * gstrides[i] + j *
+ * strides[i]. The caller owns the slots, cachesim._SLOT_WORDS int64 words
+ * each, and keeps a workgroup's arrays alive while a slot points into them. */
 typedef struct {
     const int32_t *bufs;
     const int64_t *offs;
     const int64_t *lens;
     const int64_t *strides;
     const int64_t *counts;
+    const int64_t *gstrides;
     int64_t segments;
+    int64_t groups;
+    int64_t group;
     int64_t seg;   /* `segments` once the workgroup is drained */
     int64_t runs;
     int64_t start;
@@ -99,63 +104,72 @@ typedef struct {
     int64_t last;
 } slot_t;
 
-_Static_assert(sizeof(slot_t) == 11 * sizeof(int64_t), "cachesim._SLOT_WORDS is 11");
+_Static_assert(sizeof(slot_t) == 14 * sizeof(int64_t), "cachesim._SLOT_WORDS is 14");
 _Static_assert(offsetof(slot_t, bufs) == 0 && offsetof(slot_t, offs) == 8
                && offsetof(slot_t, lens) == 16 && offsetof(slot_t, strides) == 24
-               && offsetof(slot_t, counts) == 32 && offsetof(slot_t, segments) == 40,
-               "a queue row is words 0-5 of a slot: bufs, offs, lens, strides, counts, segments");
+               && offsetof(slot_t, counts) == 32 && offsetof(slot_t, gstrides) == 40
+               && offsetof(slot_t, segments) == 48 && offsetof(slot_t, groups) == 56,
+               "a queue row is words 0-7 of a slot: bufs, offs, lens, strides, counts, "
+               "gstrides, segments, groups");
 
-/* 1 if a run of segment r of a queue row is empty, names no buffer, starts
- * before its buffer or ends past it. A segment of no runs is never bad. The
- * first and last runs bound every run between them, and the last is checked
- * without forming stride * (count - 1), which may overflow. */
+/* 1 if a run of segment r of a queue row, in any of its groups, is empty,
+ * names no buffer, starts before its buffer or ends past it. A segment of no
+ * runs, or of a row of no groups, is never bad. The runs' lowest and highest
+ * starts take the first or last run of the first or last group, formed in
+ * 128 bits, where neither product can overflow. */
 static int segment_outside(const slot_t *s, int64_t r, const int64_t *lengths,
                            int64_t num_buffers)
 {
-    int64_t steps = s->counts[r] - 1;
-    if (steps < 0)
+    if (s->counts[r] < 1 || s->groups < 1)
         return 0;
     int32_t buf = s->bufs[r];
-    int64_t off = s->offs[r], len = s->lens[r], stride = s->strides[r];
-    if (buf < 0 || buf >= num_buffers || len < 1 || off < 0 || len > lengths[buf] - off)
+    if (buf < 0 || buf >= num_buffers || s->lens[r] < 1)
         return 1;
-    if (stride > 0) /* the last run ends by the buffer's end */
-        return steps > (lengths[buf] - off - len) / stride;
-    if (stride < 0) /* the last run starts at or past the buffer's start */
-        return steps > 0 && (stride == INT64_MIN || steps > off / -stride);
-    return 0;
+    __int128 runs = (__int128)(s->counts[r] - 1) * s->strides[r];
+    __int128 groups = (__int128)(s->groups - 1) * s->gstrides[r];
+    __int128 lowest = s->offs[r] + (runs < 0 ? runs : 0) + (groups < 0 ? groups : 0);
+    __int128 highest = s->offs[r] + (runs > 0 ? runs : 0) + (groups > 0 ? groups : 0);
+    return lowest < 0 || highest > lengths[buf] - s->lens[r];
 }
 
 /* Move slot s to its next run: `start` steps by the segment's stride until
  * the segment's runs are done, then moves to the next segment of one or more
- * runs. 0 when no run is left. */
+ * runs; where the segment list ends, the group steps. 0 when no run is left;
+ * a slot is loaded only with a run in each group (see xcd_drain). */
 static inline int next_run(slot_t *s, const int64_t *bases, int64_t line_shift)
 {
+    int64_t seg = s->seg;
     if (s->runs > 0) {
         s->runs--;
-        s->start += s->strides[s->seg];
+        s->start += s->strides[seg];
     } else {
         do {
-            if (++s->seg == s->segments)
-                return 0;
-        } while (s->counts[s->seg] < 1);
-        s->runs = s->counts[s->seg] - 1;
-        s->start = s->offs[s->seg] + bases[s->bufs[s->seg]];
+            if (++seg == s->segments) {
+                if (++s->group == s->groups) {
+                    s->seg = seg;
+                    return 0;
+                }
+                seg = 0;
+            }
+        } while (s->counts[seg] < 1);
+        s->seg = seg;
+        s->runs = s->counts[seg] - 1;
+        s->start = s->offs[seg] + s->group * s->gstrides[seg] + bases[s->bufs[seg]];
     }
     s->line = s->start >> line_shift;
-    s->last = (s->start + s->lens[s->seg] - 1) >> line_shift;
+    s->last = (s->start + s->lens[seg] - 1) >> line_shift;
     return 1;
 }
 
 /* Run one XCD's workgroups of one wave from a queue.
  *
- * queue holds `rows` rows of six int64 words, one per workgroup in launch
- * order: the addresses of its bufs (int32), offs, lens, strides and counts
- * (int64) arrays and its segment count. slots[0, loaded) carry on from the
- * previous call. Free slots are loaded from the queue in order, skipping
- * rows of no runs; a row is checked segment by segment as it loads (see
- * segment_outside). The first bad row k returns -(k + 1) before any of its
- * lines is touched.
+ * queue holds `rows` rows of eight int64 words, one per workgroup in launch
+ * order: the addresses of its bufs (int32), offs, lens, strides, counts and
+ * gstrides (int64) arrays, its segment count and its groups. slots[0,
+ * loaded) carry on from the previous call. Free slots are loaded from the
+ * queue in order, skipping rows of no runs; a row is checked segment by
+ * segment as it loads (see segment_outside). The first bad row k returns
+ * -(k + 1) before any of its lines is touched.
  *
  * Each turn touches the current line of every slot, in slot order, and
  * counts hits into counts[0] and touches into counts[1].
@@ -177,13 +191,17 @@ int64_t xcd_drain(slot_t *slots, int64_t capacity, int64_t loaded,
     for (int64_t next = 0;;) {
         for (; n < capacity && next < rows; next++) {
             slot_t *s = &slots[n];
-            memcpy(s, queue + 6 * next, 6 * sizeof(int64_t));
-            for (int64_t r = 0; r < s->segments; r++)
+            memcpy(s, queue + 8 * next, 8 * sizeof(int64_t));
+            int runs = 0;
+            for (int64_t r = 0; r < s->segments; r++) {
                 if (segment_outside(s, r, lengths, num_buffers))
                     return -(next + 1);
+                runs |= s->counts[r] > 0;
+            }
+            s->group = 0;
             s->seg = -1;
             s->runs = 0;
-            if (next_run(s, bases, line_shift))
+            if (runs && s->groups > 0 && next_run(s, bases, line_shift))
                 n++;
         }
         if (n == 0 || (more && n < capacity))

@@ -20,12 +20,14 @@ more, before any allocation: ``_lru.c``'s set index is exact below both.
 Each XCD's pass runs in a small C kernel, ``_lru.c`` beside this module,
 whose entry point is ``xcd_drain``. It takes a queue of one XCD's
 workgroups of one wave, in launch order, each row the addresses of a
-workgroup's segment arrays (see ``traces.Batch``) and its segment count. It
-loads the resident slots from the queue, checking each row's segments
-against the buffer bounds (a segment's first and last run bound the rest),
-walks each segment run by run, stepping the run's start by the stride,
-expands runs into line touches on the fly and feeds them to the LRU, one
-touch per slot per turn, and refills a drained slot after the survivors.
+workgroup's segment arrays (see ``traces.Batch``), its segment count and
+its groups: eight words. It loads the resident slots from the queue,
+checking each row's segments against the buffer bounds (a segment's first
+and last run in its first and last group bound the rest), walks each
+segment run by run, stepping the run's start by the stride, and each
+workgroup's segment list group by group, expands runs into line touches on
+the fly and feeds them to the LRU, one touch per slot per turn, and refills
+a drained slot after the survivors.
 Records are never built on this path. A materialized trace keeps every
 member's row, so a wave is one foreign call. ``simulate_pair`` materializes
 a lazy trace within ``RECORD_TABLE_BYTES`` and a cap of ``num_xcds *
@@ -34,9 +36,9 @@ both of its simulations read each member once.
 A lazy trace is fed one batch at a time, each row pointing into it: first
 as many workgroups as the XCD has slots, then as many as ``BATCH_SEGMENTS``
 segments hold at the XCD's mean segments per workgroup so far, never fewer
-than its slots. The kernel refills slots from the batch as they drain and
-asks for the next one once it is spent and a slot is free. A batch is kept
-only while one of its workgroups is resident.
+than its slots (``traces.batch_width``). The kernel refills slots from the
+batch as they drain and asks for the next one once it is spent and a slot
+is free. A batch is kept only while one of its workgroups is resident.
 ``_run_native`` owns each XCD's LRU rows, one ring of tags per set, for the
 whole pass. A line's byte in the touched-line map has bit 0 set once the
 line is touched, and bit 1 while the XCD's rows hold it. The map pads 64
@@ -88,7 +90,8 @@ import numpy as np
 from .arch import ArchSpec, concurrent_slots_per_xcd
 from .patterns import SwizzlePattern, builtin_pattern, validated_remap_table
 from .records import from_dict, to_dict
-from .traces import BATCH_SEGMENTS, AccessTrace, Batch, materialize, records_outside, sequences
+from .traces import (BATCH_SEGMENTS, AccessTrace, Batch, batch_width, materialize,
+                     records_outside, sequences)
 
 
 class SimulationError(ValueError):
@@ -302,9 +305,9 @@ def reference_pass(
     return hits, accesses
 
 
-# one slot_t of _lru.c: bufs, offs, lens, strides, counts, segments, seg, runs, start,
-# line, last
-_SLOT_WORDS = 11
+# one slot_t of _lru.c: bufs, offs, lens, strides, counts, gstrides, segments, groups,
+# group, seg, runs, start, line, last
+_SLOT_WORDS = 14
 
 
 def _touched_map(lines: int) -> np.ndarray:
@@ -352,7 +355,7 @@ def _run_native(
     for wave, pids in enumerate(waves):
         left, live, start = 0, [], 0
         while start < len(pids):
-            width = max(slots, BATCH_SEGMENTS * pids_read // max(segments_read, 1))
+            width = batch_width(pids_read, segments_read, slots)
             batch = pids[start:len(pids) if rows is not None else start + width]
             start += len(batch)
             pids_read += len(batch)

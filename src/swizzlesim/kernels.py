@@ -31,8 +31,10 @@ array of workgroups at once (see ``traces``). Each stream is a few
 segments, each a run of records of one buffer at a fixed stride whose
 start, length and count depend on the workgroup's tile; ``_segments`` lays
 them out for every pid of a batch with a handful of numpy calls and never
-expands them into records. spmv's x gather is no arithmetic sequence, so it
-is one single-run segment per row.
+expands them into records. A transpose tile is one group, its row read and
+column scatter, repeated per tile row; every other stream is one group.
+spmv's x gather is no arithmetic sequence, so it is one single-run segment
+per row.
 
 Each kind is one entry of the registry ``_KINDS`` at the bottom of this
 module: its generator, default dims, launch-grid axes, the dims that
@@ -124,16 +126,18 @@ def generate_trace(spec: KernelSpec) -> AccessTrace:
 # ---------------------------------------------------------------------------
 
 
-def _segments(shape: tuple[int, ...], *segments) -> Batch:
+def _segments(shape: tuple[int, ...], *segments, gstrides=None, groups=None) -> Batch:
     """The batch of the segments laid out by ``segments``, the empty ones dropped.
 
     A segment is (buf, start, stride, length, count, write): ``count`` records
     of ``length`` bytes of buffer ``buf`` at ``start + j * stride`` for j = 0,
     1, .... buf, stride and write are scalars; start, length and count are
-    scalars or arrays that broadcast to ``shape``: (pids,), or (pids, groups)
-    for a kernel that repeats its segments over groups (gemm's K blocks,
-    transpose's and spmv's rows). A pid's segments run by group, then by
-    segment.
+    scalars or arrays that broadcast to ``shape``: (pids,), or (pids, k) for
+    a kernel that lays its segments out k times with other starts, lengths or
+    counts (gemm's K blocks, spmv's rows), a pid's segments by k, then by
+    segment. ``gstrides``, one per segment, and ``groups``, one per pid, make
+    each pid's segments a group that repeats (see ``traces.Batch``); by
+    default each pid is one group.
     """
     table = np.empty((6, *shape, len(segments)), dtype=np.int64)
     for f, field in enumerate(zip(*segments)):
@@ -145,8 +149,10 @@ def _segments(shape: tuple[int, ...], *segments) -> Batch:
     runs = table[4] > 0
     per_pid = runs.sum(axis=tuple(range(1, runs.ndim)))
     buf, start, stride, length, count, write = (field[runs] for field in table)  # owned columns
+    if gstrides is not None:
+        gstrides = np.broadcast_to(np.asarray(gstrides, dtype=np.int64), runs.shape)[runs]
     return Batch(buf.astype(np.int32), start, length, write.astype(bool), stride, count,
-                 np.concatenate(([0], per_pid.cumsum())))
+                 np.concatenate(([0], per_pid.cumsum())), gstrides, groups)
 
 
 def _tile_bounds(pids: np.ndarray, grid: GridSpec, bm: int, bn: int, m: int, n: int):
@@ -293,13 +299,12 @@ def _gen_transpose(spec: KernelSpec, grid: GridSpec) -> AccessTrace:
     buffers = make_buffers([("in", m * n * es), ("out", n * m * es)])
 
     def batch(wave: int, pids: np.ndarray) -> Batch:
-        r0, r1, c0, c1 = (v[:, None] for v in _tile_bounds(pids, grid, bm, bn, m, n))
+        r0, r1, c0, c1 = _tile_bounds(pids, grid, bm, bn, m, n)
         # One group per tile row: one coalesced read of the input row followed
         # by the column-scatter of its transposed elements.
-        row = r0 + np.arange(bm)
-        on = row < r1
-        return _segments(row.shape, (0, (row * n + c0) * es, 0, (c1 - c0) * es, on, False),
-                         (1, (c0 * m + row) * es, m * es, es, (c1 - c0) * on, True))
+        return _segments(pids.shape, (0, (r0 * n + c0) * es, 0, (c1 - c0) * es, 1, False),
+                         (1, (c0 * m + r0) * es, m * es, es, c1 - c0, True),
+                         gstrides=(n * es, es), groups=r1 - r0)
 
     return AccessTrace("transpose", grid, buffers, batch)
 

@@ -12,9 +12,12 @@ per-pid offsets ``indptr`` (CSR form). A segment is ``count`` runs of
 ``len`` bytes of one buffer at ``off + j * stride``, each run one record,
 so a tile row's column scatter is one segment, not one record per element;
 a generator pays its Python cost per batch, not per workgroup or record.
-A record is a segment of one run: ``Batch.records`` expands a batch into
-them for what reads records (``AccessTrace.stream`` is a one-pid batch,
-expanded); the native simulator walks the segments as they are.
+A workgroup's segments are one group that it repeats, each segment moving
+by its group stride: a transpose tile is a row read and a column scatter,
+repeated per tile row. A record is a segment of one run: ``Batch.records``
+expands a batch into them (through ``Batch.flat``, which lays the groups
+out) for what reads records (``AccessTrace.stream`` is a one-pid batch,
+expanded); the native simulator walks the groups and segments as they are.
 ``locality_summary`` reads segments too, one bounded chunk at a time, and
 turns them into granule intervals: it keys each piece of an interval that a
 workgroup touches in a wave, not each granule. Simulating a lazy
@@ -24,7 +27,8 @@ simulations), ``materialize`` reads each wave's members once and keeps
 their batches as read, with the native kernel's queue row of each member.
 A trace whose kept batches would pass ``RECORD_TABLE_BYTES``, or whose
 segments pass the caller's cap (``simulate_pair``'s ``num_xcds *
-BATCH_SEGMENTS``) before it is read whole, stays lazy.
+BATCH_SEGMENTS``) before it is read whole, stays lazy. Both the lazy feed
+and ``AccessTrace.member_batches`` size their batches by ``batch_width``.
 
 Multi-phase kernels are modeled as waves: each wave is one dispatch over
 the same launch grid, and all workgroups of a wave finish before the next
@@ -61,18 +65,22 @@ class AccessRecord:
 
 
 class Batch:
-    """The streams of several workgroups as segments, in CSR form.
+    """The streams of several workgroups as groups of segments, in CSR form.
 
     Row ``i`` is one segment: ``counts[i]`` runs of ``lens[i]`` bytes of
-    buffer ``bufs[i]`` at ``offs[i] + j * strides[i]`` for ``j < counts[i]``,
-    each run one record (a write if ``writes[i]``). Workgroup ``w``'s
-    segments are rows ``indptr[w]`` to ``indptr[w + 1] - 1``. Counts are
-    non-negative; a segment of no runs adds no record.
+    buffer ``bufs[i]`` at ``offs[i] + g * gstrides[i] + j * strides[i]`` for
+    ``j < counts[i]``, each run one record (a write if ``writes[i]``).
+    Workgroup ``w``'s segments, rows ``indptr[w]`` to ``indptr[w + 1] - 1``,
+    are one group that it runs for ``g < groups[w]`` in turn (by default
+    one, at group strides of zero). Counts and groups are non-negative; a
+    segment of no runs, or a workgroup of no groups, adds no record.
     """
 
-    __slots__ = ("bufs", "offs", "lens", "writes", "strides", "counts", "indptr")
+    __slots__ = ("bufs", "offs", "lens", "writes", "strides", "counts", "gstrides", "indptr",
+                 "groups")
 
-    def __init__(self, bufs, offs, lens, writes, strides, counts, indptr):
+    def __init__(self, bufs, offs, lens, writes, strides, counts, indptr, gstrides=None,
+                 groups=None):
         self.bufs = np.ascontiguousarray(bufs, dtype=np.int32)
         self.offs = np.ascontiguousarray(offs, dtype=np.int64)
         self.lens = np.ascontiguousarray(lens, dtype=np.int64)
@@ -80,45 +88,76 @@ class Batch:
         self.strides = np.ascontiguousarray(strides, dtype=np.int64)
         self.counts = np.ascontiguousarray(counts, dtype=np.int64)
         self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.gstrides = (np.zeros(len(self.offs), dtype=np.int64) if gstrides is None
+                         else np.ascontiguousarray(gstrides, dtype=np.int64))
+        self.groups = (np.ones(len(self.indptr) - 1, dtype=np.int64) if groups is None
+                       else np.ascontiguousarray(groups, dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.offs)
 
     @property
     def columns(self) -> tuple[np.ndarray, ...]:
-        return self.bufs, self.offs, self.lens, self.writes, self.strides, self.counts
+        """The per-segment columns."""
+        return (self.bufs, self.offs, self.lens, self.writes, self.strides, self.counts,
+                self.gstrides)
 
     @property
     def nbytes(self) -> int:
-        return sum(column.nbytes for column in (*self.columns, self.indptr))
+        return sum(column.nbytes for column in (*self.columns, self.indptr, self.groups))
+
+    def part(self, lo: int, hi: int) -> "Batch":
+        """Workgroups ``lo`` to ``hi - 1``, as views of the columns."""
+        a, b = self.indptr[lo], self.indptr[hi]
+        *columns, gstrides = (column[a:b] for column in self.columns)
+        return Batch(*columns, self.indptr[lo:hi + 1] - a, gstrides, self.groups[lo:hi])
+
+    def flat(self) -> "Batch":
+        """The same runs in the same order, each workgroup one group."""
+        if (self.groups == 1).all():
+            return self
+        sizes = np.diff(self.indptr)
+        size = sizes.repeat(self.groups)  # one block of rows per (workgroup, group)
+        rows = sequences(self.indptr[:-1].repeat(self.groups), size)
+        group = sequences(np.zeros(len(sizes), dtype=np.int64), self.groups).repeat(size)
+        return Batch(self.bufs[rows], self.offs[rows] + group * self.gstrides[rows],
+                     self.lens[rows], self.writes[rows], self.strides[rows], self.counts[rows],
+                     np.concatenate(([0], (sizes * self.groups).cumsum())))
 
     def records(self) -> "Batch":
         """Every run as a segment of one run, in order, under the same workgroups."""
-        counts = self.counts
-        offs = sequences(self.offs, counts, self.strides)
-        return Batch(self.bufs.repeat(counts), offs, self.lens.repeat(counts),
-                     self.writes.repeat(counts), np.zeros_like(offs), np.ones_like(offs),
-                     np.concatenate(([0], counts.cumsum()))[self.indptr])
+        flat = self.flat()
+        counts = flat.counts
+        offs = sequences(flat.offs, counts, flat.strides)
+        return Batch(flat.bufs.repeat(counts), offs, flat.lens.repeat(counts),
+                     flat.writes.repeat(counts), np.zeros_like(offs), np.ones_like(offs),
+                     np.concatenate(([0], counts.cumsum()))[flat.indptr])
 
     def queue_rows(self) -> np.ndarray:
         """Each workgroup's row of the native kernel's queue: the addresses of its
-        bufs, offs, lens, strides and counts and its segment count, valid while
-        the columns live."""
-        arrays = (self.bufs, self.offs, self.lens, self.strides, self.counts)
-        rows = np.empty((len(self.indptr) - 1, 6), dtype=np.int64)
-        rows[:, :5] = [column.ctypes.data for column in arrays]
-        rows[:, :5] += self.indptr[:-1, None] * [column.itemsize for column in arrays]
-        rows[:, 5] = np.diff(self.indptr)
+        bufs, offs, lens, strides, counts and gstrides, its segment count and
+        its groups, valid while the columns live."""
+        arrays = (self.bufs, self.offs, self.lens, self.strides, self.counts, self.gstrides)
+        rows = np.empty((len(self.indptr) - 1, 8), dtype=np.int64)
+        rows[:, :6] = [column.ctypes.data for column in arrays]
+        rows[:, :6] += self.indptr[:-1, None] * [column.itemsize for column in arrays]
+        rows[:, 6] = np.diff(self.indptr)
+        rows[:, 7] = self.groups
         return rows
 
 
 BatchFn = Callable[[int, np.ndarray], Batch]  # (wave_index, logical pids) -> their segments
-BATCH_PIDS = 256  # members per batch when a lazy trace is read wave by wave
-# Segments per lazy batch after an XCD's first (cachesim._run_native): below the
-# default transpose's 4864 per slot file, so it keeps 38-pid batches and its
-# peak memory (256-pid ones cost it 11%); above the widest stencil_sweep
-# batch's 2836, so a stencil (XCD, wave) takes one or two batches.
+# Segments per batch of a wave read in order (see batch_width): above the
+# widest stencil_sweep batch's 2836, so a stencil (XCD, wave) takes one or two
+# lazy batches, and simulate_pair keeps a trace of num_xcds times as many.
 BATCH_SEGMENTS = 4096
+
+
+def batch_width(pids_read: int, segments_read: int, least: int) -> int:
+    """Members of the next batch of a wave read in order: as many as
+    ``BATCH_SEGMENTS`` segments hold at the mean segments per member of the
+    batches read before it, but at least ``least``."""
+    return max(least, BATCH_SEGMENTS * pids_read // max(segments_read, 1))
 
 
 class AccessTrace:
@@ -168,17 +207,28 @@ class AccessTrace:
             raise ValueError(f"wave {wave} outside the trace's {self.num_waves} waves")
         return self.batch(wave, [logical_pid]).records()
 
-    def member_batches(self):
-        """(wave, pids, their batch) over each wave's members in order, read
-        ``BATCH_PIDS`` members at a time, or the kept ones of a materialized
-        trace."""
+    def member_batches(self, sample_waves: bool = False):
+        """(wave, pids, their batch) over each wave's members in order, or the
+        kept ones of a materialized trace. The first batch is one member, and
+        each later one as wide as ``batch_width`` gives from the batches read
+        before it, in any wave. With ``sample_waves``, each wave's first
+        member is read alone before any other batch."""
         if self.kept is not None:
             yield from self.kept
             return
-        for wave, members in enumerate(self.wave_pids):
-            for lo in range(0, len(members), BATCH_PIDS):
-                pids = members[lo:lo + BATCH_PIDS]
-                yield wave, pids, self.batch(wave, pids)
+        start, segments, waves = [0] * self.num_waves, 0, range(self.num_waves)
+        samples = [(wave, True) for wave in waves if sample_waves]
+        for wave, sample in samples + [(wave, False) for wave in waves]:
+            members = self.wave_pids[wave]
+            while start[wave] < len(members):
+                width = 1 if sample else batch_width(sum(start), segments, 1)
+                pids = members[start[wave]:start[wave] + width]
+                batch = self.batch(wave, pids)
+                start[wave] += len(pids)
+                segments += len(batch)
+                yield wave, pids, batch
+                if sample:
+                    break
 
     def records_for(self, logical_pid: int, wave: int = 0) -> list[AccessRecord]:
         s = self.stream(logical_pid, wave)
@@ -206,37 +256,41 @@ RECORD_TABLE_BYTES = 32 << 20
 def materialize(trace: AccessTrace, max_segments: int | None = None) -> AccessTrace:
     """``trace`` with every wave's member segments read once and kept.
 
-    The members are read ``BATCH_PIDS`` at a time, and the returned trace's
-    ``kept`` holds each (wave, pids, batch) as read, the columns made
-    read-only. Its (waves, total, 6) ``queue_rows`` hold each member's
-    ``Batch.queue_rows`` row, pointing into its kept batch, so a simulation
-    builds each queue with one index. Its batch function is the original
-    one. As soon as the batches' columns and the queue rows pass
-    ``RECORD_TABLE_BYTES``, or, with members left to read, the segments
-    read, projected over all the members at the segments per member read so
-    far, pass ``max_segments``, reading stops and ``trace`` itself is
-    returned. Past the cap, a trace read whole is kept all the same: its
-    reading is done, and its batches are no more than it held while the
-    last one was read. A materialized trace is returned as it is.
+    The members are read as ``AccessTrace.member_batches`` gives, sampling
+    each wave first if there is a cap, and the returned trace's ``kept``
+    holds each (wave, pids, batch) as read, in wave order, the columns made
+    read-only. Its (waves, total, 8)
+    ``queue_rows`` hold each member's ``Batch.queue_rows`` row, pointing
+    into its kept batch, so a simulation builds each queue with one index.
+    Its batch function is the original one. As soon as the batches' columns
+    and the queue rows pass ``RECORD_TABLE_BYTES``, or, with members left to
+    read, the segments read, projected over all the members at the segments
+    per member read so far, pass ``max_segments``, reading stops and
+    ``trace`` itself is returned: a trace past the cap only in a later wave
+    is found with one member of each wave read. Past the cap, a trace read
+    whole is kept all the same: its reading is done, and its batches are no
+    more than it held while the last one was read. A materialized trace is
+    returned as it is.
     """
     if trace.kept is not None:
         return trace
     members = sum(map(len, trace.wave_pids))
-    rows = np.zeros((trace.num_waves, trace.grid.total_blocks, 6), dtype=np.int64)
+    rows = np.zeros((trace.num_waves, trace.grid.total_blocks, 8), dtype=np.int64)
     size = rows.nbytes
     kept = []
     pids_read = segments_read = 0
-    for wave, pids, batch in trace.member_batches():
+    for wave, pids, batch in trace.member_batches(sample_waves=max_segments is not None):
         size += batch.nbytes
         pids_read += len(pids)
         segments_read += len(batch)
         if size > RECORD_TABLE_BYTES or (max_segments is not None and pids_read < members
                                          and segments_read * members > max_segments * pids_read):
             return trace
-        for column in batch.columns:
+        for column in (*batch.columns, batch.groups):
             column.flags.writeable = False
         rows[wave, pids] = batch.queue_rows()
         kept.append((wave, pids, batch))
+    kept.sort(key=lambda read: read[0])  # stable: each wave's batches stay in order
     return AccessTrace(trace.kernel, trace.grid, trace.buffers, trace._batch_fn,
                        trace.wave_pids, tuple(kept), rows)
 
@@ -406,17 +460,18 @@ def _record_chunks(trace: AccessTrace):
     """(segments, each segment's owner key) of consecutive member streams of
     one wave, at most ``_CHUNK_GRANULES`` granules per chunk (or one stream
     that alone passes it), bounded from the segments: a run of L bytes spans
-    at most L // GRANULE_BYTES + 2 granules. The chunks are cut from the
-    wave's member batches, several batches' segments joining one chunk; a
-    stream's owner key is ``pid * num_waves + wave``. A chunk keeps to one
-    wave: joining softmax's two waves made the summary about a quarter
-    slower."""
+    at most L // GRANULE_BYTES + 2 granules, in each of its workgroup's
+    groups. The chunks are cut from the wave's member batches, several
+    batches' workgroups joining one chunk, and laid out flat
+    (``Batch.flat``); a stream's owner key is ``pid * num_waves + wave``. A
+    chunk keeps to one wave: joining softmax's two waves made the summary
+    about a quarter slower."""
     pieces, room, chunk_wave = [], _CHUNK_GRANULES, 0
     for wave, pids, batch in trace.member_batches():
         granules = np.cumsum(batch.counts * (2 + batch.lens // GRANULE_BYTES))
-        ends = np.concatenate(([0], granules))[batch.indptr]  # granules before each stream
-        owner = np.repeat(pids * trace.num_waves + wave, np.diff(batch.indptr))
-        columns = (*batch.columns, owner)
+        per_stream = np.diff(np.concatenate(([0], granules))[batch.indptr]) * batch.groups
+        ends = np.concatenate(([0], per_stream.cumsum()))  # granules before each stream
+        owner = pids * trace.num_waves + wave
         lo = 0
         while lo < len(pids):
             hi = int(np.searchsorted(ends, ends[lo] + room, side="right")) - 1
@@ -425,8 +480,7 @@ def _record_chunks(trace: AccessTrace):
                 pieces, room = [], _CHUNK_GRANULES
                 continue
             hi, chunk_wave = max(hi, lo + 1), wave
-            a, b = batch.indptr[lo], batch.indptr[hi]
-            pieces.append([column[a:b] for column in columns])
+            pieces.append((batch.part(lo, hi).flat(), owner[lo:hi]))
             room -= ends[hi] - ends[lo]
             lo = hi
     if pieces:
@@ -434,7 +488,11 @@ def _record_chunks(trace: AccessTrace):
 
 
 def _join_chunk(pieces) -> tuple[Batch, np.ndarray]:
-    *columns, owner = map(np.concatenate, zip(*pieces))
+    """The pieces of one chunk, each a flat batch and its workgroups' owner
+    keys, as one stream of their segments and each segment's owner key."""
+    owner = np.concatenate([keys.repeat(np.diff(part.indptr)) for part, keys in pieces])
+    # one group: the group strides are never read
+    *columns, _ = map(np.concatenate, zip(*(part.columns for part, _ in pieces)))
     return Batch(*columns, [0, len(owner)]), owner
 
 

@@ -133,12 +133,6 @@ def record_batch(bufs, offs, lens, writes) -> Batch:
                  [0, len(offs)])
 
 
-def batch_part(batch: Batch, lo: int, hi: int) -> Batch:
-    """Workgroups ``lo`` to ``hi - 1`` of ``batch``, as views of its columns."""
-    a, b = batch.indptr[lo], batch.indptr[hi]
-    return Batch(*(column[a:b] for column in batch.columns), batch.indptr[lo:hi + 1] - a)
-
-
 def batched(stream_fn):
     """The batch function over a per-pid ``(wave, pid) -> Batch`` function:
     the pids' segments in the order of ``pids``, for tests that write their
@@ -146,9 +140,10 @@ def batched(stream_fn):
 
     def batch_fn(wave, pids):
         streams = [stream_fn(wave, int(pid)) for pid in pids]
-        columns = zip(*(s.columns for s in streams)) if streams else [([],)] * 6
-        return Batch(*map(np.concatenate, columns),
-                     np.cumsum([0] + [len(s) for s in streams]))
+        columns = zip(*(s.columns for s in streams)) if streams else [([],)] * 7
+        *columns, gstrides = map(np.concatenate, columns)
+        return Batch(*columns, np.cumsum([0] + [len(s) for s in streams]), gstrides,
+                     np.concatenate([s.groups for s in streams] + [[]]))
 
     return batch_fn
 

@@ -317,7 +317,9 @@ def test_optimize_reads_each_stream_once(tmp_path, monkeypatch):
     assert calls == Counter(
         {(wave, pid): 1 for wave, members in enumerate(lazy.wave_pids) for pid in members.tolist()}
     )
-    assert batches == [0, 1]  # one batch per wave of 64 members
+    # the first member alone, then the other 63 of wave 0 and the 64 of
+    # wave 1 in one batch each
+    assert batches == [0, 0, 1]
 
     # with no budget no batch is kept and every stream is read lazily
     monkeypatch.setattr(traces, "RECORD_TABLE_BYTES", 0)

@@ -45,7 +45,7 @@ from swizzlesim.traces import (
     records_outside,
 )
 
-from conftest import ReferenceLru, arch_with_xcds, batch_part, python_pass
+from conftest import ReferenceLru, arch_with_xcds, python_pass
 
 # 1 XCD, 16 KiB of 2-way L2 (64 sets): 7 of the 10 kernels at size 256 evict
 SMALL = arch_with_xcds(1, cus_per_xcd=4, l2_bytes=16 << 10, ways=2)
@@ -69,6 +69,20 @@ def _reports(trace, arch) -> list[str]:
     return out
 
 
+@pytest.mark.parametrize("workers", [1, 8])
+@pytest.mark.parametrize("m, n, bm, bn", [(200, 100, 64, 64), (65, 130, 64, 32), (97, 33, 1, 16)])
+def test_grouped_transpose_reports_match_python_pass(native, monkeypatch, workers, m, n, bm, bn):
+    # transposes whose tiles are groups of a row read and a column scatter,
+    # with edge tiles of one row or column and one-row tiles, lazy and kept
+    monkeypatch.setattr(cachesim, "WORKERS", workers)
+    lazy = generate_trace(KernelSpec("transpose", {"m": m, "n": n}, {"m": bm, "n": bn}))
+    for arch in (MI300X_LIKE, SMALL):
+        with python_pass():
+            want = _reports(lazy, arch)
+        assert _reports(lazy, arch) == want
+        assert _reports(materialize(lazy), arch) == want
+
+
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
 def test_native_reports_match_python_lru(native, kind):
     trace = generate_trace(spec_with_size(kind, 256))
@@ -78,25 +92,31 @@ def test_native_reports_match_python_lru(native, kind):
             assert _reports(trace, arch) == want_native, f"{kind} on {arch.name}"
 
 
-def _segment_batch(workgroups, read_only=False):
+def _segment_batch(workgroups, read_only=False, groups=None):
     """Batch of workgroups, each a list of (buffer, offset, length, stride,
-    count) read segments."""
-    segments = [segment for workgroup in workgroups for segment in workgroup]
-    bufs, offs, lens, strides, counts = np.array(segments, dtype=np.int64).reshape(-1, 5).T
+    count[, group stride]) read segments, each workgroup one group unless
+    ``groups`` gives each its groups."""
+    segments = [(*segment, 0)[:6] for workgroup in workgroups for segment in workgroup]
+    columns = np.array(segments, dtype=np.int64).reshape(-1, 6).T
+    bufs, offs, lens, strides, counts, gstrides = columns
     batch = Batch(bufs, offs, lens, np.zeros(len(segments), dtype=bool), strides, counts,
-                  np.cumsum([0] + [len(workgroup) for workgroup in workgroups]))
-    for array in batch.columns:
+                  np.cumsum([0] + [len(workgroup) for workgroup in workgroups]), gstrides, groups)
+    for array in (*batch.columns, batch.groups):
         array.flags.writeable = not read_only
     return batch
 
 
-def _trace_of(streams, buffer_sizes, total, read_only=False):
+def _trace_of(streams, buffer_sizes, total, read_only=False, groups=None):
     """Trace whose (wave, pid) streams are lists of (buffer, offset, length)
-    records or (buffer, offset, length, stride, count) segments."""
+    records or (buffer, offset, length, stride, count[, group stride])
+    segments, each stream one group unless ``groups`` maps its (wave, pid)
+    to its groups."""
+    groups = groups or {}
+
     def batch_fn(wave, pids):
-        return _segment_batch([[rec if len(rec) == 5 else (*rec, 0, 1)
+        return _segment_batch([[rec if len(rec) >= 5 else (*rec, 0, 1)
                                 for rec in streams[wave].get(int(pid), [])] for pid in pids],
-                              read_only)
+                              read_only, [groups.get((wave, int(pid)), 1) for pid in pids])
 
     buffers = make_buffers([(f"b{i}", size) for i, size in enumerate(buffer_sizes)])
     wave_pids = [np.asarray(sorted(wave), dtype=np.int64) for wave in streams]
@@ -231,6 +251,15 @@ def _draw_segment(draw, size, max_len, max_count=3):
     return off, length, stride, count
 
 
+def _draw_gstride(draw, size, off, length, stride, count, groups):
+    """A group stride at which ``groups`` repetitions of a segment drawn by
+    ``_draw_segment`` all lie in the buffer of ``size`` bytes."""
+    runs = max(count - 1, 0) * stride
+    steps = max(groups - 1, 1)
+    return draw(st.integers(-((off + min(runs, 0)) // steps),
+                            (size - length - off - max(runs, 0)) // steps))
+
+
 def _runs(segment):
     """(offset, length) of each run of a (buffer, offset, length[, stride, count]) tuple."""
     _, off, length, stride, count = segment if len(segment) == 5 else (*segment, 0, 1)
@@ -336,7 +365,7 @@ def _python_counts(batch, num_sets, ways, capacity):
     """[hits, touches] of the Python pass over a one-buffer batch's workgroups."""
     lru = SetAssocLru(num_sets, ways)
     bases = np.zeros(1, dtype=np.int64)
-    lines = (cachesim._expand_lines(batch_part(batch, k, k + 1).records(), bases, 128)
+    lines = (cachesim._expand_lines(batch.part(k, k + 1).records(), bases, 128)
              for k in range(len(batch.indptr) - 1))
     hits = touches = 0
     for chunk in cachesim._interleave(lines, capacity):
@@ -364,10 +393,11 @@ def test_xcd_drain_moves_survivors_to_the_front_in_order(native):
     # turn 2 touches a, c, d; c and d drain, e refills after a, and the call
     # returns with a slot free and the queue empty
     assert xcd.drain(0, queue, True) == 2
-    assert xcd.resident[:2, :6].tolist() == [rows[0].tolist(), rows[6].tolist()]
-    # (segment, runs left after the current one, its start, line, last line):
-    # a is at its last run, line 2; e at the first run of its second segment
-    assert xcd.resident[:2, 6:].tolist() == [[0, 0, 256, 2, 2], [1, 2, 7 * 128 + 5, 7, 7]]
+    assert xcd.resident[:2, :8].tolist() == [rows[0].tolist(), rows[6].tolist()]
+    # (group, segment, runs left after the current one, its start, line, last
+    # line): a is at its last run, line 2; e at the first run of its second
+    # segment, both in their one group
+    assert xcd.resident[:2, 8:].tolist() == [[0, 0, 0, 256, 2, 2], [0, 1, 2, 7 * 128 + 5, 7, 7]]
     assert xcd.drain(2, _segment_batch([]), False) == 0
     touch_order = [0, 3, 4, 1, 5, 6, 2, 7, 8, 9]
     assert xcd.rows() == [touch_order[::-1] + [-1] * 6]
@@ -384,17 +414,22 @@ def test_xcd_drain_moves_survivors_to_the_front_in_order(native):
 def queues(draw):
     """One XCD's wave: a cache shape, a slot count, a batch of workgroups of
     one-buffer segments of one- to three-line runs, one run, several or none
-    (some workgroups have no segment), and cut points that split the queue
-    into batches."""
+    (some workgroups have no segment), each workgroup of 0-3 groups at group
+    strides of either sign, and cut points that split the queue into
+    batches."""
     ways = draw(st.integers(1, 4))
     num_sets = draw(st.integers(1, 6))
     capacity = draw(st.integers(1, 5))
     buffer_bytes = 128 * draw(st.integers(1, 12))
-    workgroups = [[(0, *_draw_segment(draw, buffer_bytes, 3 * 128, 4))
-                   for _ in range(draw(st.integers(0, 4)))]
-                  for _ in range(draw(st.integers(0, 12)))]
+    workgroups, groups = [], []
+    for _ in range(draw(st.integers(0, 12))):
+        groups.append(draw(st.integers(0, 3)))
+        segments = [_draw_segment(draw, buffer_bytes, 3 * 128, 4)
+                    for _ in range(draw(st.integers(0, 4)))]
+        workgroups.append([(0, *segment, _draw_gstride(draw, buffer_bytes, *segment, groups[-1]))
+                           for segment in segments])
     cuts = sorted(draw(st.sets(st.integers(1, max(len(workgroups) - 1, 1)))))
-    return num_sets, ways, capacity, buffer_bytes, _segment_batch(workgroups), cuts
+    return num_sets, ways, capacity, buffer_bytes, _segment_batch(workgroups, groups=groups), cuts
 
 
 @settings(max_examples=300, deadline=None)
@@ -409,7 +444,7 @@ def test_batched_queue_matches_whole_queue_and_python_pass(native, case):
     bounds = [0, *(cut for cut in cuts if cut < size), size]
     left = 0
     for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        left = fed.drain(left, batch_part(batch, lo, hi), k < len(bounds) - 2)
+        left = fed.drain(left, batch.part(lo, hi), k < len(bounds) - 2)
         assert left >= 0
     assert left == 0
     assert fed.counts.tolist() == whole.counts.tolist()
@@ -421,14 +456,16 @@ def test_batched_queue_matches_whole_queue_and_python_pass(native, case):
 def checked_queues(draw):
     """A queue of workgroups of segments in or out of a one-buffer trace:
     buffer ids -1, 0 and 1 (no buffer), offsets before, in and past the
-    buffer, lengths down to -1, strides of either sign and counts of 0-4."""
+    buffer, lengths down to -1, strides and group strides of either sign,
+    counts of 0-4 and 0-3 groups per workgroup."""
     buffer_bytes = 128 * draw(st.integers(1, 8))
     segment = st.tuples(st.sampled_from([0, 0, 0, -1, 1]),
                         st.integers(-buffer_bytes // 2, 3 * buffer_bytes // 2),
                         st.integers(-1, buffer_bytes), st.integers(-buffer_bytes, buffer_bytes),
-                        st.integers(0, 4))
+                        st.integers(0, 4), st.integers(-buffer_bytes, buffer_bytes))
     workgroups = draw(st.lists(st.lists(segment, max_size=3), max_size=8))
-    return draw(st.integers(1, 3)), buffer_bytes, _segment_batch(workgroups)
+    groups = draw(st.lists(st.integers(0, 3), min_size=len(workgroups), max_size=len(workgroups)))
+    return draw(st.integers(1, 3)), buffer_bytes, _segment_batch(workgroups, groups=groups)
 
 
 @settings(max_examples=500, deadline=None)
@@ -437,7 +474,7 @@ def test_kernel_rejects_a_row_exactly_when_its_records_are_outside(native, case)
     capacity, buffer_bytes, batch = case
     lengths = np.array([buffer_bytes], dtype=np.int64)
     bad = [k for k in range(len(batch.indptr) - 1)
-           if records_outside(batch_part(batch, k, k + 1).records(), lengths)]
+           if records_outside(batch.part(k, k + 1).records(), lengths)]
     xcd = _Xcd(2, 2, capacity, buffer_bytes)
     got = xcd.drain(0, batch, False)
     if bad:
@@ -635,19 +672,20 @@ def _watch_pair(trace):
 
 
 def _windows(trace) -> list[tuple]:
-    """("read", wave, pids) of each ``BATCH_PIDS`` window of each wave's members."""
-    return [("read", wave, members[lo:lo + traces.BATCH_PIDS].tolist())
-            for wave, members in enumerate(trace.wave_pids)
-            for lo in range(0, len(members), traces.BATCH_PIDS)]
+    """("read", wave, pids) of each batch that ``simulate_pair`` reads of
+    ``trace`` when it reads it whole, in order."""
+    return [("read", wave, pids.tolist())
+            for wave, pids, _ in trace.member_batches(sample_waves=True)]
 
 
 @pytest.mark.usefixtures("serial")
 @pytest.mark.parametrize("size", [1000, 3000])
 def test_lazy_pair_makes_at_most_two_batch_and_kernel_calls_per_queue(native, size):
     # a stencil trace holds fewer than num_xcds * BATCH_SEGMENTS segments, so
-    # simulate_pair reads each member once, in BATCH_PIDS windows (1000: 256
-    # members, one window; 3000: 2209, nine), before either simulation, and
-    # each simulation drains each (XCD, wave) queue in one kernel call
+    # simulate_pair reads each member once, the first alone and then about
+    # BATCH_SEGMENTS segments at a time (1000: 256 members, two reads; 3000:
+    # 2209, four), before either simulation, and each simulation drains each
+    # (XCD, wave) queue in one kernel call
     arch = MI300X_LIKE
     lazy = generate_trace(spec_with_size("stencil2d", size))
     pattern = builtin_pattern("stencil_group", lazy.grid, arch)
@@ -656,7 +694,7 @@ def test_lazy_pair_makes_at_most_two_batch_and_kernel_calls_per_queue(native, si
     with _watch_pair(lazy) as events:
         assert simulate_pair(lazy, arch, ExecParams(), pattern) == want
     reads = _windows(lazy)
-    assert len(reads) == (1 if size == 1000 else 9)
+    assert len(reads) == (2 if size == 1000 else 4)
     assert events[:len(reads)] == reads
     drains = events[len(reads):]
     assert all(kind == "drain" and not more for kind, _, more in drains)
@@ -670,8 +708,8 @@ def test_lazy_pair_makes_at_most_two_batch_and_kernel_calls_per_queue(native, si
 
 
 def _capped_trace(extra_on=None) -> AccessTrace:
-    """512 workgroups of 16 one-line segments, 8192 in all, in two
-    BATCH_PIDS windows, and one more segment on workgroup ``extra_on``."""
+    """512 workgroups of 16 one-line segments, 8192 in all, and one more
+    segment on workgroup ``extra_on``."""
     def batch_fn(wave, pids):
         return _segment_batch([[(0, 128 * ((pid + k) % 64), 128, 0, 1)
                                 for k in range(16 + (pid == extra_on))]
@@ -684,11 +722,12 @@ def _capped_trace(extra_on=None) -> AccessTrace:
 @pytest.mark.parametrize("extra_on", [None, 0, 511])
 def test_pair_keeps_a_trace_at_its_segment_cap_and_stops_reading_past_it(native, extra_on):
     # 2 XCDs cap simulate_pair's kept trace at 2 * BATCH_SEGMENTS = 8192
-    # segments. At the cap the pair reads each window once and keeps them.
-    # One segment more in the first window projects to 8194 with a window
-    # unread: reading stops there, and each simulation reads the lazy feed's
-    # batches. One segment more in the last window is found with every
-    # member read, and the read trace is kept rather than read twice again.
+    # segments. At the cap the pair reads each member once and keeps the
+    # batches. One segment more on the first member, read alone, projects to
+    # 17 * 512 = 8704 with members unread: reading stops there, and each
+    # simulation reads the lazy feed's batches. One segment more on the last
+    # member is found with every member read, and the read trace is kept
+    # rather than read twice again.
     arch = arch_with_xcds(2, cus_per_xcd=3, l2_bytes=4096, ways=2)
     cap = arch.num_xcds * traces.BATCH_SEGMENTS
     lazy = _capped_trace(extra_on)
@@ -702,8 +741,8 @@ def test_pair_keeps_a_trace_at_its_segment_cap_and_stops_reading_past_it(native,
         assert simulate_pair(lazy, arch, ExecParams(), pattern) == want
     reads = [event for event in events if event[0] == "read"]
     windows = _windows(lazy)
-    if stays_lazy:  # the first window, then every member again per simulation
-        assert reads[0] == windows[0] and reads[1] != windows[1]
+    if stays_lazy:  # the first member, then every member again per simulation
+        assert reads[0] == windows[0] == ("read", 0, [0]) and reads[1] != windows[1]
         assert sorted(pid for _, _, pids in reads[1:] for pid in pids) == \
             sorted(list(range(512)) * 2)
     else:
@@ -715,37 +754,61 @@ def test_materialized_trace_is_kept_as_it_is(native):
     assert materialize(table) is table and materialize(table, 1) is table
 
 
-def test_pair_on_the_default_transpose_reads_one_window_and_stays_lazy(native, monkeypatch):
-    # 524 288 segments: the first window's 32 768, projected over 4096
-    # members, pass the 32 768 cap, so the pair reads no second window and
-    # each simulation feeds the lazy trace as simulate alone does. The
-    # window is freed before the simulations, so the pair's peak stays
-    # within the window and the queue rows of theirs, at the two workers of
-    # a 2-CPU host. (On one worker a simulation peaks at about 2 MB, below
-    # the 4.1 MB that generating the 256-pid window takes.)
-    monkeypatch.setattr(cachesim, "WORKERS", 2)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pair_on_the_default_transpose_reads_each_member_once(native, monkeypatch, workers):
+    # a tile is one group of its row read and column scatter, repeated per
+    # tile row: 8192 segments, under the 32 768 cap, so the pair reads each
+    # member once, the first alone and then two batches, and both simulations
+    # run from the kept batches, each (XCD, wave) queue in one kernel call.
+    # The pair's peak stays within the lazy simulations' and what it keeps:
+    # the batches and the queue rows.
+    monkeypatch.setattr(cachesim, "WORKERS", workers)
     arch = MI300X_LIKE
-    slots = concurrent_slots_per_xcd(arch)
     lazy = generate_trace(default_spec("transpose"))
     pattern = builtin_pattern("transpose_band", lazy.grid, arch)
     identity = builtin_pattern("identity", lazy.grid, arch)
-    members = lazy.wave_pids[0].tolist()
-    window = lazy.batch(0, members[:traces.BATCH_PIDS])
+    table = materialize(lazy)
+    kept = table.queue_rows.nbytes + sum(batch.nbytes for _, _, batch in table.kept)
+    del table
     tracemalloc.start()
     try:
         want = (simulate(lazy, identity, arch), simulate(lazy, pattern, arch))
         lazy_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        with _watch_pair(lazy) as events:
-            assert simulate_pair(lazy, arch, ExecParams(), pattern) == want
+        assert simulate_pair(lazy, arch, ExecParams(), pattern) == want
         pair_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    reads = [pids for kind, _, pids in events if kind == "read"]
-    assert reads[0] == members[:traces.BATCH_PIDS]
-    assert len(reads[1]) == slots  # an XCD's first lazy batch, one slot file
-    assert sorted(pid for pids in reads[1:] for pid in pids) == sorted(members * 2)
-    assert pair_peak <= lazy_peak + window.nbytes + 48 * len(members)
+    with _watch_pair(lazy) as events:
+        assert simulate_pair(lazy, arch, ExecParams(), pattern) == want
+    reads = _windows(lazy)
+    assert [len(pids) for _, _, pids in reads] == [1, 2048, 2047]
+    assert events[:len(reads)] == reads
+    assert all(kind == "drain" and not more for kind, _, more in events[len(reads):])
+    assert len(events) - len(reads) == 2 * arch.num_xcds
+    assert pair_peak <= lazy_peak + kept
+
+
+@pytest.mark.usefixtures("serial")
+def test_pair_on_the_default_softmax_reads_one_member_per_wave_before_it_falls_back(native):
+    # 49 152 segments, past the 32 768 cap only in wave 1 (two segments per
+    # member against one in wave 0): the pair reads each wave's first member
+    # alone, finds the trace past the cap, and each simulation feeds the lazy
+    # trace as simulate alone does, from a slot file of XCD 0's members
+    arch = MI300X_LIKE
+    slots = concurrent_slots_per_xcd(arch)
+    lazy = generate_trace(default_spec("softmax"))
+    pattern = builtin_pattern("softmax_rowgroup", lazy.grid, arch)
+    identity = builtin_pattern("identity", lazy.grid, arch)
+    want = (simulate(lazy, identity, arch), simulate(lazy, pattern, arch))
+    with _watch_pair(lazy) as events:
+        assert simulate_pair(lazy, arch, ExecParams(), pattern) == want
+    reads = [event for event in events if event[0] == "read"]
+    assert reads[:2] == [("read", 0, [0]), ("read", 1, [0])]
+    assert reads[2][:2] == ("read", 0) and len(reads[2][2]) == slots
+    for wave, members in enumerate(lazy.wave_pids):
+        fed = [pid for _, w, pids in reads[2:] if w == wave for pid in pids]
+        assert sorted(fed) == sorted(members.tolist() * 2)
 
 
 def test_pair_on_the_stencil_sweep_equals_two_lazy_simulations(native):
@@ -761,9 +824,9 @@ def test_pair_on_the_stencil_sweep_equals_two_lazy_simulations(native):
 
 @pytest.mark.usefixtures("serial")
 def test_lazy_transpose_keeps_slot_file_batches(native):
-    # 64 x 64 fp32 tiles have 128 segments each, so 38 of them pass
-    # BATCH_SEGMENTS and every batch stays one slot file; 400 tiles put 50
-    # on each of the 8 XCDs
+    # a 64 x 64 tile is one group of 2 segments, so after a slot file of 38
+    # tiles a lazy batch holds BATCH_SEGMENTS // 2 = 2048 of them; 400 tiles
+    # put 50 on each of the 8 XCDs, a slot file and the 12 left
     arch = MI300X_LIKE
     slots = concurrent_slots_per_xcd(arch)
     lazy = generate_trace(KernelSpec("transpose", {"m": 1280, "n": 1280}, {"m": 64, "n": 64}))
@@ -865,17 +928,22 @@ def test_out_of_bounds_record_names_its_workgroup_and_wave(native, bad, kind):
 OVERFLOWS = [(1 << 62, 5), (-(1 << 62), 5), (-(1 << 63), 2)]
 
 
+def _case_with(segment, groups=1):
+    """A trace whose workgroup 5 in wave 1 runs the segments (0, 0, 128) and
+    ``segment`` in ``groups`` groups, with an arch and the identity pattern."""
+    streams = [
+        {pid: [(0, 128 * pid, 128)] for pid in range(8)},
+        {pid: [(0, 0, 128), segment if pid == 5 else (0, 128, 1)] for pid in range(8)},
+    ]
+    trace = _trace_of(streams, [1024], 8, groups={(1, 5): groups})
+    arch = arch_with_xcds(2, cus_per_xcd=2, l2_bytes=4096, ways=2)
+    return trace, arch, builtin_pattern("identity", trace.grid, arch)
+
+
 def _overflowing_case(stride, count):
     """A trace whose workgroup 5 in wave 1 has a segment of ``count`` runs at
     ``stride``, with an arch and the identity pattern."""
-    streams = [
-        {pid: [(0, 128 * pid, 128)] for pid in range(8)},
-        {pid: [(0, 0, 128), (0, 0, 1, stride, count) if pid == 5 else (0, 128, 1)]
-         for pid in range(8)},
-    ]
-    trace = _trace_of(streams, [1024], 8)
-    arch = arch_with_xcds(2, cus_per_xcd=2, l2_bytes=4096, ways=2)
-    return trace, arch, builtin_pattern("identity", trace.grid, arch)
+    return _case_with((0, 0, 1, stride, count))
 
 
 @pytest.mark.parametrize("stride, count", OVERFLOWS)
@@ -891,9 +959,60 @@ def test_overflowing_segment_names_its_workgroup_and_wave(native, stride, count)
         simulate(trace, pattern, arch)
 
 
+# (segment (buffer, offset, length, stride, count, group stride), groups,
+# whether every run lies in the 1024 B buffer) of workgroup 5 in wave 1. The
+# runs of 4 bytes at 0, 16, 32 and 48 of ten groups 108 bytes apart end at
+# 48 + 4 + 9 * 108 = 1024.
+GROUP_BOUNDS = {
+    "last run at the end": ((0, 0, 4, 16, 4, 108), 10, True),
+    "one byte past": ((0, 1, 4, 16, 4, 108), 10, False),
+    "negative strides at the start": ((0, 1020, 4, -16, 4, -108), 10, True),
+    "one byte before": ((0, 1019, 4, -16, 4, -108), 10, False),
+    "stride up, groups down": ((0, 972, 4, 16, 4, -108), 10, True),
+    "groups wrap to zero": ((0, 0, 1, 0, 1, 1 << 62), 5, False),
+    "group stride with no negation": ((0, 1023, 1, 0, 1, -(1 << 63)), 2, False),
+    # (count - 1) * stride and (groups - 1) * gstride are 2**63 and -2**63:
+    # each overflows int64, and their sum is 0
+    "runs and groups cancel": ((0, 0, 1, 1 << 62, 3, -(1 << 62)), 3, False),
+    "no groups": ((0, 2048, 4, 16, 4, 108), 0, True),
+}
+
+
+def _group_outcomes():
+    """The report, or the error, of ``simulate`` on each GROUP_BOUNDS case,
+    lazy and materialized."""
+    out = []
+    for segment, groups, _ in GROUP_BOUNDS.values():
+        trace, arch, pattern = _case_with(segment, groups)
+        for subject in (trace, materialize(trace)):
+            try:
+                out.append(report_to_json(simulate(subject, pattern, arch)))
+            except SimulationError as exc:
+                out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("case", GROUP_BOUNDS)
+def test_group_bounds_are_exact_and_name_the_workgroup(native, case):
+    # a row is rejected exactly when a run of one of its groups leaves the
+    # buffer, as the Python pass finds from the expanded records
+    segment, groups, inside = GROUP_BOUNDS[case]
+    trace, arch, pattern = _case_with(segment, groups)
+    outcomes = []
+    for oracle, subject in [(False, trace), (False, materialize(trace)), (True, trace)]:
+        with python_pass() if oracle else contextlib.nullcontext():
+            try:
+                outcomes.append(report_to_json(simulate(subject, pattern, arch)))
+            except SimulationError as exc:
+                outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert ("workgroup 5 in wave 1" not in outcomes[0]) == inside
+
+
 def _checked_outcomes():
     """(hits, misses) of ``simulate`` on each of PER_TOUCH_STREAMS, then the
-    error of each OVERFLOWS case on its lazy and its materialized trace."""
+    error of each OVERFLOWS case on its lazy and its materialized trace, then
+    the outcomes of the GROUP_BOUNDS cases."""
     out = [list(_per_touch_counts(case)) for case in PER_TOUCH_STREAMS]
     for stride, count in OVERFLOWS:
         trace, arch, pattern = _overflowing_case(stride, count)
@@ -901,7 +1020,7 @@ def _checked_outcomes():
             with pytest.raises(SimulationError) as exc:
                 simulate(subject, pattern, arch)
             out.append(str(exc.value))
-    return out
+    return out + _group_outcomes()
 
 
 def _past_a_pad_outcomes():
@@ -933,8 +1052,8 @@ def _sanitized_run(lib, outcomes, env=None):
 
 def test_kernel_runs_clean_under_ubsan(native, tmp_path):
     # a build that aborts on undefined behaviour (signed overflow, shifts out
-    # of range, misaligned or null accesses) runs the per-touch and the
-    # overflowing-segment cases
+    # of range, misaligned or null accesses) runs the per-touch, the
+    # overflowing-segment and the group-bound cases
     lib = tmp_path / "lru-ubsan.so"
     done = _build(["-fsanitize=undefined", "-fno-sanitize-recover=all"], lib)
     if done.returncode != 0 and "ubsan" in done.stderr:

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swizzlesim import traces
 from swizzlesim.kernels import (
@@ -30,7 +30,6 @@ from swizzlesim.traces import (
 )
 
 from conftest import (
-    batch_part,
     batched,
     buffer_by_name,
     check_write_coverage,
@@ -617,9 +616,45 @@ def test_batch_is_the_one_pid_batches_back_to_back(kind, data):
             for single in singles:
                 assert single.indptr.tolist() == [0, len(single)]
             assert batch.indptr.tolist() == np.cumsum([0] + [len(s) for s in singles]).tolist()
-            for k, column in enumerate(batch.columns):
-                want = np.concatenate([s.columns[k] for s in singles] + [column[:0]])
+            for k, column in enumerate((*batch.columns, batch.groups)):
+                want = np.concatenate([(*s.columns, s.groups)[k] for s in singles] + [column[:0]])
                 assert column.dtype == want.dtype and column.tolist() == want.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 150), n=st.integers(1, 150), bm=st.integers(1, 40),
+       bn=st.integers(1, 40), data=st.data())
+@example(m=65, n=130, bm=64, bn=32, data=None)  # one-row edge tiles
+@example(m=33, n=20, bm=1, bn=7, data=None)  # one-row tiles
+def test_grouped_transpose_is_its_row_reads_and_column_scatters(m, n, bm, bn, data):
+    # each tile is one group of its row read and column scatter, repeated once
+    # per tile row: its records are, row by row, the coalesced read of the
+    # row and the scatter of its elements, and a batch of several pids is
+    # their one-pid batches back to back
+    es = 4
+    trace = generate_trace(KernelSpec("transpose", {"m": m, "n": n}, {"m": bm, "n": bn}))
+    total = trace.grid.total_blocks
+    pids = (data.draw(st.lists(st.integers(0, total - 1), max_size=2 * total)) if data
+            else list(range(total)))
+    batch = trace.batch(0, pids)
+    records = batch.records()
+    singles = [trace.batch(0, [pid]) for pid in pids]
+    for k, pid in enumerate(pids):
+        tm, tn = divmod(pid, trace.grid.num_blocks_n)
+        r0, c0 = tm * bm, tn * bn
+        r1, c1 = min(r0 + bm, m), min(c0 + bn, n)
+        want = [rec for r in range(r0, r1) for rec in
+                [(0, (r * n + c0) * es, (c1 - c0) * es, False)]
+                + [(1, (c * m + r) * es, es, True) for c in range(c0, c1)]]
+        lo, hi = records.indptr[k], records.indptr[k + 1]
+        got = zip(records.bufs[lo:hi].tolist(), records.offs[lo:hi].tolist(),
+                  records.lens[lo:hi].tolist(), records.writes[lo:hi].tolist())
+        assert list(got) == want
+        assert batch.groups[k] == singles[k].groups[0] == r1 - r0
+        assert len(singles[k]) == 2
+    for k, column in enumerate((*batch.columns, batch.groups)):
+        want = np.concatenate([(*s.columns, s.groups)[k] for s in singles] + [column[:0]])
+        assert column.dtype == want.dtype and column.tolist() == want.tolist()
 
 
 def test_records_are_one_run_segments_at_each_workgroups_rows():
@@ -635,7 +670,7 @@ def test_records_are_one_run_segments_at_each_workgroups_rows():
     assert records.lens.tolist() == [8, 8, 8, 16, 2, 2]
     assert records.writes.tolist() == [False, False, False, False, True, True]
     for w in range(3):
-        one = batch_part(batch, w, w + 1).records()
+        one = batch.part(w, w + 1).records()
         assert one.indptr.tolist() == [0, len(one)]
         lo, hi = records.indptr[w], records.indptr[w + 1]
         for column, want in zip(records.columns, one.columns):
@@ -653,12 +688,14 @@ def test_stream_rejects_a_wave_outside_the_trace(wave):
 
 @pytest.mark.parametrize("passing", [0, 2, 6])
 def test_materialize_stops_one_batch_past_its_budget(monkeypatch, passing):
-    # 20 workgroups read 3 at a time: 7 batches; the budget is passed by
-    # batch `passing`, after which no batch is read
-    monkeypatch.setattr(traces, "BATCH_PIDS", 3)
+    # 20 workgroups of 4-6 segments, read one and then 16 segments' worth at
+    # a time: 7 batches; the budget is passed by batch `passing`, after which
+    # no batch is read
+    monkeypatch.setattr(traces, "BATCH_SEGMENTS", 16)
     lazy = generate_trace(KernelSpec("stencil2d", {"m": 200, "n": 130}, {"m": 64, "n": 32}))
-    sizes = [batch.nbytes for _, _, batch in lazy.member_batches()]
-    assert len(sizes) == 7
+    windows = [(pids.tolist(), batch.nbytes) for _, pids, batch in lazy.member_batches()]
+    assert [len(pids) for pids, _ in windows] == [1, 4, 3, 3, 3, 3, 3]
+    sizes = [nbytes for _, nbytes in windows]
     calls = []
     batch_fn = lazy._batch_fn
 
@@ -667,15 +704,15 @@ def test_materialize_stops_one_batch_past_its_budget(monkeypatch, passing):
         return batch_fn(wave, pids)
 
     lazy._batch_fn = counting
-    rows = 48 * lazy.grid.total_blocks  # the queue rows
+    rows = 64 * lazy.grid.total_blocks  # the queue rows
     monkeypatch.setattr(traces, "RECORD_TABLE_BYTES", rows + sum(sizes[:passing + 1]) - 1)
     assert materialize(lazy) is lazy
-    assert calls == [list(range(lo, min(lo + 3, 20))) for lo in range(0, 3 * passing + 1, 3)]
+    assert calls == [pids for pids, _ in windows[:passing + 1]]
 
     calls.clear()
     monkeypatch.setattr(traces, "RECORD_TABLE_BYTES", rows + sum(sizes))
     table = materialize(lazy)
-    assert len(calls) == 7
+    assert calls == [pids for pids, _ in windows]
     # the batches are kept as read, and each member's queue row points into its own
     assert [(wave, pids.tolist()) for wave, pids, _ in table.kept] == [(0, c) for c in calls]
     for _, pids, batch in table.kept:
@@ -686,14 +723,16 @@ def test_materialize_stops_one_batch_past_its_budget(monkeypatch, passing):
 @pytest.mark.parametrize("kind, problem", [("transpose", {"m": 200, "n": 100}),
                                            ("fdtd2d", {"ny": 200, "nx": 100, "steps": 3})])
 def test_record_chunks_stay_within_the_chunk_bound(monkeypatch, kind, problem):
-    # one kept batch per wave of 14 workgroups (a transpose tile streams up to
-    # 32 row reads and 32 x 64 column-scatter runs, about 4200 granules); every
-    # chunk of segments keeps to one wave and, unless it is one workgroup's
-    # stream, spans at most _CHUNK_GRANULES granules, whatever its cut
+    # kept batches, in wave order, of 14 workgroups per wave (a transpose tile
+    # streams up to 32 groups of a row read and 64 column-scatter runs, about
+    # 4200 granules); every chunk of segments keeps to one wave and, unless it
+    # is one workgroup's stream, spans at most _CHUNK_GRANULES granules,
+    # whatever its cut
     block = {"m": 32, "n": 64} if kind == "transpose" else {"y": 32, "x": 64}
     table = materialize(generate_trace(KernelSpec(kind, problem, block)))
     waves = table.num_waves
-    assert [wave for wave, _, _ in table.kept] == list(range(waves))
+    kept_waves = [wave for wave, _, _ in table.kept]
+    assert kept_waves == sorted(kept_waves) and set(kept_waves) == set(range(waves))
     want = locality_summary(table)
     for chunk in (1, 3000, 10000, 1 << 19):
         monkeypatch.setattr(traces, "_CHUNK_GRANULES", chunk)
@@ -709,11 +748,16 @@ def test_record_chunks_stay_within_the_chunk_bound(monkeypatch, kind, problem):
 
 
 def test_materialized_default_transpose_memory():
-    # materialize holds little beyond what it keeps (no second copy of a
-    # wave), and the summary expands one bounded chunk at a time
+    # materialize holds little beyond what it keeps and the generation of its
+    # widest batch (no second copy of a wave), and the summary expands one
+    # bounded chunk at a time
     trace = generate_trace(default_spec("transpose"))
+    widest = max((pids for _, pids, _ in trace.member_batches()), key=len)
     tracemalloc.start()
     try:
+        trace.batch(0, widest)
+        generation = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
         table = materialize(trace)
         kept, peak = tracemalloc.get_traced_memory()
         locality_summary(table)
@@ -721,8 +765,29 @@ def test_materialized_default_transpose_memory():
     finally:
         tracemalloc.stop()
     assert table is not trace
-    assert peak <= 1.2 * kept
+    assert peak <= kept + generation
     assert summary_peak < 64 << 20
+
+
+def test_materialized_default_spmv_memory():
+    # a batch holds about BATCH_SEGMENTS segments, whatever a member's: the
+    # default spmv_naive's 256 members of 260 segments are read one and then
+    # 15 at a time, and materialize holds what it keeps and the generation of
+    # its widest batch (21.9 MB when the trace was one batch of 256 members)
+    trace = generate_trace(default_spec("spmv_naive"))
+    batches = [pids for _, pids, _ in trace.member_batches()]
+    assert [len(pids) for pids in batches] == [1] + [15] * 17
+    tracemalloc.start()
+    try:
+        trace.batch(0, batches[1])
+        generation = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        table = materialize(trace)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table is not trace
+    assert peak <= kept + generation < 5 << 20
 
 
 def test_spec_with_size_roundtrip():
