@@ -30,8 +30,7 @@ the fly and feeds them to the LRU, one touch per slot per turn, and refills
 a drained slot after the survivors.
 Records are never built on this path. A materialized trace keeps every
 member's row, so a wave is one foreign call. ``simulate_pair`` materializes
-a lazy trace within ``RECORD_TABLE_BYTES`` and a cap of ``num_xcds *
-BATCH_SEGMENTS`` segments (``traces.materialize``'s two budgets), so that
+a lazy trace within ``RECORD_TABLE_BYTES`` (``traces.materialize``), so that
 both of its simulations read each member once.
 A lazy trace is fed one batch at a time, each row pointing into it: first
 as many workgroups as the XCD has slots, then as many as ``BATCH_SEGMENTS``
@@ -90,8 +89,7 @@ import numpy as np
 from .arch import ArchSpec, concurrent_slots_per_xcd
 from .patterns import SwizzlePattern, builtin_pattern, validated_remap_table
 from .records import from_dict, to_dict
-from .traces import (BATCH_SEGMENTS, AccessTrace, Batch, batch_width, materialize,
-                     records_outside, sequences)
+from .traces import AccessTrace, Batch, batch_width, materialize, records_outside, sequences
 
 
 class SimulationError(ValueError):
@@ -466,12 +464,10 @@ def simulate_pair(
 ) -> tuple[BottleneckReport, BottleneckReport]:
     """(baseline-with-identity, swizzled) reports over the same trace.
 
-    A lazy trace is materialized first (``traces.materialize``, capped at
-    ``num_xcds * BATCH_SEGMENTS`` segments, what the lazy feed's per-XCD
-    batches hold between them), so that each member is read once for both
-    simulations; one found past the cap before it is read whole is
-    simulated lazily, twice."""
-    trace = materialize(trace, arch.num_xcds * BATCH_SEGMENTS)
+    A lazy trace is materialized first, as ``optimize`` does
+    (``traces.materialize``), so that each member is read once for both
+    simulations; one past ``RECORD_TABLE_BYTES`` is simulated lazily, twice."""
+    trace = materialize(trace)
     baseline = simulate(trace, builtin_pattern("identity", trace.grid, arch), arch)
     swizzled = simulate(trace, pattern, arch)
     return baseline, swizzled

@@ -95,16 +95,6 @@ class ClientConfig:
     def replay(cls, fixture_path: str) -> "ClientConfig":
         return cls(mode=Mode.REPLAY, fixture_path=fixture_path)
 
-    @classmethod
-    def record_from_env(cls, fixture_path: str) -> "ClientConfig":
-        return cls(
-            mode=Mode.RECORD,
-            endpoint=os.environ.get(ENV_ENDPOINT),
-            credential=os.environ.get(ENV_API_KEY),
-            model_name=os.environ.get(ENV_MODEL),
-            fixture_path=fixture_path,
-        )
-
 
 def load_fixture(path: str) -> list[dict]:
     entries = []

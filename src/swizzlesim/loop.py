@@ -9,10 +9,10 @@ only, so a broken remapping can never be returned as best.
 
 The kernel's trace is generated once per run and each of its waves read
 once and kept (``traces.materialize``, under its byte budget
-``RECORD_TABLE_BYTES`` and with no segment cap): the locality summary and
-every candidate's simulation read the kept batches instead of calling the
-kernel's batch function again. A trace too large for the budget stays lazy,
-with identical results.
+``RECORD_TABLE_BYTES``): the locality summary and every candidate's
+simulation read the kept batches instead of calling the kernel's batch
+function again. A trace too large for the budget stays lazy, with identical
+results.
 
 Each candidate is validated once, and each distinct remap table simulated
 once: a new expression with an earlier table reuses that report under its

@@ -25,10 +25,10 @@ trace holds only the batches of currently-resident workgroups. Where one
 trace is read many times (the optimization loop, ``simulate_pair``'s two
 simulations), ``materialize`` reads each wave's members once and keeps
 their batches as read, with the native kernel's queue row of each member.
-A trace whose kept batches would pass ``RECORD_TABLE_BYTES``, or whose
-segments pass the caller's cap (``simulate_pair``'s ``num_xcds *
-BATCH_SEGMENTS``) before it is read whole, stays lazy. Both the lazy feed
-and ``AccessTrace.member_batches`` size their batches by ``batch_width``.
+A trace whose queue rows and kept batches would pass ``RECORD_TABLE_BYTES``
+stays lazy: that byte budget is the one rule that keeps a trace. Both the
+lazy feed and ``AccessTrace.member_batches`` size their batches by
+``batch_width``.
 
 Multi-phase kernels are modeled as waves: each wave is one dispatch over
 the same launch grid, and all workgroups of a wave finish before the next
@@ -149,7 +149,7 @@ class Batch:
 BatchFn = Callable[[int, np.ndarray], Batch]  # (wave_index, logical pids) -> their segments
 # Segments per batch of a wave read in order (see batch_width): above the
 # widest stencil_sweep batch's 2836, so a stencil (XCD, wave) takes one or two
-# lazy batches, and simulate_pair keeps a trace of num_xcds times as many.
+# lazy batches.
 BATCH_SEGMENTS = 4096
 
 
@@ -207,28 +207,24 @@ class AccessTrace:
             raise ValueError(f"wave {wave} outside the trace's {self.num_waves} waves")
         return self.batch(wave, [logical_pid]).records()
 
-    def member_batches(self, sample_waves: bool = False):
+    def member_batches(self):
         """(wave, pids, their batch) over each wave's members in order, or the
         kept ones of a materialized trace. The first batch is one member, and
         each later one as wide as ``batch_width`` gives from the batches read
-        before it, in any wave. With ``sample_waves``, each wave's first
-        member is read alone before any other batch."""
+        before it, in any wave."""
         if self.kept is not None:
             yield from self.kept
             return
-        start, segments, waves = [0] * self.num_waves, 0, range(self.num_waves)
-        samples = [(wave, True) for wave in waves if sample_waves]
-        for wave, sample in samples + [(wave, False) for wave in waves]:
-            members = self.wave_pids[wave]
-            while start[wave] < len(members):
-                width = 1 if sample else batch_width(sum(start), segments, 1)
-                pids = members[start[wave]:start[wave] + width]
+        pids_read = segments_read = 0
+        for wave, members in enumerate(self.wave_pids):
+            start = 0
+            while start < len(members):
+                pids = members[start:start + batch_width(pids_read, segments_read, 1)]
                 batch = self.batch(wave, pids)
-                start[wave] += len(pids)
-                segments += len(batch)
+                start += len(pids)
+                pids_read += len(pids)
+                segments_read += len(batch)
                 yield wave, pids, batch
-                if sample:
-                    break
 
     def records_for(self, logical_pid: int, wave: int = 0) -> list[AccessRecord]:
         s = self.stream(logical_pid, wave)
@@ -253,44 +249,34 @@ def make_buffers(sizes: Sequence[tuple[str, int]]) -> list[Buffer]:
 RECORD_TABLE_BYTES = 32 << 20
 
 
-def materialize(trace: AccessTrace, max_segments: int | None = None) -> AccessTrace:
+def materialize(trace: AccessTrace) -> AccessTrace:
     """``trace`` with every wave's member segments read once and kept.
 
-    The members are read as ``AccessTrace.member_batches`` gives, sampling
-    each wave first if there is a cap, and the returned trace's ``kept``
-    holds each (wave, pids, batch) as read, in wave order, the columns made
-    read-only. Its (waves, total, 8)
-    ``queue_rows`` hold each member's ``Batch.queue_rows`` row, pointing
-    into its kept batch, so a simulation builds each queue with one index.
-    Its batch function is the original one. As soon as the batches' columns
-    and the queue rows pass ``RECORD_TABLE_BYTES``, or, with members left to
-    read, the segments read, projected over all the members at the segments
-    per member read so far, pass ``max_segments``, reading stops and
-    ``trace`` itself is returned: a trace past the cap only in a later wave
-    is found with one member of each wave read. Past the cap, a trace read
-    whole is kept all the same: its reading is done, and its batches are no
-    more than it held while the last one was read. A materialized trace is
-    returned as it is.
+    The members are read as ``AccessTrace.member_batches`` gives, and the
+    returned trace's ``kept`` holds each (wave, pids, batch) as read, the
+    columns made read-only. Its (waves, total, 8) ``queue_rows`` hold each
+    member's ``Batch.queue_rows`` row, pointing into its kept batch, so a
+    simulation builds each queue with one index. Its batch function is the
+    original one. If the queue rows alone pass ``RECORD_TABLE_BYTES``,
+    ``trace`` itself is returned before any read or allocation; if the rows
+    and the batches' columns pass it, reading stops and ``trace`` is
+    returned. A materialized trace is returned as it is.
     """
     if trace.kept is not None:
         return trace
-    members = sum(map(len, trace.wave_pids))
+    size = trace.num_waves * trace.grid.total_blocks * 8 * 8  # the queue rows' bytes
+    if size > RECORD_TABLE_BYTES:
+        return trace
     rows = np.zeros((trace.num_waves, trace.grid.total_blocks, 8), dtype=np.int64)
-    size = rows.nbytes
     kept = []
-    pids_read = segments_read = 0
-    for wave, pids, batch in trace.member_batches(sample_waves=max_segments is not None):
+    for wave, pids, batch in trace.member_batches():
         size += batch.nbytes
-        pids_read += len(pids)
-        segments_read += len(batch)
-        if size > RECORD_TABLE_BYTES or (max_segments is not None and pids_read < members
-                                         and segments_read * members > max_segments * pids_read):
+        if size > RECORD_TABLE_BYTES:
             return trace
         for column in (*batch.columns, batch.groups):
             column.flags.writeable = False
         rows[wave, pids] = batch.queue_rows()
         kept.append((wave, pids, batch))
-    kept.sort(key=lambda read: read[0])  # stable: each wave's batches stay in order
     return AccessTrace(trace.kernel, trace.grid, trace.buffers, trace._batch_fn,
                        trace.wave_pids, tuple(kept), rows)
 

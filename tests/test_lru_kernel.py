@@ -27,7 +27,8 @@ from swizzlesim.cachesim import (
     simulate,
     simulate_pair,
 )
-from swizzlesim.kernels import KERNEL_KINDS, KernelSpec, default_spec, generate_trace, spec_with_size
+from swizzlesim.kernels import (KERNEL_KINDS, KernelSpec, default_pattern, default_spec,
+                               generate_trace, spec_with_size)
 from swizzlesim.patterns import (
     BUILTIN_PATTERN_NAMES,
     GridSpec,
@@ -539,7 +540,7 @@ def _watch_feed(trace, arch, *patterns):
             assert alive == 0
             feed.queues.append([[], 0])
         assert alive <= feed.left  # a batch lives only while one of its pids is resident
-        budget = cachesim.BATCH_SEGMENTS * feed.pids // max(feed.segments, 1)
+        budget = traces.BATCH_SEGMENTS * feed.pids // max(feed.segments, 1)
         assert len(pids) <= max(slots, budget)
         feed.queues[-1][0].append(len(pids))
         batch = batch_fn(wave, pids)
@@ -673,16 +674,15 @@ def _watch_pair(trace):
 
 def _windows(trace) -> list[tuple]:
     """("read", wave, pids) of each batch that ``simulate_pair`` reads of
-    ``trace`` when it reads it whole, in order."""
-    return [("read", wave, pids.tolist())
-            for wave, pids, _ in trace.member_batches(sample_waves=True)]
+    ``trace`` when it keeps it, in order."""
+    return [("read", wave, pids.tolist()) for wave, pids, _ in trace.member_batches()]
 
 
 @pytest.mark.usefixtures("serial")
 @pytest.mark.parametrize("size", [1000, 3000])
 def test_lazy_pair_makes_at_most_two_batch_and_kernel_calls_per_queue(native, size):
-    # a stencil trace holds fewer than num_xcds * BATCH_SEGMENTS segments, so
-    # simulate_pair reads each member once, the first alone and then about
+    # a stencil trace is kept under RECORD_TABLE_BYTES, so simulate_pair
+    # reads each member once, the first alone and then about
     # BATCH_SEGMENTS segments at a time (1000: 256 members, two reads; 3000:
     # 2209, four), before either simulation, and each simulation drains each
     # (XCD, wave) queue in one kernel call
@@ -707,72 +707,51 @@ def test_lazy_pair_makes_at_most_two_batch_and_kernel_calls_per_queue(native, si
     assert sorted(n for _, n, _ in drains[len(baseline):]) == sorted(swizzled)
 
 
-def _capped_trace(extra_on=None) -> AccessTrace:
-    """512 workgroups of 16 one-line segments, 8192 in all, and one more
-    segment on workgroup ``extra_on``."""
-    def batch_fn(wave, pids):
-        return _segment_batch([[(0, 128 * ((pid + k) % 64), 128, 0, 1)
-                                for k in range(16 + (pid == extra_on))]
-                               for pid in pids.tolist()])
-
-    return AccessTrace("synthetic", GridSpec.from_block_counts(512),
-                       make_buffers([("b0", 8192)]), batch_fn)
-
-
-@pytest.mark.parametrize("extra_on", [None, 0, 511])
-def test_pair_keeps_a_trace_at_its_segment_cap_and_stops_reading_past_it(native, extra_on):
-    # 2 XCDs cap simulate_pair's kept trace at 2 * BATCH_SEGMENTS = 8192
-    # segments. At the cap the pair reads each member once and keeps the
-    # batches. One segment more on the first member, read alone, projects to
-    # 17 * 512 = 8704 with members unread: reading stops there, and each
-    # simulation reads the lazy feed's batches. One segment more on the last
-    # member is found with every member read, and the read trace is kept
-    # rather than read twice again.
-    arch = arch_with_xcds(2, cus_per_xcd=3, l2_bytes=4096, ways=2)
-    cap = arch.num_xcds * traces.BATCH_SEGMENTS
-    lazy = _capped_trace(extra_on)
-    stays_lazy = extra_on == 0
-    assert (materialize(lazy, cap) is lazy) == stays_lazy
-    assert materialize(lazy, cap - 2) is lazy
-    pattern = builtin_pattern("gemm_contiguous", lazy.grid, arch, check_grid=False)
-    identity = builtin_pattern("identity", lazy.grid, arch)
-    want = (simulate(lazy, identity, arch), simulate(lazy, pattern, arch))
-    with _watch_pair(lazy) as events:
-        assert simulate_pair(lazy, arch, ExecParams(), pattern) == want
-    reads = [event for event in events if event[0] == "read"]
-    windows = _windows(lazy)
-    if stays_lazy:  # the first member, then every member again per simulation
-        assert reads[0] == windows[0] == ("read", 0, [0]) and reads[1] != windows[1]
-        assert sorted(pid for _, _, pids in reads[1:] for pid in pids) == \
-            sorted(list(range(512)) * 2)
-    else:
-        assert reads == windows
-
-
 def test_materialized_trace_is_kept_as_it_is(native):
-    table = materialize(_capped_trace())
-    assert materialize(table) is table and materialize(table, 1) is table
+    table = materialize(_tapering_trace())
+    assert table.kept is not None and materialize(table) is table
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_pair_on_the_default_transpose_reads_each_member_once(native, monkeypatch, workers):
-    # a tile is one group of its row read and column scatter, repeated per
-    # tile row: 8192 segments, under the 32 768 cap, so the pair reads each
-    # member once, the first alone and then two batches, and both simulations
-    # run from the kept batches, each (XCD, wave) queue in one kernel call.
-    # The pair's peak stays within the lazy simulations' and what it keeps:
-    # the batches and the queue rows.
-    monkeypatch.setattr(cachesim, "WORKERS", workers)
-    arch = MI300X_LIKE
-    lazy = generate_trace(default_spec("transpose"))
-    pattern = builtin_pattern("transpose_band", lazy.grid, arch)
-    identity = builtin_pattern("identity", lazy.grid, arch)
-    table = materialize(lazy)
-    kept = table.queue_rows.nbytes + sum(batch.nbytes for _, _, batch in table.kept)
-    del table
+def test_materialize_reads_nothing_when_its_queue_rows_pass_the_budget(monkeypatch):
+    # 480 members of one wave: 480 * 64 bytes of queue rows, checked before
+    # they are allocated or any batch is read
+    lazy = _tapering_trace()
+    reads, batch_fn = [], lazy._batch_fn
+    monkeypatch.setattr(lazy, "_batch_fn", lambda wave, pids: reads.append(pids) or
+                        batch_fn(wave, pids))
+    monkeypatch.setattr(traces, "RECORD_TABLE_BYTES", 480 * 64 - 1)
     tracemalloc.start()
     try:
-        want = (simulate(lazy, identity, arch), simulate(lazy, pattern, arch))
+        assert materialize(lazy) is lazy
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reads == [] and peak < 480 * 64
+
+
+def _pair_reads_each_member_once(kind, workers, monkeypatch) -> list[tuple]:
+    """Check that ``simulate_pair`` on the default ``kind`` trace, at
+    ``workers`` workers, reads each member once, in ``member_batches``
+    windows and wave order, and that both simulations then run from the kept
+    batches, each non-empty (XCD, wave) queue in one kernel call, with the
+    reports of two lazy simulations. The pair's peak stays within a lazy
+    pair's and what ``materialize`` keeps: the batches, their arrays' headers
+    included, and the queue rows. Gives the reads."""
+    monkeypatch.setattr(cachesim, "WORKERS", workers)
+    arch = MI300X_LIKE
+    lazy = generate_trace(default_spec(kind))
+    pattern = builtin_pattern(default_pattern(kind), lazy.grid, arch)
+    identity = builtin_pattern("identity", lazy.grid, arch)
+    want = (simulate(lazy, identity, arch), simulate(lazy, pattern, arch))
+    tracemalloc.start()
+    try:
+        table = materialize(lazy)
+        kept = tracemalloc.get_traced_memory()[0]
+        del table
+        tracemalloc.reset_peak()
+        with pytest.MonkeyPatch.context() as m:  # the same pair, on the lazy trace
+            m.setattr(cachesim, "materialize", lambda trace: trace)
+            assert simulate_pair(lazy, arch, ExecParams(), pattern) == want
         lazy_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         assert simulate_pair(lazy, arch, ExecParams(), pattern) == want
@@ -782,33 +761,41 @@ def test_pair_on_the_default_transpose_reads_each_member_once(native, monkeypatc
     with _watch_pair(lazy) as events:
         assert simulate_pair(lazy, arch, ExecParams(), pattern) == want
     reads = _windows(lazy)
-    assert [len(pids) for _, _, pids in reads] == [1, 2048, 2047]
     assert events[:len(reads)] == reads
-    assert all(kind == "drain" and not more for kind, _, more in events[len(reads):])
-    assert len(events) - len(reads) == 2 * arch.num_xcds
-    assert pair_peak <= lazy_peak + kept
-
-
-@pytest.mark.usefixtures("serial")
-def test_pair_on_the_default_softmax_reads_one_member_per_wave_before_it_falls_back(native):
-    # 49 152 segments, past the 32 768 cap only in wave 1 (two segments per
-    # member against one in wave 0): the pair reads each wave's first member
-    # alone, finds the trace past the cap, and each simulation feeds the lazy
-    # trace as simulate alone does, from a slot file of XCD 0's members
-    arch = MI300X_LIKE
-    slots = concurrent_slots_per_xcd(arch)
-    lazy = generate_trace(default_spec("softmax"))
-    pattern = builtin_pattern("softmax_rowgroup", lazy.grid, arch)
-    identity = builtin_pattern("identity", lazy.grid, arch)
-    want = (simulate(lazy, identity, arch), simulate(lazy, pattern, arch))
-    with _watch_pair(lazy) as events:
-        assert simulate_pair(lazy, arch, ExecParams(), pattern) == want
-    reads = [event for event in events if event[0] == "read"]
-    assert reads[:2] == [("read", 0, [0]), ("read", 1, [0])]
-    assert reads[2][:2] == ("read", 0) and len(reads[2][2]) == slots
+    assert [w for _, w, _ in reads] == sorted(w for _, w, _ in reads)  # no wave read early
     for wave, members in enumerate(lazy.wave_pids):
-        fed = [pid for _, w, pids in reads[2:] if w == wave for pid in pids]
-        assert sorted(fed) == sorted(members.tolist() * 2)
+        assert [pid for _, w, pids in reads if w == wave for pid in pids] == members.tolist()
+    drains = events[len(reads):]
+    assert all(kind == "drain" and not more for kind, _, more in drains)
+    baseline = _queue_lengths(lazy, identity, arch)
+    swizzled = _queue_lengths(lazy, pattern, arch)
+    assert len(drains) == len(baseline) + len(swizzled)
+    # the identity's simulation ends before the swizzle's begins
+    assert sorted(n for _, n, _ in drains[:len(baseline)]) == sorted(baseline)
+    assert sorted(n for _, n, _ in drains[len(baseline):]) == sorted(swizzled)
+    assert pair_peak <= lazy_peak + kept
+    return reads
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pair_on_the_default_transpose_reads_each_member_once(native, monkeypatch, workers):
+    # a tile is one group of its row read and column scatter, repeated per
+    # tile row: 8192 segments, read the first member alone and then in two
+    # batches; each of the 8 XCDs has one queue per simulation
+    reads = _pair_reads_each_member_once("transpose", workers, monkeypatch)
+    assert [len(pids) for _, _, pids in reads] == [1, 2048, 2047]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind, batches", [("softmax", 11), ("spmv_naive", 18),
+                                           ("smith_waterman", 31)])
+def test_pair_on_a_default_trace_reads_each_member_once(native, monkeypatch, kind, batches,
+                                                        workers):
+    # softmax's two waves, spmv's 260 segments per member and
+    # smith_waterman's 31 anti-diagonal waves are all kept, and no wave's
+    # first member is read alone ahead of the waves before it
+    reads = _pair_reads_each_member_once(kind, workers, monkeypatch)
+    assert len(reads) == batches
 
 
 def test_pair_on_the_stencil_sweep_equals_two_lazy_simulations(native):
