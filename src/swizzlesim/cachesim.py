@@ -398,12 +398,14 @@ def simulate(
 
     launch_of = np.empty_like(table)
     launch_of[table] = np.arange(len(table), dtype=np.int64)
-    # launch pids of each wave's workgroups, in launch order
-    wave_launch = []
+    # a mask of each wave's launch pids, one per wave: XCD x runs launch pids
+    # x, x + X, ..., so mask[x::X] picks its workgroups of the wave from
+    # table[x::X], in launch order
+    wave_masks = []
     for members in trace.wave_pids:
         launched = np.zeros(len(table), dtype=bool)
         launched[launch_of[members]] = True
-        wave_launch.append(np.flatnonzero(launched))
+        wave_masks.append(launched)
 
     # every thread takes the next XCD; under `lock`, no XCD is taken once a
     # failure is recorded (see the module docstring)
@@ -417,7 +419,7 @@ def simulate(
             if xcd is None:
                 return
             try:
-                waves = [table[launch[launch % num_xcds == xcd]] for launch in wave_launch]
+                waves = [table[xcd::num_xcds][mask[xcd::num_xcds]] for mask in wave_masks]
                 counts[xcd] = _run_native(kernel, trace, waves, arch, slots, own)
             except Exception as exc:
                 with lock:

@@ -43,6 +43,8 @@ from .loop import (
 )
 from .patterns import (
     BUILTIN_PATTERN_NAMES,
+    SHOWN_COLLISIONS,
+    SHOWN_OUT_OF_RANGE,
     GridSpec,
     PatternError,
     builtin_pattern,
@@ -327,12 +329,12 @@ def cmd_validate(args) -> int:
         f"pattern={pattern.name} grid={grid.num_blocks_m}x{grid.num_blocks_n} "
         f"bijective={result.bijective} coverage_ok={result.coverage_ok}"
     )
-    if result.out_of_range:
-        shown = ", ".join(str(p) for p in result.out_of_range[:16])
-        print(f"out-of-range launch pids ({len(result.out_of_range)}): {shown}")
-    if result.collisions:
-        shown = "; ".join(f"{a} and {b} -> {img}" for a, b, img in result.collisions[:8])
-        print(f"collisions ({len(result.collisions)}): {shown}")
+    if result.out_of_range_count:
+        shown = ", ".join(str(p) for p in result.out_of_range[:SHOWN_OUT_OF_RANGE])
+        print(f"out-of-range launch pids ({result.out_of_range_count}): {shown}")
+    if result.collision_count:
+        shown = "; ".join(f"{a} and {b} -> {i}" for a, b, i in result.collisions[:SHOWN_COLLISIONS])
+        print(f"collisions ({result.collision_count}): {shown}")
     return EXIT_OK if result.bijective else EXIT_DOMAIN
 
 

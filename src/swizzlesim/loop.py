@@ -12,7 +12,8 @@ once and kept (``traces.materialize``, under its byte budget
 ``RECORD_TABLE_BYTES``): the locality summary and every candidate's
 simulation read the kept batches instead of calling the kernel's batch
 function again. A trace too large for the budget stays lazy, with identical
-results.
+results. The locality summary is computed when a proposer first reads
+``ProposeContext.locality`` and kept for the run; ``SearchProposer`` never does.
 
 Each candidate is validated once, and each distinct remap table simulated
 once: a new expression with an earlier table reuses that report under its
@@ -25,11 +26,12 @@ returns a structured proposal (with replayable fixtures for offline runs).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 from . import dsl
 from .arch import ArchSpec
@@ -96,8 +98,12 @@ class ProposeContext:
     spec: KernelSpec
     grid: GridSpec
     arch: ArchSpec
-    locality: LocalitySummary
+    summarize: Callable[[], LocalitySummary]  # the run's summary, computed on its first call
     history: Sequence[HistoryEntry]
+
+    @property
+    def locality(self) -> LocalitySummary:
+        return self.summarize()
 
 
 class Proposer(Protocol):
@@ -216,7 +222,7 @@ def optimize(
     # on a grid past the enumeration cap this raises, before the trace is built
     identity_table = validated_remap_table(identity, grid, arch)
     trace = materialize(generate_trace(spec))
-    locality = locality_summary(trace)
+    summarize = functools.cache(lambda: locality_summary(trace))
     summary = summarize_kernel(spec, grid)
 
     entries: list[HistoryEntry] = []
@@ -260,7 +266,7 @@ def optimize(
             spec=spec,
             grid=grid,
             arch=arch,
-            locality=locality,
+            summarize=summarize,
             history=tuple(entries),
         )
         try:

@@ -26,8 +26,6 @@ Closed forms used by the built-ins, with ``X = num_xcds``, ``T = total``:
 
 from __future__ import annotations
 
-import functools
-
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -38,6 +36,7 @@ from . import dsl
 from .dsl import SwizzleExpr
 
 ENUMERATION_CAP = 1 << 24
+SHOWN_OUT_OF_RANGE, SHOWN_COLLISIONS = 16, 8
 
 
 class PatternError(ValueError):
@@ -135,20 +134,26 @@ class SwizzlePattern:
 
 @dataclass(frozen=True)
 class ValidationResult:
+    """A verdict whose size does not grow with the grid: the first
+    ``SHOWN_OUT_OF_RANGE`` pids imaged off the grid and the first ``SHOWN_COLLISIONS``
+    (pid, next pid, shared image) triples, by image, each beside its full count."""
+
     bijective: bool
     out_of_range: tuple[int, ...]
     collisions: tuple[tuple[int, int, int], ...]
     coverage_ok: bool
+    out_of_range_count: int
+    collision_count: int
 
     @classmethod
     def failure(cls) -> "ValidationResult":
         """Verdict for candidates that cannot even be evaluated on the grid."""
-        return cls(bijective=False, out_of_range=(), collisions=(), coverage_ok=False)
+        return cls(False, (), (), False, 0, 0)
 
     @classmethod
     def success(cls) -> "ValidationResult":
         """Verdict for a permutation: nothing out of range, no collisions."""
-        return cls(bijective=True, out_of_range=(), collisions=(), coverage_ok=True)
+        return cls(True, (), (), True, 0, 0)
 
 
 def pattern_from_expr(
@@ -329,35 +334,23 @@ def check_bijectivity(
     return _check_images(remap_table(pattern, grid, arch), grid.total_blocks)
 
 
-@functools.lru_cache(maxsize=1)
-def _pid_ints(total: int) -> tuple[int, ...]:
-    """One shared int per pid, so that a kept history holds no fresh ints."""
-    return tuple(range(total))
-
-
 def _check_images(images: np.ndarray, total: int) -> ValidationResult:
     in_range = (images >= 0) & (images < total)
-    valid_images = images[in_range]
-    valid_pids = np.nonzero(in_range)[0]
-    order = np.argsort(valid_images, kind="stable")
-    sorted_imgs = valid_images[order]
-    dup_at = np.nonzero(sorted_imgs[1:] == sorted_imgs[:-1])[0]
-    # out-of-range pids; (pid, next pid, shared image) per adjacent pair of equal images
-    out_of_range, first, second, image = (
-        tuple(map(_pid_ints(total).__getitem__, column.tolist())) if len(column) else ()
-        for column in (np.nonzero(~in_range)[0], valid_pids[order[dup_at]],
-                       valid_pids[order[dup_at + 1]], sorted_imgs[dup_at]))
-    collisions = tuple(zip(first, second, image))
-
-    covered = np.zeros(total, dtype=bool)
-    covered[valid_images] = True
-    coverage_ok = bool(covered.all())
-    bijective = not out_of_range and not collisions and coverage_ok
+    out_of_range = np.flatnonzero(~in_range)
+    hits = np.bincount(images[in_range], minlength=total)  # pids per image
+    covered = int(np.count_nonzero(hits))
+    collision_count = len(images) - len(out_of_range) - covered
+    collisions = []
+    for image in np.flatnonzero(hits > 1)[:SHOWN_COLLISIONS].tolist():
+        pids = np.flatnonzero(images == image).tolist()
+        collisions += ((a, b, image) for a, b in zip(pids, pids[1:]))
     return ValidationResult(
-        bijective=bijective,
-        out_of_range=out_of_range,
-        collisions=collisions,
-        coverage_ok=coverage_ok,
+        bijective=not len(out_of_range) and not collision_count and covered == total,
+        out_of_range=tuple(out_of_range[:SHOWN_OUT_OF_RANGE].tolist()),
+        collisions=tuple(collisions[:SHOWN_COLLISIONS]),
+        coverage_ok=covered == total,
+        out_of_range_count=len(out_of_range),
+        collision_count=collision_count,
     )
 
 
@@ -370,8 +363,8 @@ def validated_remap_table(
     if not result.bijective:
         raise NonBijectiveError(
             f"pattern {pattern.name!r} is not bijective on this grid "
-            f"({len(result.out_of_range)} out of range, "
-            f"{len(result.collisions)} collisions)",
+            f"({result.out_of_range_count} out of range, "
+            f"{result.collision_count} collisions)",
             result=result,
         )
     return table

@@ -250,3 +250,24 @@ def reference_locality_summary(trace: AccessTrace) -> LocalitySummary:
     groups.sort(key=lambda g: (-g.shared_bytes, g.buffer_name, g.pids))
     return LocalitySummary(kernel=trace.kernel, granule_bytes=GRANULE_BYTES,
                            groups=tuple(groups))
+
+
+def reference_check_images(images: np.ndarray, total: int) -> dict:
+    """Full-list oracle for ``patterns._check_images``, as it was before
+    verdicts kept only a prefix: every out-of-range pid, in pid order, and a
+    (pid, next pid, shared image) triple per adjacent pair of pids sharing an
+    image, by image, from a stable sort of the in-range images."""
+    in_range = (images >= 0) & (images < total)
+    valid_images = images[in_range]
+    valid_pids = np.nonzero(in_range)[0]
+    order = np.argsort(valid_images, kind="stable")
+    sorted_imgs = valid_images[order]
+    dup_at = np.nonzero(sorted_imgs[1:] == sorted_imgs[:-1])[0]
+    out_of_range = np.nonzero(~in_range)[0].tolist()
+    collisions = list(zip(valid_pids[order[dup_at]].tolist(),
+                          valid_pids[order[dup_at + 1]].tolist(), sorted_imgs[dup_at].tolist()))
+    covered = np.zeros(total, dtype=bool)
+    covered[valid_images] = True
+    coverage_ok = bool(covered.all())
+    return {"bijective": not out_of_range and not collisions and coverage_ok,
+            "out_of_range": out_of_range, "collisions": collisions, "coverage_ok": coverage_ok}

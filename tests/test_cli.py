@@ -79,6 +79,20 @@ def test_validate_bitwise_lists_offender(capsys):
     assert "5" in out.split("out-of-range launch pids")[1]
 
 
+def test_validate_prints_the_counts_and_the_first_pids_and_collisions(capsys):
+    # images (pid // 2) * 3: pids 44..63 land past 63, and each image below is
+    # shared by pids 2k and 2k + 1, for 22 collisions
+    code, out, _ = run(capsys, "validate", "--expr", "(pid // 2) * 3", "--grid", "64")
+    assert code == 1
+    # the first 16 pids and the first 8 collisions are shown
+    shown_pids = ", ".join(map(str, range(44, 60)))
+    shown_pairs = "; ".join(f"{2 * k} and {2 * k + 1} -> {3 * k}" for k in range(8))
+    assert out.splitlines()[1:] == [
+        f"out-of-range launch pids (20): {shown_pids}",
+        f"collisions (22): {shown_pairs}",
+    ]
+
+
 def test_validate_gemm_contiguous_304(capsys):
     code, out, _ = run(capsys, "validate", "--pattern", "gemm_contiguous", "--grid", "304")
     assert code == 0

@@ -8,7 +8,12 @@ import pytest
 from swizzlesim import cachesim, dsl, loop, patterns, traces
 from swizzlesim.arch import MI300X_LIKE
 from swizzlesim.cachesim import ExecParams, report_from_dict, simulate_pair
-from swizzlesim.client import ReplayExhaustedError
+from swizzlesim.client import (
+    ClientConfig,
+    CompletionClient,
+    ReplayExhaustedError,
+    write_fixture_entry,
+)
 from swizzlesim.kernels import KernelSpec, generate_trace, spec_with_size
 from swizzlesim.loop import (
     HistoryEntry,
@@ -56,7 +61,7 @@ def entry(iteration, rate=None, pattern="p", valid=True):
         iteration=iteration,
         pattern={"name": pattern, "expr": "pid", "params": {}},
         diff_summary="",
-        validation=ValidationResult(valid, (), (), valid),
+        validation=ValidationResult(valid, (), (), valid, 0, 0),
         report=fake_report(pattern, rate) if rate is not None and valid else None,
     )
 
@@ -210,7 +215,7 @@ def test_search_first_member_is_contiguous_grouping():
 def test_search_skips_history():
     first = SearchProposer().propose(search_ctx())
     hist = [HistoryEntry(1, {"name": "x", "expr": first.pattern.expr_text, "params": {}},
-                         "", ValidationResult(True, (), (), True), fake_report("x", 0.5))]
+                         "", ValidationResult(True, (), (), True, 0, 0), fake_report("x", 0.5))]
     second = SearchProposer().propose(search_ctx(history=hist))
     assert second.pattern.expr_text != first.pattern.expr_text
     assert second.pattern.params["stride"] == 8
@@ -230,7 +235,7 @@ def test_search_exhausts():
         history.append(HistoryEntry(len(history) + 1,
                                     {"name": "s", "expr": proposal.pattern.expr_text,
                                      "params": {}},
-                                    "", ValidationResult(True, (), (), True),
+                                    "", ValidationResult(True, (), (), True, 0, 0),
                                     fake_report("s", 0.5)))
     assert len(seen) == len(set(seen))  # never repeats
     assert len(seen) >= 6
@@ -333,8 +338,10 @@ def test_optimize_reads_each_stream_once(tmp_path, monkeypatch):
 
 # The SHA-256 of history.jsonl from a 10-iteration search on softmax rows=1024:
 # 7 valid members, 6 of whose tables are distinct or repeat the baseline's,
-# and 3 rejected members. Taken before the loop reused reports by table.
-GOLDEN_HISTORY_DIGEST = "9d558fa2f30c1b274a00c33a40094567f0e66bee79a428a5dbfb1869f258906b"
+# and 3 rejected members. Re-pinned once when verdicts became bounded: the older
+# history with each verdict's lists cut to 16 and 8 and their lengths added as
+# the counts gives this digest.
+GOLDEN_HISTORY_DIGEST = "375a3ad061e9ba073c3dfe76983119b019468d56d1edfd60b69b5b81a6e27a0e"
 
 
 def test_golden_history_digest(tmp_path):
@@ -432,6 +439,43 @@ def test_llm_proposer_exhaustion_ends_early():
     client = ScriptedClient([proposal_text("pid % num_xcds + (pid // num_xcds) * num_xcds")])
     result = optimize(SMALL_GEMM, MI300X_LIKE, LlmProposer(client), max_iters=4)
     assert result.iterations_run == 1
+
+
+# --- the locality summary, computed where it is read ------------------------------
+
+
+def _count_summaries(monkeypatch) -> list:
+    """The traces ``optimize`` summarizes, through ``loop.locality_summary``."""
+    summarized = []
+    summarize = loop.locality_summary
+    monkeypatch.setattr(loop, "locality_summary",
+                        lambda trace: summarized.append(trace) or summarize(trace))
+    return summarized
+
+
+def test_a_search_run_computes_no_locality_summary(monkeypatch):
+    summarized = _count_summaries(monkeypatch)
+    result = optimize(SMALL_GEMM, MI300X_LIKE, SearchProposer(), max_iters=5)
+    assert result.iterations_run == 5
+    assert summarized == []
+
+
+def test_a_replayed_llm_run_computes_the_locality_summary_once(tmp_path, monkeypatch):
+    exprs = ["pid", CONTIGUOUS_EXPR, "(pid // 2) * 3"]  # a duplicate, the best, a rejected one
+    scripted = ScriptedClient([proposal_text(expr) for expr in exprs])
+    optimize(SMALL_GEMM, MI300X_LIKE, LlmProposer(scripted), max_iters=3)
+    fixture = tmp_path / "fixture.jsonl"
+    for prompt, expr in zip(scripted.prompts, exprs, strict=True):
+        write_fixture_entry(str(fixture), prompt, proposal_text(expr))
+
+    summarized = _count_summaries(monkeypatch)
+    replay = CompletionClient(ClientConfig.replay(str(fixture)))
+    entries = []
+    optimize(SMALL_GEMM, MI300X_LIKE, LlmProposer(replay), max_iters=3, history_sink=entries)
+    # every prompt rendered the summary and matched its recorded digest
+    assert [entry.pattern["expr"] for entry in entries[1:]] == [
+        dsl.format_expr(dsl.parse_expr(expr)) for expr in exprs]
+    assert len(summarized) == 1
 
 
 # --- persistence -----------------------------------------------------------------

@@ -1,10 +1,17 @@
+import gc
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swizzlesim import patterns
 from swizzlesim.patterns import (
     BUILTIN_PATTERN_NAMES,
     ENUMERATION_CAP,
+    SHOWN_COLLISIONS,
+    SHOWN_OUT_OF_RANGE,
     EnumerationLimitError,
     GridRejectedError,
     GridSpec,
@@ -18,9 +25,11 @@ from swizzlesim.patterns import (
     pattern_to_dict,
     remap,
     remap_table,
+    validated_remap_table,
 )
+from swizzlesim.records import to_dict
 
-from conftest import arch_with_xcds, xcd_table
+from conftest import arch_with_xcds, reference_check_images, xcd_table
 
 BITWISE_EXPR = "((pid >> 1) & 1431655765) | ((pid & 1431655765) << 1)"
 
@@ -211,6 +220,62 @@ def test_validation_result_invariant():
         assert res.bijective == (
             not res.out_of_range and not res.collisions and res.coverage_ok
         )
+
+
+@st.composite
+def image_mixes(draw):
+    """A small grid's images: a permutation with some images overwritten, or
+    images drawn from a window that may be narrower or wider than the grid,
+    so that out-of-range pids, collisions and missed images come in every mix,
+    some past the verdict's prefixes, and none at all."""
+    total = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        images = draw(st.permutations(range(total)))
+        for _ in range(draw(st.integers(0, 4))):
+            images[draw(st.integers(0, total - 1))] = draw(st.integers(-3, total + 2))
+    else:
+        low, high = draw(st.integers(-24, 0)), draw(st.integers(0, total + 24))
+        images = draw(st.lists(st.integers(low, high), min_size=total, max_size=total))
+    return np.array(images, dtype=np.int64), total
+
+
+@settings(max_examples=400, deadline=None)
+@given(mix=image_mixes())
+def test_verdict_counts_and_prefixes_match_the_full_enumeration(mix):
+    images, total = mix
+    want = reference_check_images(images, total)
+    got = patterns._check_images(images, total)
+    assert (got.bijective, got.coverage_ok) == (want["bijective"], want["coverage_ok"])
+    assert got.out_of_range_count == len(want["out_of_range"])
+    assert got.out_of_range == tuple(want["out_of_range"][:SHOWN_OUT_OF_RANGE])
+    assert got.collision_count == len(want["collisions"])
+    assert got.collisions == tuple(want["collisions"][:SHOWN_COLLISIONS])
+    assert all(type(v) is int for v in (got.out_of_range_count, got.collision_count,
+                                        *got.out_of_range, *sum(got.collisions, ())))
+
+
+@pytest.mark.parametrize("expr, out_of_range, collisions", [
+    ("pid * 2", 1 << 19, 0),  # half the pids imaged past the grid
+    ("pid // 2", 0, 1 << 19),  # every image shared by two pids
+])
+def test_a_rejected_verdict_on_a_large_grid_holds_little(expr, out_of_range, collisions):
+    g, a = grid(1 << 20), arch_with_xcds(8)
+    pattern = pattern_from_expr("p", expr)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(NonBijectiveError) as info:
+            validated_remap_table(pattern, g, a)
+        result = info.value.result
+        del info  # its traceback holds the remap table
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (result.out_of_range_count, result.collision_count) == (out_of_range, collisions)
+    assert held < 64 << 10
+    assert len(json.dumps(to_dict(result))) < 1024  # its history line stays short
 
 
 # --- XCD of each logical tile ------------------------------------------------

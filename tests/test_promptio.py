@@ -34,7 +34,7 @@ def sample():
         iteration=1,
         pattern=pattern_to_dict(pattern),
         diff_summary="expression: pid -> grouped",
-        validation=ValidationResult(True, (), (), True),
+        validation=ValidationResult(True, (), (), True, 0, 0),
         report=report,
     )
     return trace, arch, locality, entry, report
@@ -81,7 +81,7 @@ def test_history_block_stanzas(sample):
         iteration=2,
         pattern={"name": "bad", "expr": "pid % 4", "params": {}},
         diff_summary="",
-        validation=ValidationResult(False, (), ((0, 4, 0),), False),
+        validation=ValidationResult(False, (), ((0, 4, 0),), False, 0, 1),
         report=None,
     )
     ctx = build_prompt("k", locality, [entry, invalid], arch)

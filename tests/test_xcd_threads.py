@@ -20,16 +20,17 @@ import numpy as np
 import pytest
 
 from swizzlesim import cachesim
-from swizzlesim.arch import MI300X_LIKE
+from swizzlesim.arch import MI300X_LIKE, concurrent_slots_per_xcd
 from swizzlesim.cachesim import SimulationError, report_to_json, simulate
 from swizzlesim.kernels import (
     KERNEL_KINDS,
+    KernelSpec,
     default_pattern,
     default_spec,
     generate_trace,
     spec_with_size,
 )
-from swizzlesim.patterns import GridSpec, builtin_pattern
+from swizzlesim.patterns import GridSpec, builtin_pattern, validated_remap_table
 from swizzlesim.traces import AccessTrace, Batch, make_buffers, materialize
 
 from conftest import arch_with_xcds, python_pass
@@ -68,6 +69,44 @@ def test_parallel_report_matches_the_reference_pass(monkeypatch):
     assert want.misses > want.unique_lines_touched  # capacity or conflict misses
     _forced(monkeypatch, arch.num_xcds)
     assert simulate(trace, pattern, arch) == want
+
+
+def _modulo_split_report(trace, pattern, arch) -> cachesim.BottleneckReport:
+    """``simulate``'s report, each XCD's queue of a wave selected by a
+    ``launch % num_xcds == xcd`` mask over the wave's sorted launch pids and
+    drained by ``reference_pass``: a split that shares no code with simulate's."""
+    table = validated_remap_table(pattern, trace.grid, arch)
+    launch_of = np.argsort(table)
+    launches = [np.sort(launch_of[members]) for members in trace.wave_pids]
+    end = max(buffer.base_offset + buffer.length_bytes for buffer in trace.buffers)
+    touched = np.zeros(-(-end // arch.l2_line_bytes), dtype=np.uint8)
+    per_xcd = []
+    for xcd in range(arch.num_xcds):
+        waves = [table[launch[launch % arch.num_xcds == xcd]] for launch in launches]
+        hits, accesses = cachesim.reference_pass(
+            trace, waves, arch, concurrent_slots_per_xcd(arch), touched)
+        per_xcd.append(cachesim.XcdStats(accesses, hits, accesses - hits,
+                                         hits / accesses if accesses else 0.0))
+    hits, accesses = sum(s.hits for s in per_xcd), sum(s.accesses for s in per_xcd)
+    return cachesim.BottleneckReport(trace.kernel, pattern.name, arch.num_xcds, accesses, hits,
+                                     accesses - hits, hits / accesses if accesses else 0.0,
+                                     tuple(per_xcd), int(np.count_nonzero(touched)))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_strided_xcd_queues_match_a_modulo_split(monkeypatch, workers):
+    # 291 blocks, no multiple of 8 XCDs; smith_waterman's 31 waves of 1 to 16
+    # members, on 8 XCDs and on 3, which do not divide its 256 blocks
+    _forced(monkeypatch, workers)
+    transpose = generate_trace(KernelSpec("transpose", {"m": 97, "n": 33}, {"m": 1, "n": 16}))
+    waves = generate_trace(default_spec("smith_waterman"))
+    three = arch_with_xcds(3, cus_per_xcd=2, l2_bytes=64 << 10, ways=4)
+    for trace, arch in ((transpose, MI300X_LIKE), (waves, MI300X_LIKE), (waves, three)):
+        for name in ("identity", "gemm_contiguous"):
+            pattern = builtin_pattern(name, trace.grid, arch)
+            want = _modulo_split_report(trace, pattern, arch)
+            assert simulate(trace, pattern, arch) == want, (trace.kernel, arch.name, name)
+            assert simulate(materialize(trace), pattern, arch) == want
 
 
 def test_parallel_reports_hold_under_fast_thread_switching(monkeypatch):
