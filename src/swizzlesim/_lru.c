@@ -1,10 +1,11 @@
 /* The native kernel behind swizzlesim.cachesim. Its entry point,
- * xcd_drain, runs one XCD's queue of workgroups for one wave: it loads them
- * into resident slots, walks their segments run by run (a segment is a
- * start, a stride and a count of equal-length runs, and a workgroup's
- * segments are one group that it runs `groups` times, each segment moving by
- * its group stride at each repetition), expands each run into line touches
- * and feeds each touch to a set-associative LRU.
+ * xcd_drain, runs one XCD's queue of workgroups for one wave, each an index
+ * into one batch (traces.Batch): it loads them into resident slots, walks
+ * their segments run by run (a segment is a start, a stride and a count of
+ * equal-length runs, and a workgroup's segments are one group that it runs
+ * `groups` times, each segment moving by its group stride at each
+ * repetition), expands each run into line touches and feeds each touch to a
+ * set-associative LRU.
  *
  * touched, the touched-line map, holds a byte per line at byte_of(line),
  * which puts 64 bytes of padding after every 4096 lines: lines of one set,
@@ -23,9 +24,7 @@
  * lies in the map cachesim._touched_map sizes; cachesim.simulate keeps lines
  * and sets below 2**32 for set_of, and map bytes below 2**32 + 2**26.
  */
-#include <stddef.h>
 #include <stdint.h>
-#include <string.h>
 
 /* line % num_sets without a division, exact for both below 2**32: Lemire,
  * Kaser and Kurz, "Faster remainder by direct computation", 2019. m is
@@ -80,8 +79,16 @@ static inline int lru_touch(int64_t line, uint8_t *touched, int64_t *tags, int32
     return 1; /* bit 1 is wrong: so are the counts, but nothing hangs */
 }
 
+/* One batch's columns, as traces.Batch holds them: per segment bufs, offs,
+ * lens, strides, counts and gstrides; per workgroup w its segments
+ * indptr[w] to indptr[w + 1] - 1 and its groups[w]. */
+typedef struct {
+    const int32_t *bufs;
+    const int64_t *offs, *lens, *strides, *counts, *gstrides, *indptr, *groups;
+} batch_t;
+
 /* One resident workgroup: its segment arrays, segment count and groups,
- * copied from its queue row, the group and the segment being run, the runs
+ * taken from its batch, the group and the segment being run, the runs
  * left in it after the current one, and the current run's first byte address
  * and current and last line. In group g a segment is counts[i] runs of
  * lens[i] bytes of buffer bufs[i] at offs[i] + g * gstrides[i] + j *
@@ -89,34 +96,19 @@ static inline int lru_touch(int64_t line, uint8_t *touched, int64_t *tags, int32
  * each, and keeps a workgroup's arrays alive while a slot points into them. */
 typedef struct {
     const int32_t *bufs;
-    const int64_t *offs;
-    const int64_t *lens;
-    const int64_t *strides;
-    const int64_t *counts;
-    const int64_t *gstrides;
-    int64_t segments;
-    int64_t groups;
-    int64_t group;
-    int64_t seg;   /* `segments` once the workgroup is drained */
-    int64_t runs;
-    int64_t start;
-    int64_t line;
-    int64_t last;
+    const int64_t *offs, *lens, *strides, *counts, *gstrides;
+    int64_t segments, groups, group;
+    int64_t seg; /* `segments` once the workgroup is drained */
+    int64_t runs, start, line, last;
 } slot_t;
 
 _Static_assert(sizeof(slot_t) == 14 * sizeof(int64_t), "cachesim._SLOT_WORDS is 14");
-_Static_assert(offsetof(slot_t, bufs) == 0 && offsetof(slot_t, offs) == 8
-               && offsetof(slot_t, lens) == 16 && offsetof(slot_t, strides) == 24
-               && offsetof(slot_t, counts) == 32 && offsetof(slot_t, gstrides) == 40
-               && offsetof(slot_t, segments) == 48 && offsetof(slot_t, groups) == 56,
-               "a queue row is words 0-7 of a slot: bufs, offs, lens, strides, counts, "
-               "gstrides, segments, groups");
 
-/* 1 if a run of segment r of a queue row, in any of its groups, is empty,
- * names no buffer, starts before its buffer or ends past it. A segment of no
- * runs, or of a row of no groups, is never bad. The runs' lowest and highest
- * starts take the first or last run of the first or last group, formed in
- * 128 bits, where neither product can overflow. */
+/* 1 if a run of segment r of a slot's workgroup, in any of its groups, is
+ * empty, names no buffer, starts before its buffer or ends past it. A segment
+ * of no runs, or of a workgroup of no groups, is never bad. The runs' lowest
+ * and highest starts take the first or last run of the first or last group,
+ * formed in 128 bits, where neither product can overflow. */
 static int segment_outside(const slot_t *s, int64_t r, const int64_t *lengths,
                            int64_t num_buffers)
 {
@@ -163,25 +155,25 @@ static inline int next_run(slot_t *s, const int64_t *bases, int64_t line_shift)
 
 /* Run one XCD's workgroups of one wave from a queue.
  *
- * queue holds `rows` rows of eight int64 words, one per workgroup in launch
- * order: the addresses of its bufs (int32), offs, lens, strides, counts and
- * gstrides (int64) arrays, its segment count and its groups. slots[0,
- * loaded) carry on from the previous call. Free slots are loaded from the
- * queue in order, skipping rows of no runs; a row is checked segment by
- * segment as it loads (see segment_outside). The first bad row k returns
- * -(k + 1) before any of its lines is touched.
+ * queue holds `length` indices of workgroups of `batch`, in launch order.
+ * slots[0, loaded) carry on from the previous call. Free slots are loaded
+ * from the queue in order, each slot's pointers set into the batch's columns
+ * at its workgroup's first segment, skipping workgroups of no runs; a
+ * workgroup is checked segment by segment as it loads (see
+ * segment_outside). The first bad one, at queue entry k, returns -(k + 1)
+ * before any of its lines is touched.
  *
  * Each turn touches the current line of every slot, in slot order, and
  * counts hits into counts[0] and touches into counts[1].
  * After the turn in which one or more slots drain, the survivors move to
- * the front in order and the next rows load after them. With `more` zero
- * the call returns 0 when every slot and the queue are empty; otherwise it
- * returns the number of slots in use as soon as a slot is free and the queue
- * is empty, so that the caller can pass the wave's next rows. touched, tags
- * and heads (see the top of this file) persist across calls.
+ * the front in order and the next workgroups load after them. With `more`
+ * zero the call returns 0 when every slot and the queue are empty; otherwise
+ * it returns the number of slots in use as soon as a slot is free and the
+ * queue is empty, so that the caller can pass the wave's next queue. touched,
+ * tags and heads (see the top of this file) persist across calls.
  */
-int64_t xcd_drain(slot_t *slots, int64_t capacity, int64_t loaded,
-                  const int64_t *queue, int64_t rows, int64_t more,
+int64_t xcd_drain(slot_t *slots, int64_t capacity, int64_t loaded, const batch_t *batch,
+                  const int64_t *queue, int64_t length, int64_t more,
                   const int64_t *bases, const int64_t *lengths, int64_t num_buffers,
                   int64_t line_shift, uint8_t *touched, int64_t *counts,
                   int64_t *tags, int32_t *heads, int64_t num_sets, int64_t ways)
@@ -189,18 +181,20 @@ int64_t xcd_drain(slot_t *slots, int64_t capacity, int64_t loaded,
     const uint64_t m = UINT64_MAX / (uint64_t)num_sets + 1;
     int64_t n = loaded;
     for (int64_t next = 0;;) {
-        for (; n < capacity && next < rows; next++) {
+        for (; n < capacity && next < length; next++) {
             slot_t *s = &slots[n];
-            memcpy(s, queue + 8 * next, 8 * sizeof(int64_t));
+            int64_t w = queue[next], first = batch->indptr[w];
+            *s = (slot_t){.bufs = batch->bufs + first, .offs = batch->offs + first,
+                          .lens = batch->lens + first, .strides = batch->strides + first,
+                          .counts = batch->counts + first, .gstrides = batch->gstrides + first,
+                          .segments = batch->indptr[w + 1] - first, .groups = batch->groups[w],
+                          .seg = -1};
             int runs = 0;
             for (int64_t r = 0; r < s->segments; r++) {
                 if (segment_outside(s, r, lengths, num_buffers))
                     return -(next + 1);
                 runs |= s->counts[r] > 0;
             }
-            s->group = 0;
-            s->seg = -1;
-            s->runs = 0;
             if (runs && s->groups > 0 && next_run(s, bases, line_shift))
                 n++;
         }

@@ -18,21 +18,21 @@ zero or less. So do buffers of 2**32 lines or more and an L2 of 2**32 sets or
 more, before any allocation: ``_lru.c``'s set index is exact below both.
 
 Each XCD's pass runs in a small C kernel, ``_lru.c`` beside this module,
-whose entry point is ``xcd_drain``. It takes a queue of one XCD's
-workgroups of one wave, in launch order, each row the addresses of a
-workgroup's segment arrays (see ``traces.Batch``), its segment count and
-its groups: eight words. It loads the resident slots from the queue,
-checking each row's segments against the buffer bounds (a segment's first
-and last run in its first and last group bound the rest), walks each
-segment run by run, stepping the run's start by the stride, and each
-workgroup's segment list group by group, expands runs into line touches on
-the fly and feeds them to the LRU, one touch per slot per turn, and refills
-a drained slot after the survivors.
+whose entry point is ``xcd_drain``. It takes one batch's columns (see
+``traces.Batch``) and a queue of one XCD's workgroups of one wave, in launch
+order, as indices into the batch. It loads the resident slots from the
+queue, checking each workgroup's segments against the buffer bounds (a
+segment's first and last run in its first and last group bound the rest),
+walks each segment run by run, stepping the run's start by the stride, and
+each workgroup's segment list group by group, expands runs into line
+touches on the fly and feeds them to the LRU, one touch per slot per turn,
+and refills a drained slot after the survivors.
 Records are never built on this path. A materialized trace keeps every
-member's row, so a wave is one foreign call. ``simulate_pair`` materializes
-a lazy trace within ``RECORD_TABLE_BYTES`` (``traces.materialize``), so that
-both of its simulations read each member once.
-A lazy trace is fed one batch at a time, each row pointing into it: first
+wave's members in one batch, so a wave's queue is its members' positions in
+the wave, offset by the wave's first workgroup there, and one foreign call.
+``simulate_pair`` materializes a lazy trace within ``RECORD_TABLE_BYTES``
+(``traces.materialize``), so that both of its simulations read each member
+once. A lazy trace is fed one batch at a time, queueing all of it: first
 as many workgroups as the XCD has slots, then as many as ``BATCH_SEGMENTS``
 segments hold at the XCD's mean segments per workgroup so far, never fewer
 than its slots (``traces.batch_width``). The kernel refills slots from the
@@ -143,10 +143,10 @@ def _bind(lib: str):
     """The kernel library at path ``lib``, loaded, its entry points typed."""
     kernel = ctypes.CDLL(lib)
     c_ptr, c_i64 = ctypes.c_void_p, ctypes.c_int64
-    # slots, capacity, loaded, queue, rows, more, bases, lengths, num_buffers,
-    # line_shift, touched, counts, tags, heads, num_sets, ways
-    kernel.xcd_drain.argtypes = [c_ptr, c_i64, c_i64, c_ptr, c_i64, c_i64, c_ptr, c_ptr,
-                                 c_i64, c_i64, c_ptr, c_ptr, c_ptr, c_ptr, c_i64, c_i64]
+    # slots, capacity, loaded, batch, queue, length, more, bases, lengths,
+    # num_buffers, line_shift, touched, counts, tags, heads, num_sets, ways
+    kernel.xcd_drain.argtypes = [c_ptr, c_i64, c_i64, c_ptr, c_ptr, c_i64, c_i64, c_ptr,
+                                 c_ptr, c_i64, c_i64, c_ptr, c_ptr, c_ptr, c_ptr, c_i64, c_i64]
     kernel.set_index.argtypes = [c_i64, c_i64]  # line, num_sets
     kernel.byte_of.argtypes = [c_i64]  # line
     kernel.xcd_drain.restype = kernel.set_index.restype = kernel.byte_of.restype = c_i64
@@ -279,9 +279,10 @@ def reference_pass(
     trace: AccessTrace, waves: list[np.ndarray], arch: ArchSpec, slots: int,
     touched: np.ndarray,
 ) -> tuple[int, int]:
-    """(hits, touches) of one XCD, as ``_run_native`` counts them without its
-    kernel: each workgroup's one-run segments (``AccessTrace.stream``) expanded
-    by ``_expand_lines`` and merged by ``_interleave``, per wave, into one
+    """(hits, touches) of one XCD, as ``_run_native`` counts them from the same
+    member positions without its kernel: each workgroup's one-run segments
+    (``AccessTrace.stream``) expanded by ``_expand_lines`` and merged by
+    ``_interleave``, per wave, into one
     ``SetAssocLru``. It marks ``touched`` at line ids, not at the kernel's
     padded map bytes: the nonzero count is the same. The tests' oracle;
     ``simulate`` never calls it."""
@@ -295,7 +296,8 @@ def reference_pass(
 
     hits = 0
     accesses = 0
-    for wave, pids in enumerate(waves):
+    for wave, positions in enumerate(waves):
+        pids = trace.wave_pids[wave][positions]
         for chunk in _interleave((lines_of(pid, wave) for pid in pids), slots):
             touched[chunk] |= 1
             hits += cache.access_many(chunk)[0]
@@ -320,21 +322,30 @@ def _lru_rows(num_sets: int, ways: int) -> tuple[np.ndarray, np.ndarray]:
     return np.full(num_sets * ways, -1, dtype=np.int64), np.zeros(num_sets, dtype=np.int32)
 
 
+def _columns(batch: Batch) -> np.ndarray:
+    """The addresses of ``batch``'s columns as ``_lru.c``'s ``batch_t``."""
+    return np.array([column.ctypes.data for column in (
+        batch.bufs, batch.offs, batch.lens, batch.strides, batch.counts, batch.gstrides,
+        batch.indptr, batch.groups)], dtype=np.int64)
+
+
 def _run_native(
     kernel, trace: AccessTrace, waves: list[np.ndarray], arch: ArchSpec, slots: int,
     touched: np.ndarray,
 ) -> tuple[int, int]:
     """(hits, touches) of one XCD, all waves, in the kernel's ``xcd_drain``.
 
-    ``touched`` is a ``_touched_map``: a line's byte is at ``_lru.c``'s
-    ``byte_of(line)``, and the XCD's LRU rows (``_lru_rows``) hold those
-    bytes as tags. The rows persist across waves; the pass ends by clearing
-    bit 1, "resident", in ``touched``. On a materialized trace a
-    wave is one queue, indexed from ``trace.queue_rows``, and one call. On a
-    lazy trace the pass's first batch holds the wave's first ``slots`` pids,
-    whatever number of slots is free, and each later batch the wave's next
-    ``BATCH_SEGMENTS`` segments' worth of pids, at the mean segments per pid
-    of the batches the pass has read, but at least ``slots``. The kernel
+    ``waves`` holds the XCD's members of each wave, in launch order, as
+    positions in ``trace.wave_pids``. ``touched`` is a ``_touched_map``: a
+    line's byte is at ``_lru.c``'s ``byte_of(line)``, and the XCD's LRU rows
+    (``_lru_rows``) hold those bytes as tags. The rows persist across waves;
+    the pass ends by clearing bit 1, "resident", in ``touched``. On a
+    materialized trace a wave is one call on ``trace.kept``, whose queue is
+    the positions offset by the wave's first workgroup there. On a lazy
+    trace the pass's first batch holds the wave's first ``slots`` members,
+    whatever number of slots is free, and each later batch the next
+    ``BATCH_SEGMENTS`` segments' worth, at the mean segments per member of
+    the batches the pass has read, but at least ``slots``. The kernel
     returns for the next batch once this one is spent and a slot is free;
     ``live`` keeps each batch, with its offs column's address range, while a
     resident slot's offs address (slot word 1) lies in it.
@@ -348,28 +359,27 @@ def _run_native(
              arch.l2_line_bytes.bit_length() - 1, touched.ctypes.data, counts.ctypes.data,
              tags.ctypes.data, heads.ctypes.data, num_sets, ways)
 
-    rows = trace.queue_rows
+    kept = None if trace.kept is None else _columns(trace.kept)
     pids_read = segments_read = 0
-    for wave, pids in enumerate(waves):
+    for wave, positions in enumerate(waves):
         left, live, start = 0, [], 0
-        while start < len(pids):
-            width = batch_width(pids_read, segments_read, slots)
-            batch = pids[start:len(pids) if rows is not None else start + width]
-            start += len(batch)
-            pids_read += len(batch)
-            if rows is not None:
-                queue = rows[wave][batch]
+        while start < len(positions):
+            if kept is not None:
+                chunk, columns, queue = positions, kept, positions + trace.wave_starts[wave]
             else:
-                segments = trace.batch(wave, batch)
+                chunk = positions[start:start + batch_width(pids_read, segments_read, slots)]
+                segments = trace.batch(wave, trace.wave_pids[wave][chunk])
                 segments_read += len(segments)
-                queue = segments.queue_rows()
+                columns, queue = _columns(segments), np.arange(len(chunk), dtype=np.int64)
                 lo = segments.offs.ctypes.data
                 live.append((segments, lo, lo + segments.offs.nbytes))
                 del segments  # `live` alone holds it, so it frees once no slot points into it
-            left = kernel.xcd_drain(resident.ctypes.data, slots, left, queue.ctypes.data,
-                                    len(queue), start < len(pids), *fixed)
+            start += len(chunk)
+            pids_read += len(chunk)
+            left = kernel.xcd_drain(resident.ctypes.data, slots, left, columns.ctypes.data,
+                                    queue.ctypes.data, len(queue), start < len(positions), *fixed)
             if left < 0:
-                raise _bad_record(trace, batch[-left - 1], wave)
+                raise _bad_record(trace, trace.wave_pids[wave][chunk[-left - 1]], wave)
             held = resident[:left, 1]
             live = [entry for entry in live if ((held >= entry[1]) & (held < entry[2])).any()]
     touched &= 1  # the next XCD starts with nothing resident
@@ -398,14 +408,14 @@ def simulate(
 
     launch_of = np.empty_like(table)
     launch_of[table] = np.arange(len(table), dtype=np.int64)
-    # a mask of each wave's launch pids, one per wave: XCD x runs launch pids
-    # x, x + X, ..., so mask[x::X] picks its workgroups of the wave from
-    # table[x::X], in launch order
-    wave_masks = []
+    # per wave, each launch pid's position among its members, or -1: XCD x runs
+    # launch pids x, x + X, ..., so index[x::X] less its -1s is its queue
+    queues, index = [[] for _ in range(num_xcds)], np.empty(len(table), dtype=np.int64)
     for members in trace.wave_pids:
-        launched = np.zeros(len(table), dtype=bool)
-        launched[launch_of[members]] = True
-        wave_masks.append(launched)
+        index.fill(-1)
+        index[launch_of[members]] = np.arange(len(members))
+        for xcd, waves in enumerate(queues):
+            waves.append(index[xcd::num_xcds][index[xcd::num_xcds] >= 0])
 
     # every thread takes the next XCD; under `lock`, no XCD is taken once a
     # failure is recorded (see the module docstring)
@@ -419,8 +429,7 @@ def simulate(
             if xcd is None:
                 return
             try:
-                waves = [table[xcd::num_xcds][mask[xcd::num_xcds]] for mask in wave_masks]
-                counts[xcd] = _run_native(kernel, trace, waves, arch, slots, own)
+                counts[xcd] = _run_native(kernel, trace, queues[xcd], arch, slots, own)
             except Exception as exc:
                 with lock:
                     errors[xcd] = exc

@@ -23,11 +23,12 @@ turns them into granule intervals: it keys each piece of an interval that a
 workgroup touches in a wave, not each granule. Simulating a lazy
 trace holds only the batches of currently-resident workgroups. Where one
 trace is read many times (the optimization loop, ``simulate_pair``'s two
-simulations), ``materialize`` reads each wave's members once and keeps
-their batches as read, with the native kernel's queue row of each member.
-A trace whose queue rows and kept batches would pass ``RECORD_TABLE_BYTES``
-stays lazy: that byte budget is the one rule that keeps a trace. Both the
-lazy feed and ``AccessTrace.member_batches`` size their batches by
+simulations), ``materialize`` reads each wave's members once and keeps them
+as one batch, in wave order; the native kernel's queue of a wave is its
+members' indices into that batch, as a lazy batch's queue is its own
+workgroups'. A trace whose batches would pass ``RECORD_TABLE_BYTES`` stays
+lazy: that byte budget is the one rule that keeps a trace. Both the lazy
+feed and ``AccessTrace.member_batches`` size their batches by
 ``batch_width``.
 
 Multi-phase kernels are modeled as waves: each wave is one dispatch over
@@ -87,7 +88,7 @@ class Batch:
         self.writes = np.ascontiguousarray(writes, dtype=bool)
         self.strides = np.ascontiguousarray(strides, dtype=np.int64)
         self.counts = np.ascontiguousarray(counts, dtype=np.int64)
-        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.gstrides = (np.zeros(len(self.offs), dtype=np.int64) if gstrides is None
                          else np.ascontiguousarray(gstrides, dtype=np.int64))
         self.groups = (np.ones(len(self.indptr) - 1, dtype=np.int64) if groups is None
@@ -133,17 +134,18 @@ class Batch:
                      flat.writes.repeat(counts), np.zeros_like(offs), np.ones_like(offs),
                      np.concatenate(([0], counts.cumsum()))[flat.indptr])
 
-    def queue_rows(self) -> np.ndarray:
-        """Each workgroup's row of the native kernel's queue: the addresses of its
-        bufs, offs, lens, strides, counts and gstrides, its segment count and
-        its groups, valid while the columns live."""
-        arrays = (self.bufs, self.offs, self.lens, self.strides, self.counts, self.gstrides)
-        rows = np.empty((len(self.indptr) - 1, 8), dtype=np.int64)
-        rows[:, :6] = [column.ctypes.data for column in arrays]
-        rows[:, :6] += self.indptr[:-1, None] * [column.itemsize for column in arrays]
-        rows[:, 6] = np.diff(self.indptr)
-        rows[:, 7] = self.groups
-        return rows
+    @staticmethod
+    def join(batches: list["Batch"]) -> "Batch":
+        """The workgroups of ``batches``, in order, as one batch. It empties
+        ``batches`` and joins one column at a time, dropping each column of
+        the parts once it is joined, so that parts that nothing else holds
+        are never held whole beside their join."""
+        sizes = [np.diff(batch.indptr) for batch in batches]
+        names = ("bufs", "offs", "lens", "writes", "strides", "counts", "gstrides", "groups")
+        parts = [[getattr(batch, name) for batch in batches] for name in names]
+        batches.clear()
+        *columns, gstrides, groups = [np.concatenate(parts.pop(0) or [[]]) for _ in names]
+        return Batch(*columns, np.concatenate(([0], *sizes)).cumsum(), gstrides, groups)
 
 
 BatchFn = Callable[[int, np.ndarray], Batch]  # (wave_index, logical pids) -> their segments
@@ -170,18 +172,18 @@ class AccessTrace:
         buffers: Sequence[Buffer],
         batch_fn: BatchFn,
         wave_pids: Sequence[np.ndarray] | None = None,
-        kept: Sequence[tuple[int, np.ndarray, Batch]] | None = None,
-        queue_rows: np.ndarray | None = None,
+        kept: Batch | None = None,
     ):
         self.kernel = kernel
         self.kept = kept  # see ``materialize``
-        self.queue_rows = queue_rows
         self.grid = grid
         self.buffers = tuple(buffers)
         self._batch_fn = batch_fn
         if wave_pids is None:
             wave_pids = [np.arange(grid.total_blocks, dtype=np.int64)]
         self.wave_pids = tuple(np.asarray(w, dtype=np.int64) for w in wave_pids)
+        # each wave's first workgroup in ``kept``, which holds the waves in order
+        self.wave_starts = np.cumsum([0, *map(len, self.wave_pids)]).tolist()
         self.base_offsets = np.zeros(len(self.buffers), dtype=np.int64)
         self.buffer_lengths = np.zeros(len(self.buffers), dtype=np.int64)
         for buf in self.buffers:
@@ -208,12 +210,13 @@ class AccessTrace:
         return self.batch(wave, [logical_pid]).records()
 
     def member_batches(self):
-        """(wave, pids, their batch) over each wave's members in order, or the
-        kept ones of a materialized trace. The first batch is one member, and
-        each later one as wide as ``batch_width`` gives from the batches read
-        before it, in any wave."""
+        """(wave, pids, their batch) over each wave's members in order: on a
+        materialized trace one batch per wave, a part of ``kept``. Otherwise
+        the first batch is one member, and each later one as wide as
+        ``batch_width`` gives from the batches read before it, in any wave."""
         if self.kept is not None:
-            yield from self.kept
+            for wave, (members, start) in enumerate(zip(self.wave_pids, self.wave_starts)):
+                yield wave, members, self.kept.part(start, start + len(members))
             return
         pids_read = segments_read = 0
         for wave, members in enumerate(self.wave_pids):
@@ -244,8 +247,7 @@ def make_buffers(sizes: Sequence[tuple[str, int]]) -> list[Buffer]:
     return buffers
 
 
-# materialize() keeps the lazy trace when its segment batches, with the queue
-# rows, would pass this many bytes
+# materialize() keeps a trace lazy when its batches would pass this many bytes
 RECORD_TABLE_BYTES = 32 << 20
 
 
@@ -253,32 +255,26 @@ def materialize(trace: AccessTrace) -> AccessTrace:
     """``trace`` with every wave's member segments read once and kept.
 
     The members are read as ``AccessTrace.member_batches`` gives, and the
-    returned trace's ``kept`` holds each (wave, pids, batch) as read, the
-    columns made read-only. Its (waves, total, 8) ``queue_rows`` hold each
-    member's ``Batch.queue_rows`` row, pointing into its kept batch, so a
-    simulation builds each queue with one index. Its batch function is the
-    original one. If the queue rows alone pass ``RECORD_TABLE_BYTES``,
-    ``trace`` itself is returned before any read or allocation; if the rows
-    and the batches' columns pass it, reading stops and ``trace`` is
-    returned. A materialized trace is returned as it is.
+    windows joined (``Batch.join``) into the returned trace's ``kept``: one
+    read-only batch of every wave's members in order, wave ``w``'s from
+    workgroup ``wave_starts[w]`` on. Its batch function is the original one.
+    If the batches' columns pass ``RECORD_TABLE_BYTES``, reading stops and
+    ``trace`` is returned. A materialized trace is returned as it is.
     """
     if trace.kept is not None:
         return trace
-    size = trace.num_waves * trace.grid.total_blocks * 8 * 8  # the queue rows' bytes
-    if size > RECORD_TABLE_BYTES:
-        return trace
-    rows = np.zeros((trace.num_waves, trace.grid.total_blocks, 8), dtype=np.int64)
-    kept = []
-    for wave, pids, batch in trace.member_batches():
-        size += batch.nbytes
+    windows, size = [], 0
+    for _, _, window in trace.member_batches():
+        size += window.nbytes
         if size > RECORD_TABLE_BYTES:
             return trace
-        for column in (*batch.columns, batch.groups):
-            column.flags.writeable = False
-        rows[wave, pids] = batch.queue_rows()
-        kept.append((wave, pids, batch))
+        windows.append(window)
+        del window  # `windows` alone holds it, so that the join drops it
+    kept = Batch.join(windows)
+    for column in (*kept.columns, kept.indptr, kept.groups):
+        column.flags.writeable = False
     return AccessTrace(trace.kernel, trace.grid, trace.buffers, trace._batch_fn,
-                       trace.wave_pids, tuple(kept), rows)
+                       trace.wave_pids, kept)
 
 
 def records_outside(records: Batch, lengths: np.ndarray) -> bool:
@@ -475,11 +471,10 @@ def _record_chunks(trace: AccessTrace):
 
 def _join_chunk(pieces) -> tuple[Batch, np.ndarray]:
     """The pieces of one chunk, each a flat batch and its workgroups' owner
-    keys, as one stream of their segments and each segment's owner key."""
-    owner = np.concatenate([keys.repeat(np.diff(part.indptr)) for part, keys in pieces])
-    # one group: the group strides are never read
-    *columns, _ = map(np.concatenate, zip(*(part.columns for part, _ in pieces)))
-    return Batch(*columns, [0, len(owner)]), owner
+    keys, as one batch of their segments and each segment's owner key."""
+    segments = Batch.join([part for part, _ in pieces])
+    owner = np.concatenate([keys for _, keys in pieces]).repeat(np.diff(segments.indptr))
+    return segments, owner
 
 
 def _owner_intervals(segments: Batch, owner: np.ndarray, bases: np.ndarray):

@@ -116,11 +116,12 @@ class FullyAssociativeLru:
 @contextlib.contextmanager
 def python_pass():
     """``simulate`` runs each XCD's pass in the oracle ``reference_pass``
-    inside this context, on the threads it would run the native pass on."""
+    inside this context, on the threads it would run the native pass on, from
+    the same member positions of each wave."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(cachesim, "_run_native",
-                  lambda kernel, trace, waves, arch, slots, touched:
-                  cachesim.reference_pass(trace, waves, arch, slots, touched))
+                  lambda kernel, trace, positions, arch, slots, touched:
+                  cachesim.reference_pass(trace, positions, arch, slots, touched))
         yield
 
 

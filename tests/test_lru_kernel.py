@@ -331,7 +331,8 @@ def test_native_pass_matches_python_pass(native, run):
 
 class _Xcd:
     """One XCD of one buffer: its LRU rows, touched-line bytes and counts,
-    driven through ``xcd_drain`` with the queue rows of a ``Batch``."""
+    driven through ``xcd_drain`` with a ``Batch``'s columns and a queue of
+    its workgroups."""
 
     def __init__(self, num_sets, ways, capacity, buffer_bytes, line=128):
         self.kernel = cachesim._load_kernel()
@@ -343,13 +344,17 @@ class _Xcd:
         self.counts = np.zeros(2, dtype=np.int64)  # hits, touches
         self.shape = (capacity, line.bit_length() - 1, num_sets, ways)
 
-    def drain(self, loaded, batch, more):
-        """``xcd_drain`` over the batch's workgroups; the caller keeps the batch
-        alive while a slot may point into it."""
+    def drain(self, loaded, batch, more, queue=None):
+        """``xcd_drain`` over the batch's workgroups at the indices ``queue``,
+        by default every one in order; the caller keeps the batch alive while
+        a slot may point into it."""
         capacity, shift, num_sets, ways = self.shape
-        queue = batch.queue_rows()
+        if queue is None:
+            queue = range(len(batch.indptr) - 1)
+        queue, columns = np.asarray(queue, dtype=np.int64), cachesim._columns(batch)
         return self.kernel.xcd_drain(
-            self.resident.ctypes.data, capacity, loaded, queue.ctypes.data, len(queue), more,
+            self.resident.ctypes.data, capacity, loaded, columns.ctypes.data,
+            queue.ctypes.data, len(queue), more,
             self.bases.ctypes.data, self.lengths.ctypes.data, 1, shift,
             self.touched.ctypes.data, self.counts.ctypes.data, self.tags.ctypes.data,
             self.heads.ctypes.data, num_sets, ways)
@@ -379,22 +384,30 @@ def test_xcd_drain_moves_survivors_to_the_front_in_order(native):
     # 3 slots; workgroups a-e touch 3, 1, 2, 1 and 3 distinct lines, as one
     # 3-run segment (a), one run (b, d), two one-run segments (c) and a
     # 3-run segment behind an empty one (e); the queue skips a workgroup of
-    # no segments and one whose only segment has no runs. One set of 16 ways
-    # keeps every line, so its row, read from its head, is the touch order
-    # reversed and then six empty entries.
+    # no segments and one whose only segment has no runs. The queue takes
+    # them from a batch that holds them out of order, as indices. One set of
+    # 16 ways keeps every line, so its row, read from its head, is the touch
+    # order reversed and then six empty entries.
     a = [(0, 0, 1, 128, 3)]
     b = [(0, 3 * 128, 1, 0, 1)]
     c = [(0, 4 * 128, 1, 0, 1), (0, 5 * 128 + 7, 100, 0, 1)]
     d = [(0, 6 * 128, 128, 0, 1)]
     e = [(0, 0, 1, 128, 0), (0, 7 * 128 + 5, 2, 128, 3)]
-    queue = _segment_batch([a, b, [], [(0, 0, 1, 0, 0)], c, d, e])
-    rows = queue.queue_rows()
+    batch = _segment_batch([e, [], c, a, [(0, 0, 1, 0, 0)], d, b])
+    queue = [3, 6, 1, 4, 2, 5, 0]  # a, b, the two of no runs, c, d, e
+
+    def slot_words(w):  # bufs, offs, lens, strides, counts, gstrides, segments, groups
+        first = int(batch.indptr[w])
+        return [column.ctypes.data + first * column.itemsize for column in (
+            batch.bufs, batch.offs, batch.lens, batch.strides, batch.counts, batch.gstrides)
+        ] + [int(batch.indptr[w + 1]) - first, int(batch.groups[w])]
+
     xcd = _Xcd(num_sets=1, ways=16, capacity=3, buffer_bytes=1280)
     # turn 1 touches a, b, c; b drains and d refills after the survivors a, c;
     # turn 2 touches a, c, d; c and d drain, e refills after a, and the call
     # returns with a slot free and the queue empty
-    assert xcd.drain(0, queue, True) == 2
-    assert xcd.resident[:2, :8].tolist() == [rows[0].tolist(), rows[6].tolist()]
+    assert xcd.drain(0, batch, True, queue) == 2
+    assert xcd.resident[:2, :8].tolist() == [slot_words(3), slot_words(0)]
     # (group, segment, runs left after the current one, its start, line, last
     # line): a is at its last run, line 2; e at the first run of its second
     # segment, both in their one group
@@ -407,7 +420,7 @@ def test_xcd_drain_moves_survivors_to_the_front_in_order(native):
 
     # the whole queue in one call runs the same touches
     whole = _Xcd(num_sets=1, ways=16, capacity=3, buffer_bytes=1280)
-    assert whole.drain(0, queue, False) == 0
+    assert whole.drain(0, batch, False, queue) == 0
     assert whole.rows() == xcd.rows()
 
 
@@ -445,7 +458,7 @@ def test_batched_queue_matches_whole_queue_and_python_pass(native, case):
     bounds = [0, *(cut for cut in cuts if cut < size), size]
     left = 0
     for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        left = fed.drain(left, batch.part(lo, hi), k < len(bounds) - 2)
+        left = fed.drain(left, batch, k < len(bounds) - 2, range(lo, hi))
         assert left >= 0
     assert left == 0
     assert fed.counts.tolist() == whole.counts.tolist()
@@ -521,15 +534,16 @@ def _watch_feed(trace, arch, *patterns):
             handed_out=[],  # a finalizer per batch's offs column
             queues=[])  # [batch sizes, kernel calls] of each of the pass's waves
         simulation = next(started) // arch.num_xcds
-        pids = np.concatenate(args[2])
-        if len(pids):
+        pids = [trace.wave_pids[wave][positions[0]]
+                for wave, positions in enumerate(args[2]) if len(positions)]
+        if pids:
             passes.append((simulation, int(xcd_of[simulation][pids[0]]), feed))
         return run_native(*args)
 
     class Watched:
         def xcd_drain(self, *args):
             feed = watching.feed
-            feed.left, feed.more = kernel.xcd_drain(*args), args[5]
+            feed.left, feed.more = kernel.xcd_drain(*args), args[6]
             feed.queues[-1][1] += 1
             return feed.left
 
@@ -659,7 +673,7 @@ def _watch_pair(trace):
 
     class Watched:
         def xcd_drain(self, *args):
-            events.append(("drain", args[4], args[5]))  # list.append is atomic
+            events.append(("drain", args[5], args[6]))  # list.append is atomic
             return kernel.xcd_drain(*args)
 
     def watched(wave, pids):
@@ -712,21 +726,55 @@ def test_materialized_trace_is_kept_as_it_is(native):
     assert table.kept is not None and materialize(table) is table
 
 
-def test_materialize_reads_nothing_when_its_queue_rows_pass_the_budget(monkeypatch):
-    # 480 members of one wave: 480 * 64 bytes of queue rows, checked before
-    # they are allocated or any batch is read
-    lazy = _tapering_trace()
-    reads, batch_fn = [], lazy._batch_fn
-    monkeypatch.setattr(lazy, "_batch_fn", lambda wave, pids: reads.append(pids) or
-                        batch_fn(wave, pids))
-    monkeypatch.setattr(traces, "RECORD_TABLE_BYTES", 480 * 64 - 1)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_many_wave_smith_waterman_is_kept(native, monkeypatch, workers):
+    # 127 anti-diagonal waves over 4096 blocks, 24 321 segments (1.16 MB of
+    # batches): kept under RECORD_TABLE_BYTES, whatever its waves x pids
+    monkeypatch.setattr(cachesim, "WORKERS", workers)
+    arch = MI300X_LIKE
+    lazy = generate_trace(spec_with_size("smith_waterman", 8192))
+    pattern = builtin_pattern(default_pattern("smith_waterman"), lazy.grid, arch)
+    want = [report_to_json(simulate(lazy, p, arch))
+            for p in (builtin_pattern("identity", lazy.grid, arch), pattern)]
+    assert materialize(lazy) is not lazy
+    assert [report_to_json(r) for r in simulate_pair(lazy, arch, ExecParams(), pattern)] == want
+
+
+def test_materialize_holds_its_windows_and_one_column_at_most(native):
+    # the join drops each column of the windows once it is joined, so the
+    # trace is never held twice: materialize peaks at what reading its
+    # windows holds, plus the widest joined column
+    lazy = generate_trace(spec_with_size("smith_waterman", 8192))
     tracemalloc.start()
     try:
-        assert materialize(lazy) is lazy
+        windows = [batch for _, _, batch in lazy.member_batches()]
+        read = tracemalloc.get_traced_memory()[1]
+        del windows
+        tracemalloc.reset_peak()
+        table = materialize(lazy)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert reads == [] and peak < 480 * 64
+    widest = max(column.nbytes for column in (*table.kept.columns, table.kept.groups))
+    assert table.kept.nbytes < read <= peak <= read + widest
+
+
+@pytest.mark.parametrize("waves", [[{0: [(0, 0, 128)], 3: [(0, 128, 256)]}, {},
+                                    {1: [(0, 0, 512)], 2: [(0, 256, 128)]}], [{}]])
+def test_a_trace_with_an_empty_wave_materializes(native, waves):
+    # an empty wave between two others, and a trace of one empty wave, whose
+    # kept batch joins no window
+    trace = _trace_of(waves, [1024], 4)
+    table = materialize(trace)
+    assert table is not trace
+    assert len(table.kept.indptr) == 1 + sum(map(len, waves))
+    arch = arch_with_xcds(2, cus_per_xcd=1, l2_bytes=1024, ways=2)
+    for name in ("identity", "gemm_contiguous"):
+        pattern = builtin_pattern(name, trace.grid, arch, check_grid=False)
+        want = simulate(trace, pattern, arch)
+        with python_pass():
+            assert simulate(trace, pattern, arch) == want
+        assert simulate(table, pattern, arch) == want
 
 
 def _pair_reads_each_member_once(kind, workers, monkeypatch) -> list[tuple]:
@@ -735,8 +783,8 @@ def _pair_reads_each_member_once(kind, workers, monkeypatch) -> list[tuple]:
     windows and wave order, and that both simulations then run from the kept
     batches, each non-empty (XCD, wave) queue in one kernel call, with the
     reports of two lazy simulations. The pair's peak stays within a lazy
-    pair's and what ``materialize`` keeps: the batches, their arrays' headers
-    included, and the queue rows. Gives the reads."""
+    pair's and what ``materialize`` keeps: the batch, its arrays' headers
+    included. Gives the reads."""
     monkeypatch.setattr(cachesim, "WORKERS", workers)
     arch = MI300X_LIKE
     lazy = generate_trace(default_spec(kind))
@@ -996,10 +1044,25 @@ def test_group_bounds_are_exact_and_name_the_workgroup(native, case):
     assert ("workgroup 5 in wave 1" not in outcomes[0]) == inside
 
 
+def _wavefront_outcomes():
+    """The reports of a 4 x 4 block smith_waterman on 2 XCDs of 2 slots, lazy
+    and materialized: 7 anti-diagonal waves of 1 to 4 members, none of them
+    every pid, so the kernel reads indptr and groups at indices past each
+    wave's first workgroup, up to the kept batch's last, workgroup 15."""
+    trace = generate_trace(KernelSpec("smith_waterman", {"m": 256, "n": 256},
+                                      {"m": 64, "n": 64}))
+    arch = arch_with_xcds(2, cus_per_xcd=2, l2_bytes=4096, ways=2)
+    table = materialize(trace)
+    assert [len(members) for members in trace.wave_pids] == [1, 2, 3, 4, 3, 2, 1]
+    assert trace.wave_pids[-1].tolist() == [15] and len(table.kept.groups) == 16
+    return [report_to_json(simulate(subject, builtin_pattern(name, trace.grid, arch), arch))
+            for subject in (trace, table) for name in ("identity", "gemm_contiguous")]
+
+
 def _checked_outcomes():
     """(hits, misses) of ``simulate`` on each of PER_TOUCH_STREAMS, then the
     error of each OVERFLOWS case on its lazy and its materialized trace, then
-    the outcomes of the GROUP_BOUNDS cases."""
+    the outcomes of the GROUP_BOUNDS cases and the wavefront's reports."""
     out = [list(_per_touch_counts(case)) for case in PER_TOUCH_STREAMS]
     for stride, count in OVERFLOWS:
         trace, arch, pattern = _overflowing_case(stride, count)
@@ -1007,7 +1070,7 @@ def _checked_outcomes():
             with pytest.raises(SimulationError) as exc:
                 simulate(subject, pattern, arch)
             out.append(str(exc.value))
-    return out + _group_outcomes()
+    return out + _group_outcomes() + _wavefront_outcomes()
 
 
 def _past_a_pad_outcomes():
@@ -1040,7 +1103,7 @@ def _sanitized_run(lib, outcomes, env=None):
 def test_kernel_runs_clean_under_ubsan(native, tmp_path):
     # a build that aborts on undefined behaviour (signed overflow, shifts out
     # of range, misaligned or null accesses) runs the per-touch, the
-    # overflowing-segment and the group-bound cases
+    # overflowing-segment, the group-bound and the wavefront cases
     lib = tmp_path / "lru-ubsan.so"
     done = _build(["-fsanitize=undefined", "-fno-sanitize-recover=all"], lib)
     if done.returncode != 0 and "ubsan" in done.stderr:

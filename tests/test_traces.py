@@ -591,8 +591,9 @@ def test_materialized_records_match_lazy(kind, dims):
     lazy = generate_trace(small(kind, **dims))
     table = materialize(lazy)
     assert table is not lazy
-    # the kept batches are read-only
-    assert not any(column.flags.writeable for _, _, batch in table.kept for column in batch.columns)
+    # the kept batch is read-only
+    kept = table.kept
+    assert not any(column.flags.writeable for column in (*kept.columns, kept.indptr, kept.groups))
     # every (pid, wave), a wave's member or not (smith_waterman), reads the same
     for wave in range(lazy.num_waves):
         for pid in range(lazy.grid.total_blocks):
@@ -704,35 +705,38 @@ def test_materialize_stops_one_batch_past_its_budget(monkeypatch, passing):
         return batch_fn(wave, pids)
 
     lazy._batch_fn = counting
-    rows = 64 * lazy.grid.total_blocks  # the queue rows
-    monkeypatch.setattr(traces, "RECORD_TABLE_BYTES", rows + sum(sizes[:passing + 1]) - 1)
+    monkeypatch.setattr(traces, "RECORD_TABLE_BYTES", sum(sizes[:passing + 1]) - 1)
     assert materialize(lazy) is lazy
     assert calls == [pids for pids, _ in windows[:passing + 1]]
 
     calls.clear()
-    monkeypatch.setattr(traces, "RECORD_TABLE_BYTES", rows + sum(sizes))
+    monkeypatch.setattr(traces, "RECORD_TABLE_BYTES", sum(sizes))
     table = materialize(lazy)
     assert calls == [pids for pids, _ in windows]
-    # the batches are kept as read, and each member's queue row points into its own
-    assert [(wave, pids.tolist()) for wave, pids, _ in table.kept] == [(0, c) for c in calls]
-    for _, pids, batch in table.kept:
-        assert table.queue_rows[0, pids].tolist() == batch.queue_rows().tolist()
+    # the windows are kept as one batch, the wave's members in order
+    whole = batch_fn(0, lazy.wave_pids[0])
+    kept = table.kept
+    for column, want in zip((*kept.columns, kept.indptr, kept.groups),
+                            (*whole.columns, whole.indptr, whole.groups)):
+        assert column.dtype == want.dtype and column.tolist() == want.tolist()
     assert all(table.records_for(pid) == lazy.records_for(pid) for pid in range(20))
 
 
 @pytest.mark.parametrize("kind, problem", [("transpose", {"m": 200, "n": 100}),
                                            ("fdtd2d", {"ny": 200, "nx": 100, "steps": 3})])
 def test_record_chunks_stay_within_the_chunk_bound(monkeypatch, kind, problem):
-    # kept batches, in wave order, of 14 workgroups per wave (a transpose tile
-    # streams up to 32 groups of a row read and 64 column-scatter runs, about
-    # 4200 granules); every chunk of segments keeps to one wave and, unless it
-    # is one workgroup's stream, spans at most _CHUNK_GRANULES granules,
-    # whatever its cut
+    # one kept batch, the waves in order, of 14 workgroups per wave (a
+    # transpose tile streams up to 32 groups of a row read and 64
+    # column-scatter runs, about 4200 granules), read one part per wave;
+    # every chunk of segments keeps to one wave and, unless it is one
+    # workgroup's stream, spans at most _CHUNK_GRANULES granules, whatever
+    # its cut
     block = {"m": 32, "n": 64} if kind == "transpose" else {"y": 32, "x": 64}
     table = materialize(generate_trace(KernelSpec(kind, problem, block)))
     waves = table.num_waves
-    kept_waves = [wave for wave, _, _ in table.kept]
-    assert kept_waves == sorted(kept_waves) and set(kept_waves) == set(range(waves))
+    assert len(table.kept.groups) == 14 * waves
+    assert [(wave, len(pids), len(batch.groups)) for wave, pids, batch in table.member_batches()
+            ] == [(wave, 14, 14) for wave in range(waves)]
     want = locality_summary(table)
     for chunk in (1, 3000, 10000, 1 << 19):
         monkeypatch.setattr(traces, "_CHUNK_GRANULES", chunk)

@@ -74,15 +74,18 @@ def test_parallel_report_matches_the_reference_pass(monkeypatch):
 def _modulo_split_report(trace, pattern, arch) -> cachesim.BottleneckReport:
     """``simulate``'s report, each XCD's queue of a wave selected by a
     ``launch % num_xcds == xcd`` mask over the wave's sorted launch pids and
-    drained by ``reference_pass``: a split that shares no code with simulate's."""
+    drained by ``reference_pass`` from the members' positions in the wave: a
+    split that shares no code with simulate's."""
     table = validated_remap_table(pattern, trace.grid, arch)
     launch_of = np.argsort(table)
     launches = [np.sort(launch_of[members]) for members in trace.wave_pids]
+    position = [dict(zip(members.tolist(), range(len(members)))) for members in trace.wave_pids]
     end = max(buffer.base_offset + buffer.length_bytes for buffer in trace.buffers)
     touched = np.zeros(-(-end // arch.l2_line_bytes), dtype=np.uint8)
     per_xcd = []
     for xcd in range(arch.num_xcds):
-        waves = [table[launch[launch % arch.num_xcds == xcd]] for launch in launches]
+        waves = [np.array([of[pid] for pid in table[launch[launch % arch.num_xcds == xcd]]],
+                          dtype=np.int64) for launch, of in zip(launches, position)]
         hits, accesses = cachesim.reference_pass(
             trace, waves, arch, concurrent_slots_per_xcd(arch), touched)
         per_xcd.append(cachesim.XcdStats(accesses, hits, accesses - hits,
